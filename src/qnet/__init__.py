@@ -39,7 +39,6 @@ from .experiments import (
     ExperimentPlan,
     RateTable,
     compare_to_fluid,
-    plot_export,
     run_sweep,
 )
 

@@ -46,9 +46,6 @@ __all__ = [
     "grid_plan",
 ]
 
-_L1 = "l1"
-_NORMS = ("l1", "l2", "linf")
-
 
 def _interval_dist(x: float, lo: float, hi: float) -> float:
     if x < lo:
@@ -58,48 +55,29 @@ def _interval_dist(x: float, lo: float, hi: float) -> float:
     return 0.0
 
 
-def _combine(devs, norm: str) -> float:
-    """Fold per-factor deviations of a product set into one distance."""
-    if norm == "l1":
-        return float(sum(devs))
-    if norm == "l2":
-        return float(np.sqrt(sum(d * d for d in devs)))
-    return float(max(devs, default=0.0))
+def _segment_dist(x: np.ndarray, p: np.ndarray, r: np.ndarray) -> float:
+    """L1 distance from point x to the segment p + t*(r - p), t in [0, 1].
 
-
-def _segment_dist(x: np.ndarray, p: np.ndarray, r: np.ndarray, norm: str) -> float:
-    """Distance from point x to the segment p + t*(r - p), t in [0, 1].
-
-    The objective is piecewise linear in t for l1/linf (kinks where a
-    coordinate deviation or their order changes sign) and smooth for l2,
-    so the exact minimizer is among a handful of candidate t values.
+    The objective is piecewise linear in t with kinks where a coordinate
+    deviation changes sign, so the exact minimizer is among the segment
+    ends and those kinks.
     """
     d = r - p
     a = x - p
     cands = [0.0, 1.0]
-    if norm == "l2":
-        dd = float(d @ d)
-        if dd > 0.0:
-            cands.append(float(a @ d) / dd)
-    else:
-        for c in range(2):
-            if d[c] != 0.0:
-                cands.append(a[c] / d[c])
-        # linf: the active coordinate can switch where |a0-t*d0| = |a1-t*d1|
-        for s in (1.0, -1.0):
-            denom = d[0] - s * d[1]
-            if denom != 0.0:
-                cands.append((a[0] - s * a[1]) / denom)
+    for c in range(2):
+        if d[c] != 0.0:
+            cands.append(a[c] / d[c])
     best = np.inf
     for t in cands:
         t = min(max(t, 0.0), 1.0)
         dev0, dev1 = abs(a[0] - t * d[0]), abs(a[1] - t * d[1])
-        best = min(best, _combine((dev0, dev1), norm))
+        best = min(best, float(dev0 + dev1))
     return best
 
 
-def _polygon_dist(x: np.ndarray, verts: np.ndarray, norm: str) -> float:
-    """Distance from x to a convex polygon given by CCW vertices."""
+def _polygon_dist(x: np.ndarray, verts: np.ndarray) -> float:
+    """L1 distance from x to a convex polygon given by CCW vertices."""
     m = len(verts)
     inside = True
     for i in range(m):
@@ -110,7 +88,7 @@ def _polygon_dist(x: np.ndarray, verts: np.ndarray, norm: str) -> float:
             break
     if inside:
         return 0.0
-    return min(_segment_dist(x, verts[i], verts[(i + 1) % m], norm) for i in range(m))
+    return min(_segment_dist(x, verts[i], verts[(i + 1) % m]) for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -125,7 +103,7 @@ class Piece:
     poly_coords: Optional[tuple] = None      # pair of class indices
     poly_vertices: Optional[tuple] = None    # CCW vertices over that pair
 
-    def q_distance(self, q_unit: np.ndarray, norm: str = _L1) -> float:
+    def q_distance(self, q_unit: np.ndarray) -> float:
         devs = [_interval_dist(q_unit[k], lo, hi) for k, lo, hi in self.bounds]
         if self.poly_coords is not None:
             i, j = self.poly_coords
@@ -133,10 +111,9 @@ class Piece:
                 _polygon_dist(
                     np.array([q_unit[i], q_unit[j]]),
                     np.asarray(self.poly_vertices),
-                    norm,
                 )
             )
-        return _combine(devs, norm)
+        return float(sum(devs))
 
     def restrict(self, coords) -> "Piece":
         keep = set(coords)
@@ -156,7 +133,7 @@ class Piece:
             hi = verts.max(axis=0)
             for _ in range(1000):
                 p = lo + rng.random(2) * (hi - lo)
-                if _polygon_dist(p, verts, _L1) == 0.0:
+                if _polygon_dist(p, verts) == 0.0:
                     break
             else:
                 p = verts.mean(axis=0)
@@ -191,11 +168,8 @@ class EquilibriumSet:
     pieces: tuple
     constrain_residuals: bool = True
 
-    def q_distance(self, q_unit: np.ndarray, norm: str = _L1) -> float:
-        return min(p.q_distance(q_unit, norm) for p in self.pieces)
-
-    def contains(self, state: FluidState, hbar: float, tol: float = 1e-9) -> bool:
-        return distance(state, self, hbar) <= tol
+    def q_distance(self, q_unit: np.ndarray) -> float:
+        return min(p.q_distance(q_unit) for p in self.pieces)
 
     def projected(self, coords) -> "EquilibriumSet":
         """Projection onto a coordinate subset: hitting times measured on
@@ -208,23 +182,18 @@ class EquilibriumSet:
         )
 
 
-def distance(state: FluidState, eqset: EquilibriumSet, hbar: float, norm: str = _L1) -> float:
-    """Exact distance from ``state`` to the set scaled by ``hbar``.
-
-    L1 is the default (the norm all absorption-time bounds are stated
-    in); l2 and linf are available behind the parameter.
-    """
-    if norm not in _NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
+def distance(state: FluidState, eqset: EquilibriumSet, hbar: float) -> float:
+    """Exact L1 distance from ``state`` to the set scaled by ``hbar`` (the
+    norm all absorption-time bounds are stated in)."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    dq = hbar * eqset.q_distance(state.q / hbar, norm)
+    dq = hbar * eqset.q_distance(state.q / hbar)
     if not eqset.constrain_residuals:
         return dq
     devs = [dq]
     devs.extend(abs(float(x)) for x in state.u)
     devs.extend(abs(float(x)) for x in state.v)
-    return _combine(devs, norm)
+    return float(sum(devs))
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +377,6 @@ class C1Report:
         beyond the samples is implied."""
         finite = self.ratios[np.isfinite(self.ratios)]
         return float(finite.max()) if len(finite) else 0.0
-
-    @property
-    def argmax_sample(self) -> Optional[int]:
-        finite = np.where(np.isfinite(self.ratios))[0]
-        if not len(finite):
-            return None
-        return int(finite[np.argmax(self.ratios[finite])])
 
     def max_ratio_for(self, label: str) -> float:
         sel = [

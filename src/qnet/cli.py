@@ -3,8 +3,9 @@
 Verbs: validate, simulate, fluid, verify-c1, verify-c2, sweep, export.
 Every verb takes --config (YAML, see config.py), --seed (overrides the
 config where it applies) and --out (output directory).  Exit codes:
-0 success, 1 validation/configuration failure, 2 runtime budget or I/O
-failure.
+0 success, 1 validation/configuration failure (a ValueError from the
+library counts as one), 2 runtime budget or I/O failure, or a verify-c1 /
+verify-c2 check that does not hold.
 """
 from __future__ import annotations
 
@@ -147,8 +148,8 @@ def cmd_verify_c2(args) -> int:
     with open(os.path.join(out, "c2.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"max deviation from target rates: {report.max_deviation!r}")
-    return EXIT_OK
+    print(f"max deviation from target rates: {report.max_deviation!r} ok={report.ok}")
+    return EXIT_OK if report.ok else EXIT_RUNTIME
 
 
 def cmd_sweep(args) -> int:
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (des.SimulationError, fluid.FluidRateError, fluid.ZenoError, OSError) as exc:

@@ -36,6 +36,7 @@ __all__ = [
     "EmptyWindowError",
     "run",
     "scaled_trajectory",
+    "thresholds",
 ]
 
 
@@ -98,6 +99,16 @@ class ScaledPath:
 _COMPLETION, _ARRIVAL = 0, 1
 
 
+def thresholds(spec: NetworkSpec, n: float) -> tuple:
+    """Discarding thresholds (n*h, n*h - gap) at scale n.  ValueError if the
+    lower one is negative: a flag could then never switch off again."""
+    nh = float(n) * spec.threshold_base
+    low = nh - spec.hysteresis_gap
+    if low < 0:
+        raise ValueError(f"lower threshold n*h - gap = {low:g} is negative at n={float(n):g}")
+    return nh, low
+
+
 class Simulation:
     """One seeded replication.  State is exposed for white-box tests."""
 
@@ -107,18 +118,15 @@ class Simulation:
         self.spec = spec
         self.n = float(n)
         self.seed = int(seed)
-        self.nh = float(n) * spec.threshold_base
-        self.low = self.nh - spec.hysteresis_gap
+        self.nh, self.low = thresholds(spec, n)
 
         K, F, d = spec.num_classes, spec.num_flows, spec.num_stations
         self.arr_streams, self.svc_streams = make_streams(spec, seed)
-        self.flow_classes = [list(spec.flow_classes(f)) for f in range(F)]
-        self.ingress = [ks[0] for ks in self.flow_classes]
-        self.egress = [ks[-1] for ks in self.flow_classes]
-        self.next_class = [int(x) for x in spec.next_class]
-        self.station_of = list(spec.station_of)
-        self.cycles = [list(spec.visit_cycle(i)) for i in range(d)]
-        self.station_members = [list(spec.station_classes(i)) for i in range(d)]
+        self.routes = spec.routes
+        self.successor = spec.successor
+        self.station_of = spec.station_of
+        self.cycles = spec.cycles
+        self.members = spec.members
 
         self.t = 0.0
         self.q = [0] * K
@@ -198,10 +206,11 @@ class Simulation:
         self.e[f] += 1
         heapq.heappush(self.heap, (t + self.arr_streams[f].draw(), _ARRIVAL, f))
         flags = self.flags
-        for k in self.flow_classes[f]:
+        route = self.routes[f]
+        for k in route:
             if flags[k]:
                 return  # discarded: some queue of the flow is above threshold
-        k0 = self.ingress[f]
+        k0 = route[0]
         self.q[k0] += 1
         self.a[k0] += 1
         self.lam[f] += 1
@@ -209,7 +218,7 @@ class Simulation:
             flags[k0] = 1
         i = self.station_of[k0]
         if self.busy_class[i] < 0:
-            if __debug__ and sum(self.q[c] for c in self.station_members[i]) != 1:
+            if __debug__ and sum(self.q[c] for c in self.members[i]) != 1:
                 raise InvariantViolation(f"station {i} idle while backlogged")
             self._start_service(i, t)
 
@@ -222,7 +231,7 @@ class Simulation:
             self.flags[k] = 1
         elif self.q[k] <= self.low:
             self.flags[k] = 0
-        l = self.next_class[k]
+        l = self.successor[k]
         if l >= 0:
             self.q[l] += 1
             self.a[l] += 1
@@ -251,7 +260,7 @@ class Simulation:
         d = np.array(self.d)
         lam_k = np.zeros(K, dtype=int)
         for f in range(spec.num_flows):
-            lam_k[self.ingress[f]] = self.lam[f]
+            lam_k[self.routes[f][0]] = self.lam[f]
         routed = spec.routing_matrix.T.astype(int) @ d + lam_k
         if not np.array_equal(a, routed):
             raise InvariantViolation("A != P^T D + Lambda")
@@ -287,7 +296,7 @@ class Simulation:
             if self.d[k] != expect:
                 raise InvariantViolation("departure count disagrees with its stream")
         for i in range(spec.num_stations):
-            if self.busy_class[i] < 0 and any(self.q[c] > 0 for c in self.station_members[i]):
+            if self.busy_class[i] < 0 and any(self.q[c] > 0 for c in self.members[i]):
                 raise InvariantViolation(f"station {i} idle while backlogged")
         for k in range(K):
             if self.q[k] >= self.nh and not self.flags[k]:
@@ -381,8 +390,7 @@ class Simulation:
 
         span = horizon - t_warm
         dep_rates = np.array(
-            [(self.d[self.egress[f]] - warm_d[self.egress[f]]) / span
-             for f in range(self.spec.num_flows)]
+            [(self.d[k] - warm_d[k]) / span for k in self.spec.egress]
         )
         adm_rates = np.array(
             [(self.lam[f] - warm_lam[f]) / span for f in range(self.spec.num_flows)]

@@ -105,23 +105,20 @@ def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
 class RenewalStream:
     """A seeded renewal process: i.i.d. intervals from one distribution.
 
-    ``residual`` holds the interval most recently drawn (the time until the
-    pending renewal when it was scheduled); the simulation engine owns the
-    calendar, the stream owns sampling state and the cumulative draw count.
+    The simulation engine owns the calendar; the stream owns sampling
+    state and the cumulative draw count.
     """
 
-    __slots__ = ("dist", "rng", "count", "residual")
+    __slots__ = ("dist", "rng", "count")
 
     def __init__(self, dist: DistributionSpec, rng: np.random.Generator):
         self.dist = dist
         self.rng = rng
         self.count = 0
-        self.residual = 0.0
 
     def draw(self) -> float:
         interval = self.dist.quantile(self.rng.random())
         self.count += 1
-        self.residual = interval
         return interval
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "ConvergenceReport",
     "run_sweep",
     "compare_to_fluid",
-    "plot_export",
     "export_trace_csv",
     "export_trajectory_csv",
     "export_rate_table_csv",
@@ -108,13 +107,16 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: Optional[int]
     """Run every (n, seed) cell of the plan and collect long-run rates.
 
     Budget errors in one cell are recorded on its row; the other cells
-    still run.  Worker count comes from the QNET_WORKERS environment
-    variable unless given; results are merged in (n, seed) order so the
-    table is deterministic either way.
+    still run.  A scale n whose lower threshold n*h - gap is negative
+    raises ValueError before any cell runs.  Worker count comes from the
+    QNET_WORKERS environment variable unless given; results are merged in
+    (n, seed) order so the table is deterministic either way.
     """
     plan.validate()
     if plan.horizon <= 0:
         raise des.EmptyWindowError("empty measurement window")
+    for n in plan.n_values:
+        des.thresholds(spec, n)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     cells = [
@@ -298,17 +300,3 @@ def export_rate_table_json(table: RateTable, path, *, target_rates=None) -> None
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def plot_export(obj, path) -> None:
-    """Export a trace, fluid trajectory, or rate table to CSV by type."""
-    from .fluid import FluidTrajectory
-
-    if isinstance(obj, des.SimTrace):
-        export_trace_csv(obj, path)
-    elif isinstance(obj, FluidTrajectory):
-        export_trajectory_csv(obj, path)
-    elif isinstance(obj, RateTable):
-        export_rate_table_csv(obj, path)
-    else:
-        raise TypeError(f"cannot export {type(obj).__name__}")

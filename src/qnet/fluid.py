@@ -19,7 +19,7 @@ Boundary states are resolved deterministically:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,18 @@ EMPTY, INTERIOR, AT_THRESHOLD, ABOVE = "empty", "interior", "at_threshold", "abo
 _RATE_EPS = 1e-9      # rates smaller than this are treated as zero drift
 _ROOT_TOL = 1e-13     # target residual for sliding admission roots
 _FILL_TOL = 1e-14     # convergence of the service-allocation fixed point
+
+
+def _classify(q: np.ndarray, hbar: float) -> tuple:
+    """Boundary tolerance at threshold ``hbar`` and the boolean masks of
+    the queues that are empty, at the threshold and above it; every other
+    queue is interior.  The tolerance also decides whether a residual
+    clock or gate is still running."""
+    atol = 1e-10 * max(1.0, hbar)
+    empty = q <= atol
+    above = q >= hbar + atol
+    at_thr = ~above & (q >= hbar - atol)
+    return atol, empty, at_thr, above
 
 
 class FluidRateError(RuntimeError):
@@ -72,9 +84,6 @@ class FluidState:
             raise ValueError("fluid coordinates must be nonnegative")
         return cls(q=q, u=u, v=v, hbar=float(hbar))
 
-    def copy(self) -> "FluidState":
-        return FluidState(self.q.copy(), self.u.copy(), self.v.copy(), self.hbar)
-
 
 @dataclass
 class Regime:
@@ -86,17 +95,11 @@ class Regime:
 
     @classmethod
     def of(cls, state: FluidState, spec: NetworkSpec) -> "Regime":
-        atol = 1e-10 * max(1.0, state.hbar)
-        status = []
-        for qk in state.q:
-            if qk <= atol:
-                status.append(EMPTY)
-            elif qk >= state.hbar + atol:
-                status.append(ABOVE)
-            elif qk >= state.hbar - atol:
-                status.append(AT_THRESHOLD)
-            else:
-                status.append(INTERIOR)
+        atol, empty, at_thr, above = _classify(state.q, state.hbar)
+        status = [
+            EMPTY if e else ABOVE if a else AT_THRESHOLD if t else INTERIOR
+            for e, t, a in zip(empty, at_thr, above)
+        ]
         return cls(
             queue_status=tuple(status),
             arrival_active=tuple(bool(x <= atol) for x in state.u),
@@ -123,33 +126,7 @@ class RateVector:
 # service allocation (weighted water-filling across each station)
 
 
-class _Ctx:
-    """Per-spec arrays used by the rate solver."""
-
-    def __init__(self, spec: NetworkSpec):
-        self.spec = spec
-        K = spec.num_classes
-        self.K = K
-        self.F = spec.num_flows
-        self.alpha = spec.arrival_rates
-        self.mu = spec.service_rates
-        self.w = spec.class_weights()
-        self.parent = np.full(K, -1, dtype=int)
-        nxt = spec.next_class
-        for k in range(K):
-            if nxt[k] >= 0:
-                self.parent[nxt[k]] = k
-        self.ingress_flow = np.full(K, -1, dtype=int)
-        for f in range(self.F):
-            self.ingress_flow[spec.flow_classes(f)[0]] = f
-        self.stations = [
-            [k for k in spec.station_classes(i) if k not in spec.idle_slots]
-            for i in range(spec.num_stations)
-        ]
-        self.flow_classes = [spec.flow_classes(f) for f in range(self.F)]
-
-
-def _fill_station(ctx, members, backlogged, gate_open, inflow, depart, busy):
+def _fill_station(spec, members, backlogged, gate_open, inflow, depart, busy):
     """Water-fill one station's capacity; writes depart/busy rows in place.
 
     A class with a pending residual service has a job occupying the
@@ -160,7 +137,7 @@ def _fill_station(ctx, members, backlogged, gate_open, inflow, depart, busy):
     proportion, and an empty queue whose input is below its share is
     served at exactly its input.
     """
-    w, mu = ctx.w, ctx.mu
+    w, mu = spec.w, spec.mu
     gated = [k for k in members if not gate_open[k]]
     if gated:
         busy[gated[0]] = 1.0
@@ -192,37 +169,35 @@ def _fill_station(ctx, members, backlogged, gate_open, inflow, depart, busy):
         busy[k] = depart[k] / mu[k]
 
 
-def _propagate_inflow(ctx, admit, depart):
-    inflow = np.zeros(ctx.K)
-    for k in range(ctx.K):
-        f = ctx.ingress_flow[k]
-        if f >= 0:
-            inflow[k] += admit[f]
-        p = ctx.parent[k]
-        if p >= 0:
+def _propagate_inflow(spec, admit, depart):
+    inflow = np.zeros(spec.num_classes)
+    for f, ks in enumerate(spec.routes):
+        inflow[ks[0]] += admit[f]
+        for p, k in zip(ks, ks[1:]):
             inflow[k] += depart[p]
     return inflow
 
-def _allocate(ctx, admit, backlogged, gate_open):
+def _allocate(spec, admit, backlogged, gate_open):
     """Fixed point of (inflow propagation, per-station water-filling).
 
     Returns (depart, busy, inflow).  Raises FluidRateError if the
     iteration fails to settle; for loop-free routing it terminates in a
     handful of rounds because upstream rates finalize hop by hop.
     """
-    depart = np.zeros(ctx.K)
-    max_rounds = 4 * ctx.K + 16
+    K = spec.num_classes
+    depart = np.zeros(K)
+    max_rounds = 4 * K + 16
     for _ in range(max_rounds):
-        inflow = _propagate_inflow(ctx, admit, depart)
-        new_depart = np.zeros(ctx.K)
-        busy = np.zeros(ctx.K)
-        for members in ctx.stations:
+        inflow = _propagate_inflow(spec, admit, depart)
+        new_depart = np.zeros(K)
+        busy = np.zeros(K)
+        for members in spec.fed:
             if members:
-                _fill_station(ctx, members, backlogged, gate_open, inflow, new_depart, busy)
-        delta = float(np.max(np.abs(new_depart - depart))) if ctx.K else 0.0
+                _fill_station(spec, members, backlogged, gate_open, inflow, new_depart, busy)
+        delta = float(np.max(np.abs(new_depart - depart))) if K else 0.0
         depart = new_depart
         if delta <= _FILL_TOL:
-            inflow = _propagate_inflow(ctx, admit, depart)
+            inflow = _propagate_inflow(spec, admit, depart)
             return depart, busy, inflow
     raise FluidRateError("service water-filling did not converge")
 
@@ -231,14 +206,14 @@ def _allocate(ctx, admit, backlogged, gate_open):
 # sliding admission rates
 
 
-def _pinned_residual(ctx, admit, backlogged, gate_open, pinned):
+def _pinned_residual(spec, admit, backlogged, gate_open, pinned):
     """max over pinned classes of (inflow - depart): must be <= 0 to hold
     every pinned queue at its threshold."""
-    depart, _busy, inflow = _allocate(ctx, admit, backlogged, gate_open)
+    depart, _busy, inflow = _allocate(spec, admit, backlogged, gate_open)
     return max(inflow[k] - depart[k] for k in pinned)
 
 
-def _solve_admit_root(ctx, admit, f, alpha_f, backlogged, gate_open, pinned):
+def _solve_admit_root(spec, admit, f, backlogged, gate_open, pinned):
     """Largest a in [0, alpha_f] keeping the pinned residual <= 0.
 
     The residual is piecewise linear in a but may be flat at zero over a
@@ -250,8 +225,9 @@ def _solve_admit_root(ctx, admit, f, alpha_f, backlogged, gate_open, pinned):
     def g(a):
         trial = admit.copy()
         trial[f] = a
-        return _pinned_residual(ctx, trial, backlogged, gate_open, pinned)
+        return _pinned_residual(spec, trial, backlogged, gate_open, pinned)
 
+    alpha_f = spec.alpha[f]
     g_hi = g(alpha_f)
     if g_hi <= _ROOT_TOL:
         return alpha_f
@@ -284,30 +260,25 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     in the module docstring.  Service follows weighted water-filling with
     work conservation per station.
     """
-    ctx = _Ctx(spec)
-    hbar = state.hbar
-    atol = 1e-10 * max(1.0, hbar)
-    q, u, v = state.q, state.u, state.v
+    atol, empty, at_thr, above = _classify(state.q, state.hbar)
+    u, v = state.u, state.v
 
-    backlogged = (q > atol) | (v > atol)
+    backlogged = ~empty | (v > atol)
     gate_open = v <= atol
-    for members in ctx.stations:
+    for members in spec.fed:
         if sum(1 for k in members if not gate_open[k]) > 1:
             raise ValueError(
                 "at most one class per station may carry a residual service"
             )
-    above = q >= hbar + atol
-    at_thr = (~above) & (q >= hbar - atol)
 
-    admit = np.zeros(ctx.F)
+    admit = np.zeros(spec.num_flows)
     sliding = []
-    for f in range(ctx.F):
+    for f, ks in enumerate(spec.routes):
         if u[f] > atol:
             continue  # arrival clock not yet active
-        ks = ctx.flow_classes[f]
         if any(above[k] for k in ks):
             continue
-        admit[f] = ctx.alpha[f]
+        admit[f] = spec.alpha[f]
         pinned = [k for k in ks if at_thr[k]]
         if pinned:
             sliding.append((f, pinned))
@@ -316,9 +287,7 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
         for _pass in range(2 * len(sliding) + 6):
             moved = 0.0
             for f, pinned in sliding:
-                new = _solve_admit_root(
-                    ctx, admit, f, ctx.alpha[f], backlogged, gate_open, pinned
-                )
+                new = _solve_admit_root(spec, admit, f, backlogged, gate_open, pinned)
                 moved = max(moved, abs(new - admit[f]))
                 admit[f] = new
             if moved <= 1e-12:
@@ -326,9 +295,9 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
         else:
             raise FluidRateError("sliding admission rates did not stabilize")
 
-    depart, busy, inflow = _allocate(ctx, admit, backlogged, gate_open)
+    depart, busy, inflow = _allocate(spec, admit, backlogged, gate_open)
     idle = np.ones(spec.num_stations)
-    for i, members in enumerate(ctx.stations):
+    for i, members in enumerate(spec.fed):
         idle[i] -= sum(busy[k] for k in members)
     idle[np.abs(idle) < 1e-12] = 0.0
     if np.any(idle < 0):
@@ -339,8 +308,7 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
 def departure_rates_at(state: FluidState, spec: NetworkSpec):
     """Per-class departure rates and per-flow rates at the egress classes."""
     rv = solve_rates(state, spec)
-    flow_rates = np.array([rv.depart[spec.egress_class(f)] for f in range(spec.num_flows)])
-    return rv.depart, flow_rates
+    return rv.depart, rv.depart[list(spec.egress)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +339,6 @@ class FluidTrajectory:
     cum_depart: np.ndarray
     cum_admit: np.ndarray
     absorbed_at: Optional[float] = None
-    pinned: list = field(default_factory=list)  # per segment: class ids held at hbar
 
     @property
     def horizon(self) -> float:
@@ -420,7 +387,6 @@ def integrate(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     hbar = state0.hbar
-    atol = 1e-10 * max(1.0, hbar)
     snap = 1e-9 * max(1.0, hbar)
 
     q = state0.q.astype(float).copy()
@@ -434,23 +400,22 @@ def integrate(
     cum_a = [np.zeros(K)]
     cum_d = [np.zeros(K)]
     cum_l = [np.zeros(F)]
-    pinned_per_seg = []
     absorbed_at = None
 
     t = 0.0
     while True:
         state = FluidState(q, u, v, hbar)
         rv = solve_rates(state, spec)
-        qdot = rv.arrival - rv.depart
-        qdot[np.abs(qdot) < _RATE_EPS] = 0.0
+        qdot = rv.q_dot
+        atol, empty, at_thr, above = _classify(q, hbar)
 
         candidates = []
         for k in range(K):
-            if qdot[k] < 0 and q[k] > atol:
+            if qdot[k] < 0 and not empty[k]:
                 candidates.append(q[k] / -qdot[k])
-                if q[k] > hbar + atol:
+                if above[k]:
                     candidates.append((q[k] - hbar) / -qdot[k])
-            elif qdot[k] > 0 and q[k] < hbar - atol:
+            elif qdot[k] > 0 and not (at_thr[k] or above[k]):
                 candidates.append((hbar - q[k]) / qdot[k])
         for f in range(F):
             if u[f] > atol:
@@ -470,11 +435,6 @@ def integrate(
         dt = min(candidates) if candidates else np.inf
         dt = min(dt, remaining)
 
-        pinned_now = [
-            k for k in range(K)
-            if abs(q[k] - hbar) <= atol and qdot[k] == 0.0
-        ]
-
         if remaining <= 0 or (stationary and remaining < np.inf):
             # final segment: hold the state to the horizon
             if remaining > 0:
@@ -485,7 +445,6 @@ def integrate(
                 cum_a.append(cum_a[-1] + rv.arrival * remaining)
                 cum_d.append(cum_d[-1] + rv.depart * remaining)
                 cum_l.append(cum_l[-1] + rv.admit * remaining)
-                pinned_per_seg.append(pinned_now)
             admits.append(rv.admit); departs.append(rv.depart)
             busys.append(rv.busy); idles.append(rv.idle)
             break
@@ -508,7 +467,6 @@ def integrate(
         cum_a.append(cum_a[-1] + rv.arrival * dt)
         cum_d.append(cum_d[-1] + rv.depart * dt)
         cum_l.append(cum_l[-1] + rv.admit * dt)
-        pinned_per_seg.append(pinned_now)
 
         if len(times) > max_breakpoints:
             raise ZenoError(f"more than {max_breakpoints} breakpoints before t={t:.6g}")
@@ -533,5 +491,4 @@ def integrate(
         cum_depart=np.array(cum_d),
         cum_admit=np.array(cum_l),
         absorbed_at=absorbed_at,
-        pinned=pinned_per_seg,
     )

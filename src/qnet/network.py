@@ -5,6 +5,14 @@ Indexing is zero-based throughout: flows 0..F-1, stations 0..d-1, classes
 of flow f is class f.  Classes may be numbered explicitly to match an
 external diagram, in which case unused class slots (queues no flow feeds)
 are allowed if declared; they stay empty forever and carry no traffic.
+
+Each spec compiles its index tables once, in ``__post_init__`` (see the
+field comments): ``routes``, ``egress``, ``successor``, ``members``,
+``fed``, ``cycles`` and the read-only arrays ``alpha``, ``mu`` and ``w``.
+``des`` reads them in its event loop and ``fluid`` on every rate solve;
+the views (``flow_classes``, ``next_class``, ``visit_cycle``, ...) return
+them.  ``routing_matrix`` and ``constituency`` are derived separately, as
+the reference that ``validate`` and the ``des`` invariant checks use.
 """
 from __future__ import annotations
 
@@ -35,74 +43,92 @@ class NetworkSpec:
     # derived structure, stored so validation can inspect it
     routing_matrix: np.ndarray = field(default=None, repr=False)
     constituency: np.ndarray = field(default=None, repr=False)
+    # index tables, compiled once by __post_init__
+    routes: tuple = field(init=False, repr=False)      # per flow: class ids, hop order
+    egress: tuple = field(init=False, repr=False)      # per flow: last class of the route
+    successor: tuple = field(init=False, repr=False)   # per class: next class, -1 at egress
+    members: tuple = field(init=False, repr=False)     # per station: its class ids
+    fed: tuple = field(init=False, repr=False)         # per station: class ids minus idle slots
+    cycles: tuple = field(init=False, repr=False)      # per station: round-robin visit order
+    alpha: np.ndarray = field(init=False, repr=False)  # per flow: arrival rate
+    mu: np.ndarray = field(init=False, repr=False)     # per class: service rate
+    w: np.ndarray = field(init=False, repr=False)      # per class: weight, 0 for idle slots
 
-    # -- derived views -------------------------------------------------
+    def __post_init__(self):
+        K = self.num_classes
+        routes = tuple(
+            tuple(self.class_of[(f, hop)] for hop in range(len(path)))
+            for f, path in enumerate(self.flow_paths)
+        )
+        successor = [-1] * K
+        for ks in routes:
+            for a, b in zip(ks, ks[1:]):
+                successor[a] = b
+        flow_of = {k: f for (f, _hop), k in self.class_of.items()}
+        weight = [self.weights[flow_of[k]] if k in flow_of else Fraction(0) for k in range(K)]
+        members = tuple(
+            tuple(k for k in range(K) if self.station_of[k] == i)
+            for i in range(self.num_stations)
+        )
+        fed = tuple(tuple(k for k in ks if k not in self.idle_slots) for ks in members)
+        tables = {
+            "routes": routes,
+            "egress": tuple(ks[-1] for ks in routes),
+            "successor": tuple(successor),
+            "members": members,
+            "fed": fed,
+            "cycles": tuple(_visit_cycle(ks, [weight[k] for k in ks]) for ks in fed),
+            "alpha": _read_only([d.rate for d in self.arrival_dist]),
+            "mu": _read_only([d.rate for d in self.service_dist]),
+            "w": _read_only([float(x) for x in weight]),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
+
+    # -- views of the tables -------------------------------------------
     def flow_classes(self, f: int) -> tuple:
         """Class ids of flow f in hop order (ingress first)."""
-        path = self.flow_paths[f]
-        return tuple(self.class_of[(f, hop)] for hop in range(len(path)))
-
-    def flow_of_class(self, k: int) -> int:
-        return int(self._class_flow[k])
+        return self.routes[f]
 
     @property
-    def _class_flow(self) -> np.ndarray:
-        ff = np.full(self.num_classes, -1, dtype=int)
-        for (f, _hop), k in self.class_of.items():
-            ff[k] = f
-        return ff
-
-    @property
-    def next_class(self) -> np.ndarray:
+    def next_class(self) -> tuple:
         """next_class[k] = class after k on its flow's route, -1 at egress."""
-        nxt = np.full(self.num_classes, -1, dtype=int)
-        for f in range(self.num_flows):
-            ks = self.flow_classes(f)
-            for a, b in zip(ks, ks[1:]):
-                nxt[a] = b
-        return nxt
-
-    def egress_class(self, f: int) -> int:
-        return self.flow_classes(f)[-1]
+        return self.successor
 
     def station_classes(self, i: int) -> tuple:
-        return tuple(k for k in range(self.num_classes) if self.station_of[k] == i)
+        return self.members[i]
 
     def visit_cycle(self, i: int) -> tuple:
         """Round-robin visit order at station i: each fed class appears
         w_f * L times per cycle, L the common weight denominator, reduced
         by the gcd of the visit counts."""
-        ks = [k for k in self.station_classes(i) if k not in self.idle_slots]
-        if not ks:
-            return ()
-        ws = [self.weights[self.flow_of_class(k)] for k in ks]
-        denom = math.lcm(*(w.denominator for w in ws))
-        counts = [int(w * denom) for w in ws]
-        g = math.gcd(*counts)
-        counts = [c // g for c in counts]
-        cycle = []
-        for k, c in zip(ks, counts):
-            cycle.extend([k] * c)
-        return tuple(cycle)
+        return self.cycles[i]
 
     @property
     def arrival_rates(self) -> np.ndarray:
-        return np.array([d.rate for d in self.arrival_dist])
+        return self.alpha
 
     @property
     def service_rates(self) -> np.ndarray:
-        return np.array([d.rate for d in self.service_dist])
-
-    @property
-    def service_means(self) -> np.ndarray:
-        return np.array([d.mean for d in self.service_dist])
+        return self.mu
 
     def class_weights(self) -> np.ndarray:
         """Per-class scheduler weight w_{ff(k)} as floats (0 for idle slots)."""
-        w = np.zeros(self.num_classes)
-        for (f, _hop), k in self.class_of.items():
-            w[k] = float(self.weights[f])
-        return w
+        return self.w
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _visit_cycle(ks, ws) -> tuple:
+    denom = math.lcm(*(w.denominator for w in ws))
+    counts = [int(w * denom) for w in ws]
+    # gcd 0 means no fed class or all weights zero (validate() reports those)
+    g = math.gcd(*counts) or 1
+    return tuple(k for k, c in zip(ks, counts) for _ in range(c // g))
 
 
 def _derive_matrices(num_stations, num_classes, class_of, station_of, flow_paths):
@@ -241,16 +267,16 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         if w <= 0:
             bad.append(f"flow {f}: weight must be positive")
     for f, d in enumerate(spec.arrival_dist):
-        if not (d.rate > 0):
-            bad.append(f"flow {f}: arrival rate must be positive")
+        if not 0 < d.rate < math.inf:
+            bad.append(f"flow {f}: arrival rate must be positive and finite")
         if not d.unbounded_support:
             rep.warnings.append(
                 f"flow {f}: arrival times have bounded support; long-run "
                 "rate guarantees assume unbounded, spread-out interarrivals"
             )
     for k, d in enumerate(spec.service_dist):
-        if not (d.rate > 0):
-            bad.append(f"class {k}: service rate must be positive")
+        if not 0 < d.rate < math.inf:
+            bad.append(f"class {k}: service rate must be positive and finite")
 
     # class map: each (flow, hop) maps to exactly one class, ids distinct,
     # ingress class of flow f is f, every id in range is a flow class or a

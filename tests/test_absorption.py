@@ -214,45 +214,3 @@ class TestProjection:
         eq = switch_equilibrium_set(0.5)
         with pytest.raises(ValueError):
             eq.projected((SWITCH.flow2_ingress,))
-
-
-class TestOtherNorms:
-    def test_point_set_norms(self):
-        spec = tandem_spec(1.0, 0.8, 0.5)
-        st = FluidState.initial(spec, [0.7, 2.4], 1.0)
-        eq = tandem_point_set()
-        assert distance(st, eq, 1.0, norm="l2") == pytest.approx(
-            np.sqrt(0.7**2 + 1.4**2)
-        )
-        assert distance(st, eq, 1.0, norm="linf") == pytest.approx(1.4)
-
-    def test_polygon_norms(self):
-        # (0.2, 0.2) below the band's lower edge 0.5x + y = 1: the exact
-        # euclidean and chebyshev projections onto that edge
-        eq = switch_equilibrium_set(0.5)
-        st = switch_state(0.2, 0.2)
-        assert distance(st, eq, 1.0, norm="l2") == pytest.approx(
-            0.7 / np.sqrt(1.25), abs=1e-12
-        )
-        assert distance(st, eq, 1.0, norm="linf") == pytest.approx(
-            0.7 / 1.5, abs=1e-12
-        )
-
-    def test_norm_ordering(self):
-        eq = switch_equilibrium_set(0.5)
-        for q2, q7 in [(2.5, 0.1), (0.0, 0.0), (1.7, 2.9)]:
-            st = switch_state(q2, q7)
-            d1 = distance(st, eq, 1.0, norm="l1")
-            d2 = distance(st, eq, 1.0, norm="l2")
-            di = distance(st, eq, 1.0, norm="linf")
-            assert di <= d2 + 1e-12 <= d1 + 1e-12
-
-    def test_members_zero_in_all_norms(self):
-        eq = switch_equilibrium_set(0.5)
-        st = switch_state(0.5, 1.0)
-        for norm in ("l1", "l2", "linf"):
-            assert distance(st, eq, 1.0, norm=norm) == 0.0
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ValueError):
-            distance(switch_state(0.5, 1.0), switch_equilibrium_set(0.5), 1.0, norm="l7")

@@ -166,6 +166,36 @@ class TestCli:
         phase = (out / "phase.csv").read_text().splitlines()
         assert phase[0] == "time,q1,q6"
 
+    def test_verify_c2_wrong_target_exit_2(self, tmp_path):
+        p = tmp_path / "c2.yaml"
+        p.write_text(SWITCH_YAML.replace(
+            "  target_rates: [0.5, 0.5, 0.5]\n  time_budget",
+            "  target_rates: [0.9, 0.5, 0.5]\n  time_budget",
+        ))
+        out = tmp_path / "out"
+        assert main(["verify-c2", "--config", str(p), "--out", str(out)]) == 2
+        c2 = json.loads((out / "c2.json").read_text())
+        assert c2["max_deviation"] == pytest.approx(0.4) and not c2["ok"]
+
+    def test_zero_interarrival_exit_1(self, tmp_path):
+        # infinite arrival rate: simulate used to loop forever at t=0
+        p = tmp_path / "zero.yaml"
+        p.write_text(
+            TANDEM_YAML.replace("arrival: {exponential: 1.0}", "arrival: {deterministic: 0}")
+            + "simulate: {n: 10, horizon: 100}\n"
+        )
+        assert main(["validate", "--config", str(p)]) == 1
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+
+    def test_negative_lower_threshold_exit_1(self, tmp_path):
+        # gap 20 > n*h = 10: discarding would latch on forever
+        p = tmp_path / "gap.yaml"
+        p.write_text(
+            TANDEM_YAML.replace("threshold_base: 1.0", "threshold_base: 1.0\n  hysteresis_gap: 20")
+            + "simulate: {n: 10, horizon: 100}\n"
+        )
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+
     def test_missing_section_exit_1(self, tmp_path):
         p = tmp_path / "min.yaml"
         p.write_text(TANDEM_YAML)

@@ -80,6 +80,27 @@ def test_hysteresis_gap_keeps_flag_on():
     assert sim2.q[0] == 3 and sim2.flags[0] == 0
 
 
+def tandem_with_gap(gap):
+    return build_network(
+        [(0, 1)],
+        arrival=[EXP1],
+        service=[[DistributionSpec.exponential(0.8), DistributionSpec.exponential(0.5)]],
+        hysteresis_gap=gap,
+    )
+
+
+def test_gap_above_threshold_rejected():
+    # n*h = 10 < gap: a flag that switched on could never switch off again
+    with pytest.raises(ValueError, match="lower threshold"):
+        Simulation(tandem_with_gap(20.0), n=10, seed=0)
+
+
+def test_gap_equal_to_threshold_runs():
+    # lower threshold exactly 0: the flag clears once the queue empties
+    trace = run(tandem_with_gap(10.0), n=10, seed=0, horizon=2000.0)
+    assert trace.flow_depart_rates[0] > 0.0
+
+
 def two_class_station(weights=(1, 1), q0=(40, 40)):
     spec = build_network(
         [(0,), (0,)],

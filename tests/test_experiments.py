@@ -12,7 +12,6 @@ from qnet.experiments import (
     export_rate_table_json,
     export_trace_csv,
     export_trajectory_csv,
-    plot_export,
     run_sweep,
 )
 from qnet.network import switch_example_spec, tandem_spec
@@ -73,6 +72,20 @@ class TestRunSweep:
         table = run_sweep(spec, plan)
         for r in table.rows:
             assert r.flow_rates[0] == pytest.approx(0.5, rel=0.03)
+
+    def test_negative_lower_threshold_rejected_before_any_cell(self, monkeypatch):
+        spec = qnet.build_network(
+            [(0, 1)],
+            arrival=[qnet.DistributionSpec.exponential(1.0)],
+            service=[[qnet.DistributionSpec.exponential(0.8),
+                      qnet.DistributionSpec.exponential(0.5)]],
+            hysteresis_gap=10.0,
+        )
+        cells = []
+        monkeypatch.setattr(qnet.des, "run", lambda *a, **kw: cells.append(a))
+        with pytest.raises(ValueError, match="lower threshold"):
+            run_sweep(spec, small_plan(n_values=(5.0, 20.0)))
+        assert cells == []
 
     def test_parallel_matches_serial(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
@@ -161,17 +174,6 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("time,q0,q1,admit_rate0")
         assert len(lines) == len(traj.times) + 1
-
-    def test_plot_export_dispatch(self, tmp_path):
-        spec = tandem_spec(1.0, 0.8, 0.5)
-        trace = qnet.run(spec, 5, seed=0, horizon=50.0)
-        traj = qnet.integrate(qnet.FluidState.initial(spec, [1.0, 0.0], 1.0), spec, 5.0)
-        table = run_sweep(spec, small_plan(n_values=(5.0,), replications=1))
-        for obj, name in [(trace, "a.csv"), (traj, "b.csv"), (table, "c.csv")]:
-            plot_export(obj, tmp_path / name)
-            assert (tmp_path / name).exists()
-        with pytest.raises(TypeError):
-            plot_export(object(), tmp_path / "bad.csv")
 
     def test_io_error_carries_path(self, tmp_path):
         spec = tandem_spec(1.0, 0.8, 0.5)
