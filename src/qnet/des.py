@@ -14,6 +14,17 @@ queue reaches n*h and off when it drains to n*h - gap.
 Scheduling: weighted round robin over a fixed per-station visit cycle
 (w_f visits per cycle per flow), skipping empty queues, non-preemptive,
 head of line only.  The cycle cursor persists across idle periods.
+
+Invariant checks: ``invariant_checks`` is ``"off"``, ``"sparse"`` (after
+every 1000th event, the default) or ``"every"`` (after every event).
+``Simulation.check_invariants`` verifies the model's identities on the
+current state: A = P^T D + Lambda, Q = Q(0) + A - D >= 0, monotone busy
+and idle times, the thinning bound, the draw counts of the renewal
+streams, work conservation and flag/threshold consistency.  Its reference
+structure is read once, in ``Simulation.__init__``, from ``routing_matrix``
+and ``constituency``, never from the index tables the engine runs on.
+Any other mode, or sample times outside the horizon, raise before the
+single-use ``Simulation`` is spent.
 """
 from __future__ import annotations
 
@@ -98,6 +109,9 @@ class ScaledPath:
 # event kinds: completions fire before arrivals at equal times
 _COMPLETION, _ARRIVAL = 0, 1
 
+# invariant_checks mode -> events between checks (0: never)
+_CHECK_PERIOD = {"off": 0, "sparse": 1000, "every": 1}
+
 
 def thresholds(spec: NetworkSpec, n: float) -> tuple:
     """Discarding thresholds (n*h, n*h - gap) at scale n.  ValueError if the
@@ -127,6 +141,18 @@ class Simulation:
         self.station_of = spec.station_of
         self.cycles = spec.cycles
         self.members = spec.members
+        # reference structure for check_invariants, read from the matrices
+        # rather than from the engine's own tables: per class the classes
+        # routed into it and the flow entering at it (-1 if none), per
+        # station the classes it serves
+        P, C = spec.routing_matrix, spec.constituency
+        entering = [-1] * K
+        for f in range(F):
+            entering[spec.class_of[(f, 0)]] = f
+        self._feeds = tuple(
+            (tuple(int(j) for j in np.flatnonzero(P[:, k])), entering[k]) for k in range(K)
+        )
+        self._served = tuple(tuple(int(k) for k in np.flatnonzero(C[i])) for i in range(d))
 
         self.t = 0.0
         self.q = [0] * K
@@ -251,60 +277,73 @@ class Simulation:
         Checks the arrival decomposition A = P^T D + Lambda, the queue
         balance Q = Q(0) + A - D with Q >= 0, monotone busy and idle
         times, the thinning bound, work conservation (no station idle
-        while backlogged) and flag/threshold consistency.
+        while backlogged) and flag/threshold consistency.  P and the
+        station constituency come from ``routing_matrix`` and
+        ``constituency``, not from the tables the engine runs on.  The
+        arithmetic is on Python ints and floats, so a check costs a few
+        microseconds and can run after every event.
         """
-        spec = self.spec
-        K = spec.num_classes
-        q = np.array(self.q)
-        a = np.array(self.a)
-        d = np.array(self.d)
-        lam_k = np.zeros(K, dtype=int)
-        for f in range(spec.num_flows):
-            lam_k[self.routes[f][0]] = self.lam[f]
-        routed = spec.routing_matrix.T.astype(int) @ d + lam_k
-        if not np.array_equal(a, routed):
-            raise InvariantViolation("A != P^T D + Lambda")
-        if not np.array_equal(q, np.array(self.q0) + a - d):
-            raise InvariantViolation("Q != Q(0) + A - D")
-        if np.any(q < 0):
+        q, a, d, lam = self.q, self.a, self.d, self.lam
+        for k, (preds, f) in enumerate(self._feeds):
+            routed = lam[f] if f >= 0 else 0
+            for j in preds:
+                routed += d[j]
+            if a[k] != routed:
+                raise InvariantViolation("A != P^T D + Lambda")
+        for q0k, ak, dk, qk in zip(self.q0, a, d, q):
+            if qk != q0k + ak - dk:
+                raise InvariantViolation("Q != Q(0) + A - D")
+        if min(q) < 0:
             raise InvariantViolation("negative queue length")
-        busy = list(self.busy)
-        for i in range(spec.num_stations):
-            c = self.busy_class[i]
+        busy = self.busy[:]
+        busy_class = self.busy_class
+        for i, c in enumerate(busy_class):
             if c >= 0:
                 busy[c] += t - self.service_start[i]
-        busy = np.array(busy)
-        if np.any(busy < np.array(self._prev_busy) - 1e-9):
-            raise InvariantViolation("busy time decreased")
-        idle = t - spec.constituency.astype(float) @ busy
-        if np.any(idle < -1e-9):
+        for b, prev in zip(busy, self._prev_busy):
+            if b < prev - 1e-9:
+                raise InvariantViolation("busy time decreased")
+        # explicit loops: on the few classes per station they beat
+        # comprehensions and sum()
+        idle = []
+        for ks in self._served:
+            total = 0
+            for k in ks:
+                total += busy[k]
+            idle.append(t - total)
+        if min(idle) < -1e-9:
             raise InvariantViolation("negative idle time")
-        if np.any(idle < np.array(self._prev_idle) - 1e-9):
-            raise InvariantViolation("idle time decreased")
-        for f in range(spec.num_flows):
-            if self.lam[f] > self.e[f]:
+        for x, prev in zip(idle, self._prev_idle):
+            if x < prev - 1e-9:
+                raise InvariantViolation("idle time decreased")
+        for e, admitted, stream in zip(self.e, lam, self.arr_streams):
+            if admitted > e:
                 raise InvariantViolation("admitted more than arrived")
             # one interarrival is always drawn ahead of the pending event
-            if self.e[f] != self.arr_streams[f].count - 1:
+            if e != stream.count - 1:
                 raise InvariantViolation("arrival count disagrees with its stream")
         # departures are the composition of the service counting process
         # with the cumulative busy time: every departure is one drawn
         # service, with at most one draw in progress per station
-        in_service = set(self.busy_class) - {-1}
-        for k in range(K):
-            expect = self.svc_streams[k].count - (1 if k in in_service else 0)
-            if self.d[k] != expect:
-                raise InvariantViolation("departure count disagrees with its stream")
-        for i in range(spec.num_stations):
-            if self.busy_class[i] < 0 and any(self.q[c] > 0 for c in self.members[i]):
-                raise InvariantViolation(f"station {i} idle while backlogged")
-        for k in range(K):
-            if self.q[k] >= self.nh and not self.flags[k]:
+        drawn = [stream.count for stream in self.svc_streams]
+        for c in set(busy_class):
+            if c >= 0:
+                drawn[c] -= 1
+        if drawn != d:
+            raise InvariantViolation("departure count disagrees with its stream")
+        for i, ks in enumerate(self._served):
+            if busy_class[i] < 0:
+                for k in ks:
+                    if q[k] > 0:
+                        raise InvariantViolation(f"station {i} idle while backlogged")
+        nh, low, flags = self.nh, self.low, self.flags
+        for k, qk in enumerate(q):
+            if qk >= nh and not flags[k]:
                 raise InvariantViolation(f"flag {k} off at/above threshold")
-            if self.q[k] < self.low and self.flags[k]:
+            if qk < low and flags[k]:
                 raise InvariantViolation(f"flag {k} on below the lower threshold")
-        self._prev_busy = [float(x) for x in busy]
-        self._prev_idle = [float(x) for x in idle]
+        self._prev_busy = busy
+        self._prev_idle = idle
 
     # -- main loop -----------------------------------------------------------
 
@@ -319,21 +358,28 @@ class Simulation:
     ) -> SimTrace:
         if horizon <= 0 or not 0.0 <= warmup_frac < 1.0:
             raise EmptyWindowError("empty measurement window")
-        if getattr(self, "_ran", False):
-            raise SimulationError("a Simulation is single-use; build a new one")
-        self._ran = True
-        check_every = {"off": 0, "sparse": 1000, "every": 1}[invariant_checks]
-        t_warm = warmup_frac * horizon
-        warm_d = None
-        warm_lam = None
-
+        if invariant_checks not in _CHECK_PERIOD:
+            raise ValueError(
+                f"invariant_checks must be one of {', '.join(map(repr, _CHECK_PERIOD))}, "
+                f"not {invariant_checks!r}"
+            )
         stimes = None
-        si = 0
-        s_q = s_d = s_lam = None
         if sample_times is not None:
             stimes = np.asarray(sample_times, dtype=float)
             if np.any(stimes < 0) or np.any(stimes > horizon):
                 raise SimulationError("sample times outside the horizon")
+        # every argument is checked: from here on the run uses up the Simulation
+        if getattr(self, "_ran", False):
+            raise SimulationError("a Simulation is single-use; build a new one")
+        self._ran = True
+        check_every = _CHECK_PERIOD[invariant_checks]
+        t_warm = warmup_frac * horizon
+        warm_d = None
+        warm_lam = None
+
+        si = 0
+        s_q = s_d = s_lam = None
+        if stimes is not None:
             s_q = np.empty((len(stimes), self.spec.num_classes), dtype=np.int64)
             s_d = np.empty_like(s_q)
             s_lam = np.empty((len(stimes), self.spec.num_flows), dtype=np.int64)

@@ -2,7 +2,9 @@
 
 All sampling is inverse-CDF on a single uniform draw, so samples are a
 monotone function of the underlying uniform and replications are exactly
-reproducible from a master seed.
+reproducible from a master seed.  Renewal streams take their uniforms from
+the generator in small blocks; that changes no sample (see
+``RenewalStream``).
 """
 from __future__ import annotations
 
@@ -102,24 +104,40 @@ def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
     return dist.quantile(rng.random())
 
 
+# uniforms a RenewalStream takes from its generator at a time
+_BUFFER = 128
+
+
 class RenewalStream:
     """A seeded renewal process: i.i.d. intervals from one distribution.
 
     The simulation engine owns the calendar; the stream owns sampling
-    state and the cumulative draw count.
+    state and the cumulative draw count.  Uniforms come from the generator
+    in blocks of ``_BUFFER`` (``rng.random(_BUFFER)``), which for numpy's
+    generators yields the same values, in the same order, as that many
+    scalar ``rng.random()`` calls, so the intervals equal
+    ``dist.quantile(rng.random())`` draw for draw.  Each interval is still
+    one scalar ``quantile`` call: a vectorised log1p or power may differ in
+    the last bit.  ``count`` is the number of intervals handed out; the
+    generator itself may have run up to ``_BUFFER - 1`` uniforms ahead.
     """
 
-    __slots__ = ("dist", "rng", "count")
+    __slots__ = ("dist", "rng", "count", "_uniforms")
 
     def __init__(self, dist: DistributionSpec, rng: np.random.Generator):
         self.dist = dist
         self.rng = rng
         self.count = 0
+        self._uniforms = iter(())
 
     def draw(self) -> float:
-        interval = self.dist.quantile(self.rng.random())
+        try:
+            u = next(self._uniforms)
+        except StopIteration:
+            self._uniforms = iter(self.rng.random(_BUFFER).tolist())
+            u = next(self._uniforms)
         self.count += 1
-        return interval
+        return self.dist.quantile(u)
 
 
 def make_streams(spec, master_seed: int):

@@ -6,6 +6,7 @@ import qnet
 from qnet.des import (
     EmptyWindowError,
     EventBudgetExceeded,
+    InvariantViolation,
     Simulation,
     run,
     scaled_trajectory,
@@ -319,3 +320,125 @@ def test_switch_scaled_path_tracks_fluid():
         sups.append(float(np.abs(path.q - fluid_q).sum(axis=1).max()))
     assert sups[1] < sups[0]
     assert sups[1] <= 0.35
+
+
+# -- invariant checks detect corrupted state -----------------------------
+# Each case corrupts one piece of a consistent state and must be caught by
+# the check that guards it, with that check's message.  Where an identity
+# ties two fields together (Q = Q(0) + A - D, a drawn service per busy
+# station), the partner field is adjusted too, so that only the targeted
+# check can fire.
+
+
+def _tandem_after_run():
+    # both stations backlogged from the start, so both serve at the end
+    sim = Simulation(tandem_spec(1.0, 0.8, 0.5), n=10, seed=5, initial_queues=[6, 4])
+    sim.run(30.0, invariant_checks="every")
+    assert min(sim.q) > 0 and min(sim.busy_class) >= 0
+    return sim
+
+
+def _at_threshold():
+    # deterministic arrivals fill the single queue to n*h = 5 and set its flag
+    sim = Simulation(single_queue_spec(h=5.0), n=1, seed=0)
+    sim.run(5.5, invariant_checks="every")
+    assert sim.q[0] == 5 and sim.flags[0] == 1
+    return sim
+
+
+def _corrupt_arrivals(sim):
+    sim.a[1] += 1
+
+
+def _corrupt_queue(sim):
+    sim.q[0] += 1
+
+
+def _corrupt_negative_queue(sim):
+    sim.q0[0] -= sim.q[0] + 1
+    sim.q[0] = -1
+
+
+def _corrupt_prev_busy(sim):
+    sim._prev_busy[1] += 1.0
+
+
+def _corrupt_busy_time(sim):
+    sim.busy[0] += sim.t + 1.0
+
+
+def _corrupt_prev_idle(sim):
+    sim._prev_idle[0] += 1.0
+
+
+def _corrupt_exogenous(sim):
+    assert sim.lam[0] >= 1
+    sim.e[0] = sim.lam[0] - 1
+
+
+def _corrupt_arrival_stream(sim):
+    sim.arr_streams[0].count += 1
+
+
+def _corrupt_service_stream(sim):
+    sim.svc_streams[1].count += 1
+
+
+def _corrupt_busy_class(sim):
+    # station 1 drops the job it serves: its busy time so far is booked and
+    # its service draw undone, so only the backlog is left to notice
+    k = sim.busy_class[1]
+    sim.busy_class[1] = -1
+    sim.svc_streams[k].count -= 1
+    sim.busy[k] += sim.t - sim.service_start[1]
+
+
+def _corrupt_flag_off(sim):
+    sim.flags[0] = 0
+
+
+def _corrupt_flag_on(sim):
+    assert sim.q[0] < sim.low and not sim.flags[0]
+    sim.flags[0] = 1
+
+
+MUTATIONS = [
+    (_tandem_after_run, _corrupt_arrivals, r"^A != P\^T D \+ Lambda$"),
+    (_tandem_after_run, _corrupt_queue, r"^Q != Q\(0\) \+ A - D$"),
+    (_tandem_after_run, _corrupt_negative_queue, r"^negative queue length$"),
+    (_tandem_after_run, _corrupt_prev_busy, r"^busy time decreased$"),
+    (_tandem_after_run, _corrupt_busy_time, r"^negative idle time$"),
+    (_tandem_after_run, _corrupt_prev_idle, r"^idle time decreased$"),
+    (_tandem_after_run, _corrupt_exogenous, r"^admitted more than arrived$"),
+    (_tandem_after_run, _corrupt_arrival_stream, r"^arrival count disagrees with its stream$"),
+    (_tandem_after_run, _corrupt_service_stream, r"^departure count disagrees with its stream$"),
+    (_tandem_after_run, _corrupt_busy_class, r"^station 1 idle while backlogged$"),
+    (_at_threshold, _corrupt_flag_off, r"^flag 0 off at/above threshold$"),
+    (_tandem_after_run, _corrupt_flag_on, r"^flag 0 on below the lower threshold$"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, corrupt, message", MUTATIONS, ids=[m[1].__name__[9:] for m in MUTATIONS]
+)
+def test_check_invariants_detects_corruption(make, corrupt, message):
+    sim = make()
+    sim.check_invariants(sim.t)  # the uncorrupted state passes
+    corrupt(sim)
+    with pytest.raises(InvariantViolation, match=message):
+        sim.check_invariants(sim.t)
+
+
+def test_unknown_check_mode_leaves_simulation_usable():
+    sim = Simulation(tandem_spec(1.0, 0.8, 0.5), n=10, seed=0)
+    with pytest.raises(ValueError, match="'off', 'sparse', 'every'"):
+        sim.run(10.0, invariant_checks="all")
+    assert sim.run(10.0).event_count > 0
+
+
+def test_sample_times_beyond_horizon_leave_simulation_usable():
+    sim = Simulation(tandem_spec(1.0, 0.8, 0.5), n=10, seed=0)
+    with pytest.raises(qnet.des.SimulationError, match="outside the horizon"):
+        sim.run(10.0, sample_times=[5.0, 11.0])
+    trace = sim.run(10.0, sample_times=[5.0, 10.0])
+    assert trace.sample_q.shape == (2, 2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qnet.distributions import (
+    _BUFFER,
     DistributionSpec,
     RenewalStream,
     make_streams,
@@ -133,3 +134,24 @@ def test_different_seeds_differ():
     a1, _ = make_streams(spec, 1)
     a2, _ = make_streams(spec, 2)
     assert a1[0].draw() != a2[0].draw()
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        DistributionSpec.exponential(0.8),
+        DistributionSpec.pareto_paper(0.6),
+        DistributionSpec.deterministic(1.25),
+    ],
+    ids=["exponential", "pareto_paper", "deterministic"],
+)
+def test_buffered_draws_equal_scalar_draws(dist):
+    # across more than three refills of the uniform buffer, a stream hands
+    # out exactly the intervals of one scalar uniform per draw
+    n = 3 * _BUFFER + 17
+    for seed in (0, 1, 2024):
+        stream = RenewalStream(dist, np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        for i in range(n):
+            assert stream.draw() == dist.quantile(twin.random())
+            assert stream.count == i + 1
