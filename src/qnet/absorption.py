@@ -20,6 +20,7 @@ set, giving the exact scale law dist(x, hbar*S) = hbar * dist(x/hbar, S).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -401,14 +402,68 @@ class C1Report:
         }
 
 
+def _kinks(piece: Piece, x0: list, dx: list) -> list:
+    """Fractions f in (0, 1) at which the piece's distance from the unit
+    point x0 + f*dx may bend: a bounded coordinate crossing lo or hi, and
+    the polygon pair crossing a vertex coordinate or an edge's supporting
+    line.  Between consecutive kinks the distance is linear in f."""
+    fracs = []
+
+    def crossing(start, slope, level):
+        if slope != 0.0:
+            f = (level - start) / slope
+            if 0.0 < f < 1.0:
+                fracs.append(f)
+
+    for k, lo, hi in piece.bounds:
+        crossing(x0[k], dx[k], lo)
+        crossing(x0[k], dx[k], hi)
+    if piece.poly_coords is not None:
+        i, j = piece.poly_coords
+        verts = piece.poly_vertices
+        for n in range(len(verts)):
+            (px, py), (rx, ry) = verts[n], verts[(n + 1) % len(verts)]
+            crossing(x0[i], dx[i], px)
+            crossing(x0[j], dx[j], py)
+            # side of the edge's supporting line: linear in f, zero at the kink
+            ex, ey = rx - px, ry - py
+            crossing(ex * (x0[j] - py) - ey * (x0[i] - px), ex * dx[j] - ey * dx[i], 0.0)
+    return sorted(set(fracs))
+
+
+def _first_below(dist, tol: float, lo: float, hi: float, f: float) -> float:
+    """Smallest float in (lo, hi] with dist <= tol, given dist(lo) > tol
+    >= dist(hi) and an estimate f: probe f, then step away from it by
+    doubling ulps until the side flips, then halve down to adjacent
+    floats."""
+    f = min(max(f, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    step = None
+    while True:
+        if not lo < f < hi:
+            f = lo + 0.5 * (hi - lo)
+            if not lo < f < hi:
+                return hi
+        if step is None:
+            step = math.ulp(f)
+        if dist(f) <= tol:
+            hi, f = f, f - step
+        else:
+            lo, f = f, f + step
+        step *= 2.0
+
+
 def _first_hit(
     traj: FluidTrajectory, eqset: EquilibriumSet, hbar: float, tol: float
 ) -> Optional[float]:
     """Earliest trajectory time with distance to the scaled set <= tol.
 
-    Along a linear segment the distance to each convex piece is convex, so
-    the sub-tolerance region per piece is an interval whose left endpoint
-    a ternary search plus bisection finds.
+    Along one linear segment the distance to each piece is convex and
+    piecewise linear in the segment fraction f, with its kinks at known
+    fractions (``_kinks``).  The distance is evaluated at the kinks in
+    order until it drops to tol, or rises (past its minimum, so the piece
+    is missed on this segment).  The crossing is interpolated linearly
+    between the last two kinks, and ``_first_below`` turns that estimate
+    into the smallest float fraction whose distance is <= tol.
     """
     def dist_at(i, frac, piece):
         q = traj.q[i] + frac * (traj.q[i + 1] - traj.q[i])
@@ -419,6 +474,25 @@ def _first_hit(
             d += float(np.sum(u)) + float(np.sum(v))
         return d
 
+    def piece_hit(i, piece):
+        def dist(f):
+            return dist_at(i, f, piece)
+
+        x0 = (traj.q[i] / hbar).tolist()
+        dx = ((traj.q[i + 1] - traj.q[i]) / hbar).tolist()
+        f_a, d_a = 0.0, dist(0.0)
+        if d_a <= tol:
+            return 0.0
+        for f_b in _kinks(piece, x0, dx) + [1.0]:
+            d_b = dist(f_b)
+            if d_b <= tol:
+                guess = f_a + (d_a - tol) / (d_a - d_b) * (f_b - f_a)
+                return _first_below(dist, tol, f_a, f_b, guess)
+            if d_b > d_a:
+                return None
+            f_a, d_a = f_b, d_b
+        return None
+
     state0 = FluidState(traj.q[0], traj.u[0], traj.v[0], hbar)
     if distance(state0, eqset, hbar) <= tol:
         return float(traj.times[0])
@@ -426,31 +500,13 @@ def _first_hit(
         t0, t1 = traj.times[i], traj.times[i + 1]
         if t1 <= t0:
             continue
-        best = np.inf
-        for piece in eqset.pieces:
-            a, b = 0.0, 1.0
-            for _ in range(80):
-                m1 = a + (b - a) / 3.0
-                m2 = b - (b - a) / 3.0
-                if dist_at(i, m1, piece) <= dist_at(i, m2, piece):
-                    b = m2
-                else:
-                    a = m1
-            arg = 0.5 * (a + b)
-            if dist_at(i, arg, piece) > tol:
-                continue
-            lo_f, hi_f = 0.0, arg
-            if dist_at(i, 0.0, piece) <= tol:
-                hi_f = 0.0
-            for _ in range(80):
-                mid = 0.5 * (lo_f + hi_f)
-                if dist_at(i, mid, piece) <= tol:
-                    hi_f = mid
-                else:
-                    lo_f = mid
-            best = min(best, float(t0 + hi_f * (t1 - t0)))
-        if best < np.inf:
-            return best
+        hits = [
+            float(t0 + f * (t1 - t0))
+            for f in (piece_hit(i, piece) for piece in eqset.pieces)
+            if f is not None
+        ]
+        if hits:
+            return min(hits)
     return None
 
 

@@ -8,11 +8,15 @@ are allowed if declared; they stay empty forever and carry no traffic.
 
 Each spec compiles its index tables once, in ``__post_init__`` (see the
 field comments): ``routes``, ``egress``, ``successor``, ``members``,
-``fed``, ``cycles`` and the read-only arrays ``alpha``, ``mu`` and ``w``.
-``des`` reads them in its event loop and ``fluid`` on every rate solve;
-the views (``flow_classes``, ``next_class``, ``visit_cycle``, ...) return
-them.  ``routing_matrix`` and ``constituency`` are derived separately, as
-the reference that ``validate`` and the ``des`` invariant checks use.
+``fed``, ``cycles``, ``feeder``, ``sweep`` and the read-only arrays
+``alpha``, ``mu`` and ``w``.  ``feeder`` and ``sweep`` serve the fluid
+service allocation: the rate entering each class (an admission or the
+departure of the class before it on its route) and an upstream-first
+station order.  ``des`` reads the tables in its event loop and ``fluid``
+on every rate solve; the views (``flow_classes``, ``next_class``,
+``visit_cycle``, ...) return them.  ``routing_matrix`` and
+``constituency`` are derived separately, as the reference that
+``validate`` and the ``des`` invariant checks use.
 """
 from __future__ import annotations
 
@@ -50,6 +54,12 @@ class NetworkSpec:
     members: tuple = field(init=False, repr=False)     # per station: its class ids
     fed: tuple = field(init=False, repr=False)         # per station: class ids minus idle slots
     cycles: tuple = field(init=False, repr=False)      # per station: round-robin visit order
+    # per class: index of its inflow in the joint vector (class departures
+    # 0..K-1, then flow admissions K..K+F-1), -1 for idle slots
+    feeder: tuple = field(init=False, repr=False)
+    # stations with fed classes, upstream first: topological on the station
+    # feed graph where it is acyclic, a cycle entered at its lowest station
+    sweep: tuple = field(init=False, repr=False)
     alpha: np.ndarray = field(init=False, repr=False)  # per flow: arrival rate
     mu: np.ndarray = field(init=False, repr=False)     # per class: service rate
     w: np.ndarray = field(init=False, repr=False)      # per class: weight, 0 for idle slots
@@ -61,9 +71,12 @@ class NetworkSpec:
             for f, path in enumerate(self.flow_paths)
         )
         successor = [-1] * K
-        for ks in routes:
+        feeder = [-1] * K
+        for f, ks in enumerate(routes):
+            feeder[ks[0]] = K + f
             for a, b in zip(ks, ks[1:]):
                 successor[a] = b
+                feeder[b] = a
         flow_of = {k: f for (f, _hop), k in self.class_of.items()}
         weight = [self.weights[flow_of[k]] if k in flow_of else Fraction(0) for k in range(K)]
         members = tuple(
@@ -78,6 +91,8 @@ class NetworkSpec:
             "members": members,
             "fed": fed,
             "cycles": tuple(_visit_cycle(ks, [weight[k] for k in ks]) for ks in fed),
+            "feeder": tuple(feeder),
+            "sweep": _sweep_order(self.num_stations, routes, self.station_of, fed),
             "alpha": _read_only([d.rate for d in self.arrival_dist]),
             "mu": _read_only([d.rate for d in self.service_dist]),
             "w": _read_only([float(x) for x in weight]),
@@ -129,6 +144,30 @@ def _visit_cycle(ks, ws) -> tuple:
     # gcd 0 means no fed class or all weights zero (validate() reports those)
     g = math.gcd(*counts) or 1
     return tuple(k for k, c in zip(ks, counts) for _ in range(c // g))
+
+
+def _sweep_order(num_stations, routes, station_of, fed) -> tuple:
+    # Kahn's algorithm, lowest ready station first; when only cycles are
+    # left, the lowest remaining station goes next
+    succ = [set() for _ in range(num_stations)]
+    for ks in routes:
+        for a, b in zip(ks, ks[1:]):
+            i, j = station_of[a], station_of[b]
+            if 0 <= i < num_stations and 0 <= j < num_stations and i != j:
+                succ[i].add(j)
+    indeg = [0] * num_stations
+    for js in succ:
+        for j in js:
+            indeg[j] += 1
+    left = list(range(num_stations))
+    order = []
+    while left:
+        i = next((i for i in left if indeg[i] == 0), left[0])
+        left.remove(i)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+    return tuple(i for i in order if fed[i])
 
 
 def _derive_matrices(num_stations, num_classes, class_of, station_of, flow_paths):

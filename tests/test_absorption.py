@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnet.absorption import (
+    EquilibriumSet,
     SamplePlan,
     SamplePoint,
     distance,
@@ -14,8 +15,9 @@ from qnet.absorption import (
     tandem_wedge_set,
     verify_C1,
     verify_C2,
+    _first_hit,
 )
-from qnet.fluid import FluidState
+from qnet.fluid import FluidState, FluidTrajectory, integrate
 from qnet.network import SWITCH, switch_example_spec, tandem_spec
 
 
@@ -214,3 +216,101 @@ class TestProjection:
         eq = switch_equilibrium_set(0.5)
         with pytest.raises(ValueError):
             eq.projected((SWITCH.flow2_ingress,))
+
+
+def reference_hit(traj, eqset, hbar, tol, grid=401, extra=()):
+    """Brute-force first hit: per segment and piece, the first of a grid of
+    fractions with distance <= tol, then bisection down to adjacent floats
+    between it and the grid point before it."""
+    def dist(i, frac, piece):  # the distance _first_hit measures
+        q = traj.q[i] + frac * (traj.q[i + 1] - traj.q[i])
+        d = piece.q_distance(q / hbar) * hbar
+        if eqset.constrain_residuals:
+            u = traj.u[i] + frac * (traj.u[i + 1] - traj.u[i])
+            v = traj.v[i] + frac * (traj.v[i + 1] - traj.v[i])
+            d += float(np.sum(u)) + float(np.sum(v))
+        return d
+
+    if distance(FluidState(traj.q[0], traj.u[0], traj.v[0], hbar), eqset, hbar) <= tol:
+        return float(traj.times[0])
+    fracs = sorted(set([n / (grid - 1) for n in range(grid)] + list(extra)))
+    for i in range(len(traj.times) - 1):
+        t0, t1 = traj.times[i], traj.times[i + 1]
+        if t1 <= t0:
+            continue
+        hits = []
+        for piece in eqset.pieces:
+            n = next((n for n, f in enumerate(fracs) if dist(i, f, piece) <= tol), None)
+            if n is None:
+                continue
+            hi = fracs[n]
+            if n > 0:
+                lo = fracs[n - 1]
+                while lo < 0.5 * (lo + hi) < hi:
+                    mid = 0.5 * (lo + hi)
+                    if dist(i, mid, piece) <= tol:
+                        hi = mid
+                    else:
+                        lo = mid
+            hits.append(float(t0 + hi * (t1 - t0)))
+        if hits:
+            return min(hits)
+    return None
+
+
+def single_pieces(eqset):
+    return [
+        EquilibriumSet(eqset.num_classes, eqset.num_flows, (p,), eqset.constrain_residuals)
+        for p in eqset.pieces
+    ]
+
+
+class TestFirstHit:
+    def test_switch_band_and_edge_pieces(self):
+        spec = switch_example_spec()
+        full = switch_equilibrium_set(0.5)
+        proj = full.projected((SWITCH.flow2_ingress, SWITCH.flow2_egress))
+        hit_pieces = set()
+        for q2, q7 in [(0.4, 0.7), (2.5, 0.3), (1.6, 0.6), (0.02, 2.9), (2.9, 2.9), (0.0, 1.8)]:
+            traj = integrate(switch_state(q2, q7), spec, 120.0)
+            for eqset in (proj, full):
+                want = reference_hit(traj, eqset, 1.0, 1e-6)
+                assert want is not None
+                assert _first_hit(traj, eqset, 1.0, 1e-6) == want
+            for n, piece_set in enumerate(single_pieces(proj)):
+                piece_hit = reference_hit(traj, piece_set, 1.0, 1e-6)
+                assert _first_hit(traj, piece_set, 1.0, 1e-6) == piece_hit
+                if piece_hit == reference_hit(traj, proj, 1.0, 1e-6):
+                    hit_pieces.add(n)
+        assert hit_pieces == {0, 1}  # both the band and the edge piece are hit first
+
+    def test_tandem_tilde_set_segment(self):
+        spec = tandem_spec(1.0, 0.5, 0.5)
+        for q in ([1.0, 1.1], [0.3, 2.0], [2.5, 0.4]):
+            traj = integrate(FluidState.initial(spec, q, 1.0), spec, 50.0)
+            want = reference_hit(traj, tandem_tilde_set(), 1.0, 1e-6)
+            assert want is not None and want > 0.0
+            assert _first_hit(traj, tandem_tilde_set(), 1.0, 1e-6) == want
+
+    def test_segment_touching_the_tol_level_set_at_one_point(self):
+        # the vertical segment x = tol passes the point (0, 1) at distance
+        # exactly tol at its midpoint and farther everywhere else
+        tol = 1e-6
+        traj = FluidTrajectory(
+            hbar=1.0, times=np.array([0.0, 2.0]),
+            q=np.array([[tol, 1.5], [tol, 0.5]]), u=np.zeros((2, 1)), v=np.zeros((2, 2)),
+            admit=None, depart=None, busy=None, idle=None,
+            cum_arrival=None, cum_depart=None, cum_admit=None,
+        )
+        want = reference_hit(traj, tandem_point_set(), 1.0, tol, extra=(0.5,))
+        assert want == pytest.approx(1.0, abs=1e-15)  # y rounds to 1 a few ulps early
+        assert _first_hit(traj, tandem_point_set(), 1.0, tol) == want
+        # a hair above that distance, the segment misses the set
+        assert _first_hit(traj, tandem_point_set(), 1.0, tol * (1 - 1e-9)) is None
+
+    def test_start_inside_the_set(self):
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        traj = integrate(FluidState.initial(spec, [0.0, 1.0], 1.0), spec, 5.0)
+        assert _first_hit(traj, tandem_point_set(), 1.0, 1e-6) == 0.0
+        traj = integrate(switch_state(0.5, 1.0), switch_example_spec(), 20.0)
+        assert _first_hit(traj, switch_equilibrium_set(0.5), 1.0, 1e-6) == 0.0

@@ -411,3 +411,231 @@ def test_rate_invariants_on_random_networks(case):
         lam[:, spec.flow_classes(f)[0]] = traj.cum_admit[:, f]
     arrivals = traj.cum_depart @ P.T + lam
     assert np.abs(traj.q - (traj.q[0] + arrivals - traj.cum_depart)).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sliding admission roots
+
+
+def bisection_root(spec, admit, f, backlogged, gate_open, pinned):
+    """Oracle for the sliding root: the largest a in [0, alpha_f] with
+    g(a) <= 0, by bisection down to adjacent floats, after the same
+    full/no admission tests as the solver."""
+    from qnet.fluid import _ROOT_TOL, _pinned_residual
+
+    trial = list(admit)
+
+    def g(a):
+        trial[f] = a
+        return _pinned_residual(spec, trial, backlogged, gate_open, pinned)
+
+    top = float(spec.alpha[f])
+    if g(top) <= _ROOT_TOL:
+        return top
+    if g(0.0) > _ROOT_TOL:
+        return 0.0
+    lo, hi = 0.0, top
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def sliding_flows(state, spec):
+    """Flows that take the sliding rate at ``state``: clock active, no
+    queue above the threshold and one at it."""
+    from qnet.fluid import _classify
+
+    atol, _empty, at_thr, above = _classify(state.q, state.hbar)
+    return [
+        f for f, ks in enumerate(spec.routes)
+        if state.u[f] <= atol and not any(above[k] for k in ks) and any(at_thr[k] for k in ks)
+    ]
+
+
+class TestSlidingRoot:
+    def test_switch_member_states_admit_exactly_half(self):
+        from qnet.absorption import member_states, switch_equilibrium_set
+
+        spec = switch_example_spec()
+        states = member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4)
+        checked = 0
+        for st_ in states:
+            rv = solve_rates(st_, spec)
+            for f in sliding_flows(st_, spec):
+                if f == 1 and st_.q[SWITCH.flow2_ingress] < 1.0:
+                    # only queue 7 pinned, behind the backlogged queue 2:
+                    # the residual is flat at zero and flow 1 admits fully
+                    assert rv.admit[f] == 0.6
+                else:
+                    assert rv.admit[f] == 0.5
+                checked += 1
+        # flows 0 and 2 slide in every member state, flow 1 on the edge piece
+        assert checked >= 2 * len(states) + 20
+
+    def test_allocate_calls_per_sliding_switch_solve(self, monkeypatch):
+        # the bisection took 251 fixed points per solve on these states
+        from qnet import fluid
+        from qnet.absorption import member_states, switch_equilibrium_set
+
+        spec = switch_example_spec()
+        calls = []
+        allocate = fluid._allocate
+
+        def counted(*args):
+            calls.append(1)
+            return allocate(*args)
+
+        monkeypatch.setattr(fluid, "_allocate", counted)
+        states = member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4)
+        for st_ in states + [settled_switch_state(1.0, 0.4), settled_switch_state(0.5, 1.0)]:
+            calls.clear()
+            solve_rates(st_, spec)
+            assert 0 < len(calls) <= 30
+
+    def test_flat_at_zero_downstream_of_backlogged_queue(self):
+        # equal service rates: the pinned second queue sees the first
+        # queue's service rate, not the admission, so its residual is 0
+        # for every admission
+        spec = tandem_spec(0.9, 0.5, 0.5)
+        rv = solve_rates(FluidState.initial(spec, [0.5, 1.0], 1.0), spec)
+        assert rv.admit[0] == 0.9
+        assert rv.q_dot == pytest.approx([0.4, 0.0], abs=1e-12)
+        # both pinned: g(a) = max(a - 0.5, 0) is flat at zero on [0, 0.5]
+        # and the root is the end of that stretch
+        rv = solve_rates(FluidState.initial(spec, [1.0, 1.0], 1.0), spec)
+        assert rv.admit[0] == pytest.approx(0.5, abs=1e-12)
+        assert not rv.q_dot.any()
+
+    def test_last_zero_on_piecewise_linear_functions(self):
+        from qnet.fluid import _last_zero
+
+        cases = [
+            # (kinks, values, largest zero)
+            ([0.0, 0.6], [-0.5, 0.1], 0.5),
+            # flat at zero, then rising
+            ([0.0, 0.3, 1.0], [0.0, 0.0, 1.4], 0.3),
+            # a kink past the root next to the upper end stalls plain
+            # regula falsi
+            ([0.0, 0.55, 0.6], [-0.5, 0.05, 0.55], 0.5),
+            # below zero, flat at zero, then two rising pieces
+            ([0.0, 0.2, 0.7, 0.75, 2.0], [-1.0, 0.0, 0.0, 0.5, 1.0], 0.7),
+        ]
+        for xs, ys, root in cases:
+            g = lambda a, xs=xs, ys=ys: float(np.interp(a, xs, ys))
+            assert _last_zero(g, g(0.0), xs[-1], g(xs[-1])) == pytest.approx(root, abs=1e-12)
+
+    def test_last_zero_step_guard(self, monkeypatch):
+        from qnet import fluid
+
+        # the flat stretch needs more midpoint steps than allowed here
+        monkeypatch.setattr(fluid, "_ROOT_STEPS", 3)
+        g = lambda a: float(np.interp(a, [0.0, 0.3, 1.0], [0.0, 0.0, 1.4]))
+        with pytest.raises(fluid.FluidRateError, match="root"):
+            fluid._last_zero(g, 0.0, 1.0, 1.4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fluid_cases())
+def test_sliding_root_matches_bisection_oracle(case):
+    from qnet import fluid
+
+    spec, state, _horizon = case
+    solve = fluid._solve_admit_root
+    gaps = []
+
+    def checked(spec_, admit, f, backlogged, gate_open, pinned):
+        a = solve(spec_, admit, f, backlogged, gate_open, pinned)
+        gaps.append(abs(a - bisection_root(spec_, admit, f, backlogged, gate_open, pinned)))
+        return a
+
+    fluid._solve_admit_root = checked
+    try:
+        solve_rates(state, spec)
+    finally:
+        fluid._solve_admit_root = solve
+    assert all(gap <= 1e-12 for gap in gaps)
+
+
+def test_allocation_on_cyclic_station_graph():
+    # flows 0 -> 1 and 1 -> 0 feed each other's stations, so the
+    # allocation needs repeated sweeps; fixed point: station 1 passes flow
+    # 0's 0.3 and serves flow 1's ingress at 0.7, which station 0 passes
+    from qnet.distributions import DistributionSpec as D
+
+    spec = build_network(
+        [(0, 1), (1, 0)],
+        arrival=[D.exponential(0.3), D.exponential(0.9)],
+        service=[[D.exponential(1.0)] * 2] * 2,
+    )
+    rv = solve_rates(FluidState.initial(spec, [0.0] * 4, 1.0), spec)
+    # classes: 0 = flow 0 at station 0, 1 = flow 1 at station 1,
+    # 2 = flow 0 at station 1, 3 = flow 1 at station 0
+    assert rv.depart == pytest.approx([0.3, 0.7, 0.3, 0.7], abs=1e-12)
+    assert rv.q_dot == pytest.approx([0.0, 0.2, 0.0, 0.0], abs=1e-12)
+    assert rv.idle == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def jacobi_allocate(spec, admit, backlogged, gate_open):
+    """Reference allocation: Jacobi rounds that propagate every inflow
+    from the previous round's departures and water-fill every station,
+    until no departure moves by more than 1e-14."""
+    w, mu, K = spec.w, spec.mu, spec.num_classes
+
+    def propagate(depart):
+        inflow = np.zeros(K)
+        for f, ks in enumerate(spec.routes):
+            inflow[ks[0]] += admit[f]
+            for p, k in zip(ks, ks[1:]):
+                inflow[k] += depart[p]
+        return inflow
+
+    depart = np.zeros(K)
+    for _ in range(4 * K + 16):
+        inflow = propagate(depart)
+        new, busy = np.zeros(K), np.zeros(K)
+        for members in spec.fed:
+            gated = [k for k in members if not gate_open[k]]
+            if gated:
+                busy[gated[0]] = 1.0
+                continue
+            open_ = [k for k in members if backlogged[k] or inflow[k] > 0.0]
+            limited, share = set(), 0.0
+            while True:
+                rest = [k for k in open_ if k not in limited]
+                if not rest:
+                    share = 0.0
+                    break
+                used = sum(inflow[k] / mu[k] for k in limited)
+                share = max(0.0, (1.0 - used) / sum(w[k] / mu[k] for k in rest))
+                movers = [k for k in rest
+                          if not backlogged[k] and inflow[k] < w[k] * share - 1e-15]
+                if not movers:
+                    break
+                limited.update(movers)
+            for k in open_:
+                new[k] = inflow[k] if k in limited else w[k] * share
+                busy[k] = new[k] / mu[k]
+        moved = float(np.max(np.abs(new - depart)))
+        depart = new
+        if moved <= 1e-14:
+            return depart, busy, propagate(depart)
+    raise AssertionError("reference allocation did not settle")
+
+
+@settings(max_examples=40, deadline=None)
+@given(fluid_cases(), st.data())
+def test_allocation_matches_jacobi_reference(case, data):
+    from qnet.fluid import _allocate, _classify
+
+    spec, state, _horizon = case
+    atol, empty, _at, _above = _classify(state.q, state.hbar)
+    backlogged = (~empty | (state.v > atol)).tolist()
+    gate_open = (state.v <= atol).tolist()
+    admit = [data.draw(st.floats(0.0, float(a))) for a in spec.alpha]
+    got = _allocate(spec, admit, backlogged, gate_open)
+    for have, want in zip(got, jacobi_allocate(spec, admit, backlogged, gate_open)):
+        assert np.asarray(have) == pytest.approx(want, abs=1e-12)

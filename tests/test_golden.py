@@ -101,7 +101,7 @@ GOLDEN = {
     simulate_trace_json: "8ac682e8c68a8ecf02d6ad8970c4408e520f11f3cf52f16817c24feee9d678f3",
     c1_report: "bddd15a9f0394f566e6fcc9f9e373c002e84120fa1ad0e26a6a7cdf790b6a59b",
     c2_report: "93d38b1ff91ddf3593634eb0465d156682ab159d03993f4d393e3ba1b75fd2f9",
-    trajectory_csv: "c72a02a5421d9ac5099349fef7497e24278d8c52397c19dd11a034338db8d58f",
+    trajectory_csv: "57bf56625133359307b2b83536d1172dd0cc6f25d5084f98f03dff09f78902cb",
 }
 
 

@@ -176,3 +176,29 @@ def test_cycle_enumeration_bounds_imbalance_by_one():
         counts[c] += 1
         worst = max(worst, abs(counts[0] / 2.0 - counts[1] / 1.0))
     assert worst <= 1.0
+
+
+def test_switch_feeder_and_sweep_tables():
+    spec = switch_example_spec()
+    K = spec.num_classes
+    # ingress classes read their flow's admission (entry K + f), the
+    # egress classes their predecessor's departure; idle slots read none
+    assert spec.feeder == (K, K + 1, K + 2, -1, 0, -1, 1, 2)
+    assert spec.sweep == (0, 1, 2, 3)
+
+
+def test_sweep_is_upstream_first():
+    # a chain entered at its last station: the order follows the feed
+    spec = build_network([(2, 1, 0)], arrival=[EXP1], service=[[EXP1] * 3])
+    assert spec.sweep == (2, 1, 0)
+    # stations without a fed class are left out
+    spec = build_network([(3, 1)], arrival=[EXP1], service=[[EXP1] * 2], num_stations=4)
+    assert spec.sweep == (3, 1)
+
+
+def test_sweep_enters_a_station_cycle_at_its_lowest_station():
+    spec = build_network([(0, 1), (1, 0), (2,)], arrival=[EXP1] * 3,
+                         service=[[EXP1] * 2, [EXP1] * 2, [EXP1]])
+    # station 2 is ready at once; stations 0 and 1 feed each other
+    assert spec.sweep == (2, 0, 1)
+    assert spec.feeder == (5, 6, 7, 0, 1)
