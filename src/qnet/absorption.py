@@ -335,26 +335,15 @@ def grid_plan(
     hi: float,
     per_dim: int,
     time_budget: float,
-    *,
-    boundary_eps: Sequence[float] = (),
-    hbar: float = 1.0,
-    label: str = "",
 ) -> SamplePlan:
-    """Stratified grid over selected queue coordinates plus boundary-biased
-    points just above/below the threshold on each free coordinate."""
+    """Stratified grid over selected queue coordinates."""
     axes = [np.linspace(lo, hi, per_dim) for _ in free_coords]
     points = []
     for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(free_coords)):
         q = np.asarray(base_q, dtype=float).copy()
         for c, val in zip(free_coords, combo):
             q[c] = val
-        points.append(SamplePoint(q=q, label=label or "grid"))
-    for eps in boundary_eps:
-        for c in free_coords:
-            for sign in (+1.0, -1.0):
-                q = np.asarray(base_q, dtype=float).copy()
-                q[c] = max(0.0, hbar + sign * eps)
-                points.append(SamplePoint(q=q, label=f"boundary:{c}"))
+        points.append(SamplePoint(q=q, label="grid"))
     return SamplePlan(points=points, time_budget=time_budget)
 
 

@@ -6,11 +6,15 @@ config where it applies) and --out (output directory).  Exit codes:
 0 success, 1 validation/configuration failure (a ValueError from the
 library counts as one), 2 runtime budget or I/O failure, or a verify-c1 /
 verify-c2 check that does not hold.
+
+``_simulate`` and ``_integrate`` read the ``simulate`` and ``fluid``
+sections for their own verbs and for ``export``, which writes the same
+trace.csv and fluid.csv plus queues.csv and phase.csv.  Every result file
+goes through ``experiments.write_csv`` or ``experiments.write_json``.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -49,35 +53,30 @@ def cmd_validate(args) -> int:
     return EXIT_INVALID
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def _simulate(cfg, args, sample_count=None):
+    """Run the ``simulate`` section: n, horizon, seed (``--seed`` wins),
+    warmup_frac and initial_queues, sampled at sample_count points, or at
+    ``sample_count`` points when the section gives none."""
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
     seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
     horizon = float(sim["horizon"])
-    sample_times = None
-    if sim.get("sample_count"):
-        sample_times = np.linspace(0.0, horizon, int(sim["sample_count"]))
-    trace = des.run(
+    count = sim.get("sample_count") or sample_count
+    return des.run(
         cfg.network,
         float(sim["n"]),
         seed,
         horizon,
         warmup_frac=float(sim.get("warmup_frac", 0.2)),
         initial_queues=sim.get("initial_queues"),
-        sample_times=sample_times,
+        sample_times=np.linspace(0.0, horizon, int(count)) if count else None,
     )
-    out = _outdir(args)
-    experiments.export_trace_csv(trace, os.path.join(out, "trace.csv"))
-    experiments.export_trace_json(trace, os.path.join(out, "trace.json"))
-    rates = " ".join(repr(float(x)) for x in trace.flow_depart_rates)
-    print(f"simulated to t={horizon} seed={seed}: flow rates {rates}")
-    return EXIT_OK
 
 
-def cmd_fluid(args) -> int:
-    cfg = _load(args)
+def _integrate(cfg):
+    """Integrate the ``fluid`` section from initial_q, hbar and the
+    optional residual clocks initial_u and gates initial_v."""
     if cfg.fluid is None:
         raise ConfigError("config has no fluid section")
     node = cfg.fluid
@@ -88,7 +87,23 @@ def cmd_fluid(args) -> int:
         u=np.asarray(node["initial_u"], dtype=float) if "initial_u" in node else None,
         v=np.asarray(node["initial_v"], dtype=float) if "initial_v" in node else None,
     )
-    traj = fluid.integrate(state, cfg.network, float(node["horizon"]))
+    return fluid.integrate(state, cfg.network, float(node["horizon"]))
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load(args)
+    trace = _simulate(cfg, args)
+    out = _outdir(args)
+    experiments.export_trace_csv(trace, os.path.join(out, "trace.csv"))
+    experiments.export_trace_json(trace, os.path.join(out, "trace.json"))
+    rates = " ".join(repr(float(x)) for x in trace.flow_depart_rates)
+    print(f"simulated to t={trace.horizon} seed={trace.seed}: flow rates {rates}")
+    return EXIT_OK
+
+
+def cmd_fluid(args) -> int:
+    cfg = _load(args)
+    traj = _integrate(cfg)
     out = _outdir(args)
     experiments.export_trajectory_csv(traj, os.path.join(out, "fluid.csv"))
     _, flow_rates = fluid.departure_rates_at(
@@ -123,9 +138,7 @@ def cmd_verify_c1(args) -> int:
     plan = absorption.SamplePlan(points=points, time_budget=float(node.get("time_budget", 100.0 * hbar)))
     report = absorption.verify_C1(cfg.network, eqset, hbar, plan)
     out = _outdir(args)
-    with open(os.path.join(out, "c1.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    experiments.write_json(os.path.join(out, "c1.json"), report.to_dict())
     print(f"samples={len(points)} max_ratio={report.max_ratio!r} ok={report.ok}")
     for v in report.violations:
         print("violation:", v)
@@ -145,9 +158,7 @@ def cmd_verify_c2(args) -> int:
         seed=args.seed or 0,
     )
     out = _outdir(args)
-    with open(os.path.join(out, "c2.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    experiments.write_json(os.path.join(out, "c2.json"), report.to_dict())
     print(f"max deviation from target rates: {report.max_deviation!r} ok={report.ok}")
     return EXIT_OK if report.ok else EXIT_RUNTIME
 
@@ -181,51 +192,34 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     cfg = _load(args)
+    if cfg.simulate is None and cfg.fluid is None:
+        raise ConfigError("export: nothing to export (no simulate or fluid section)")
     out = _outdir(args)
     node = cfg.export or {}
     wrote = []
+
+    def path(name):
+        wrote.append(os.path.join(out, name))
+        return wrote[-1]
+
     if cfg.simulate is not None:
-        sim = cfg.simulate
-        seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
-        horizon = float(sim["horizon"])
-        count = int(sim.get("sample_count", 1000))
-        trace = des.run(
-            cfg.network, float(sim["n"]), seed, horizon,
-            warmup_frac=float(sim.get("warmup_frac", 0.2)),
-            sample_times=np.linspace(0.0, horizon, count),
-        )
-        queues = node.get("trace_queues")
+        trace = _simulate(cfg, args, sample_count=1000)
+        queues = [int(k) for k in node.get("trace_queues") or ()]
         if queues:
-            path = os.path.join(out, "queues.csv")
-            header = ["time"] + [f"q{int(k)}" for k in queues]
             rows = [
-                [t, *[int(trace.sample_q[i][int(k)]) for k in queues]]
+                [t, *(int(trace.sample_q[i][k]) for k in queues)]
                 for i, t in enumerate(trace.sample_times)
             ]
-            experiments._write_csv(path, header, rows)
-            wrote.append(path)
-        path = os.path.join(out, "trace.csv")
-        experiments.export_trace_csv(trace, path)
-        wrote.append(path)
+            experiments.write_csv(path("queues.csv"), ["time"] + [f"q{k}" for k in queues], rows)
+        experiments.export_trace_csv(trace, path("trace.csv"))
     if cfg.fluid is not None:
-        fl = cfg.fluid
-        state = fluid.FluidState.initial(
-            cfg.network, np.asarray(fl["initial_q"], dtype=float), float(fl["hbar"])
-        )
-        traj = fluid.integrate(state, cfg.network, float(fl["horizon"]))
+        traj = _integrate(cfg)
         pair = node.get("fluid_phase")
         if pair:
             i, j = int(pair[0]), int(pair[1])
-            path = os.path.join(out, "phase.csv")
-            header = ["time", f"q{i}", f"q{j}"]
             rows = [[t, traj.q[b][i], traj.q[b][j]] for b, t in enumerate(traj.times)]
-            experiments._write_csv(path, header, rows)
-            wrote.append(path)
-        path = os.path.join(out, "fluid.csv")
-        experiments.export_trajectory_csv(traj, path)
-        wrote.append(path)
-    if not wrote:
-        raise ConfigError("export: nothing to export (no simulate or fluid section)")
+            experiments.write_csv(path("phase.csv"), ["time", f"q{i}", f"q{j}"], rows)
+        experiments.export_trajectory_csv(traj, path("fluid.csv"))
     for p in wrote:
         print("wrote", p)
     return EXIT_OK

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,6 +26,8 @@ __all__ = [
     "ConvergenceReport",
     "run_sweep",
     "compare_to_fluid",
+    "write_csv",
+    "write_json",
     "export_trace_csv",
     "export_trajectory_csv",
     "export_rate_table_csv",
@@ -68,7 +69,6 @@ class RateRow:
     flow_rates: tuple                 # departure rates over the window
     admit_rates: tuple
     event_count: int
-    wall_time: float = 0.0            # in-memory only, never serialized
     error: Optional[str] = None
 
 
@@ -85,13 +85,12 @@ class RateTable:
 
 def _sweep_cell(args):
     spec, n, seed, horizon, warmup = args
-    start = time.perf_counter()
     try:
         trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off")
     except des.SimulationError as exc:
         return RateRow(
             n=n, seed=seed, flow_rates=(), admit_rates=(),
-            event_count=0, wall_time=time.perf_counter() - start, error=str(exc),
+            event_count=0, error=str(exc),
         )
     return RateRow(
         n=n,
@@ -99,7 +98,6 @@ def _sweep_cell(args):
         flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
         admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
         event_count=trace.event_count,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -191,14 +189,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write(path, text: str) -> None:
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """One header line, then one line per row; floats in shortest
+    round-trip repr."""
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """Indent 2, sorted keys, final newline."""
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def export_trace_csv(trace: des.SimTrace, path) -> None:
@@ -221,7 +229,7 @@ def export_trace_csv(trace: des.SimTrace, path) -> None:
             )
     else:
         rows.append([trace.horizon, *trace.q_final, *trace.departures, *trace.admitted])
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def export_trace_json(trace: des.SimTrace, path) -> None:
@@ -237,12 +245,7 @@ def export_trace_json(trace: des.SimTrace, path) -> None:
         "admitted": [int(x) for x in trace.admitted],
         "departures": [int(x) for x in trace.departures],
     }
-    try:
-        with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    write_json(path, summary)
 
 
 def export_trajectory_csv(traj, path) -> None:
@@ -259,7 +262,7 @@ def export_trajectory_csv(traj, path) -> None:
     rows = []
     for i in range(len(traj.times)):
         rows.append([traj.times[i], *traj.q[i], *traj.admit[i], *traj.depart[i]])
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def export_rate_table_csv(table: RateTable, path) -> None:
@@ -274,7 +277,7 @@ def export_rate_table_csv(table: RateTable, path) -> None:
         rates = list(r.flow_rates) or [""] * table.num_flows
         admits = list(r.admit_rates) or [""] * table.num_flows
         rows.append([r.n, r.seed, *rates, *admits, r.event_count, r.error or ""])
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def export_rate_table_json(table: RateTable, path, *, target_rates=None) -> None:
@@ -294,9 +297,4 @@ def export_rate_table_json(table: RateTable, path, *, target_rates=None) -> None
     }
     if target_rates is not None:
         payload["comparison"] = compare_to_fluid(table, target_rates).to_dict()
-    try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    write_json(path, payload)

@@ -53,6 +53,7 @@ _RATE_EPS = 1e-9      # rates smaller than this are treated as zero drift
 _ROOT_TOL = 1e-13     # residual that counts as zero for sliding admission roots
 _ROOT_STEPS = 200     # evaluations allowed per sliding admission root
 _FILL_TOL = 1e-14     # departure change that ends the service-allocation sweeps
+_ZENO_WINDOW = 64     # breakpoints that must not fall within a vanishing span
 
 
 def _classify(q: np.ndarray, hbar: float) -> tuple:
@@ -443,7 +444,6 @@ def integrate(
     horizon: float,
     *,
     max_breakpoints: int = 20000,
-    zeno_window: int = 64,
 ) -> FluidTrajectory:
     """Integrate the fluid model from ``state0`` for ``horizon`` time units.
 
@@ -457,7 +457,6 @@ def integrate(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     hbar = state0.hbar
-    snap = 1e-9 * max(1.0, hbar)
 
     q = state0.q.astype(float).copy()
     u = state0.u.astype(float).copy()
@@ -523,11 +522,12 @@ def integrate(
         q = q + qdot * dt
         u = np.maximum(u - dt, 0.0)
         v = np.maximum(v - rv.busy * dt, 0.0)
-        # snap coordinates that landed on a boundary
-        q[np.abs(q) < snap] = 0.0
-        q[np.abs(q - hbar) < snap] = hbar
-        u[u < snap] = 0.0
-        v[v < snap] = 0.0
+        # snap coordinates that landed on a boundary, within the same
+        # tolerance that classifies them
+        q[np.abs(q) < atol] = 0.0
+        q[np.abs(q - hbar) < atol] = hbar
+        u[u < atol] = 0.0
+        v[v < atol] = 0.0
         t = t + dt
 
         times.append(t)
@@ -540,11 +540,11 @@ def integrate(
 
         if len(times) > max_breakpoints:
             raise ZenoError(f"more than {max_breakpoints} breakpoints before t={t:.6g}")
-        if len(times) > zeno_window:
-            span = times[-1] - times[-zeno_window]
+        if len(times) > _ZENO_WINDOW:
+            span = times[-1] - times[-_ZENO_WINDOW]
             if span < 1e-12 * max(1.0, horizon):
                 raise ZenoError(
-                    f"{zeno_window} breakpoints within {span:.3e} time units at t={t:.6g}"
+                    f"{_ZENO_WINDOW} breakpoints within {span:.3e} time units at t={t:.6g}"
                 )
 
     return FluidTrajectory(

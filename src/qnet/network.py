@@ -192,7 +192,6 @@ def build_network(
     num_stations: Optional[int] = None,
     class_ids: Optional[dict] = None,
     idle_slots: Optional[dict] = None,
-    idle_service: Optional[DistributionSpec] = None,
 ) -> NetworkSpec:
     """Assemble a NetworkSpec, deriving class numbering and structure.
 
@@ -239,8 +238,6 @@ def build_network(
             raise ValueError(f"flow {f}: need one service distribution per hop")
         for hop, d in enumerate(per_hop):
             svc[class_of[(f, hop)]] = d
-    for k in idle_slots:
-        svc[k] = idle_service or DistributionSpec.exponential(1.0)
     service_dist = tuple(
         d if d is not None else DistributionSpec.exponential(1.0) for d in svc
     )
@@ -428,7 +425,6 @@ def switch_example_spec(threshold_base: float = 1.0) -> NetworkSpec:
             (2, 1): SWITCH.flow3_egress,
         },
         idle_slots={SWITCH.idle_a: 1, SWITCH.idle_b: 2},
-        idle_service=exp1,
     )
 
 

@@ -166,6 +166,25 @@ class TestCli:
         phase = (out / "phase.csv").read_text().splitlines()
         assert phase[0] == "time,q1,q6"
 
+    def test_export_matches_simulate_and_fluid(self, tmp_path):
+        # export reads initial_queues, initial_u and initial_v as simulate and fluid do
+        p = tmp_path / "tandem.yaml"
+        p.write_text(
+            TANDEM_YAML
+            + "simulate: {n: 4, horizon: 200, seed: 2, sample_count: 40, initial_queues: [4, 4]}\n"
+            + "fluid: {hbar: 1.0, horizon: 20, initial_q: [2.0, 0.5],"
+            + " initial_u: [0.7], initial_v: [0.3, 0.0]}\n"
+        )
+        out = {verb: tmp_path / verb for verb in ("export", "simulate", "fluid")}
+        for verb, d in out.items():
+            assert main([verb, "--config", str(p), "--out", str(d)]) == 0
+        trace = (out["export"] / "trace.csv").read_bytes()
+        assert trace == (out["simulate"] / "trace.csv").read_bytes()
+        assert trace.splitlines()[1].startswith(b"0.0,4,4,")
+        traj = (out["export"] / "fluid.csv").read_bytes()
+        assert traj == (out["fluid"] / "fluid.csv").read_bytes()
+        assert traj.splitlines()[2].startswith(b"0.3,")  # class 0 gate opens
+
     def test_verify_c2_wrong_target_exit_2(self, tmp_path):
         p = tmp_path / "c2.yaml"
         p.write_text(SWITCH_YAML.replace(
