@@ -1,7 +1,7 @@
 """Discrete-event and fluid-model analysis of multiclass queueing networks
 with threshold-based ingress discarding."""
 
-from .distributions import DistributionSpec, RenewalStream, make_streams, sample
+from .distributions import DistributionSpec, RenewalStream, make_streams
 from .network import (
     SWITCH,
     NetworkSpec,

@@ -204,7 +204,7 @@ def cmd_export(args) -> int:
 
     if cfg.simulate is not None:
         trace = _simulate(cfg, args, sample_count=1000)
-        queues = [int(k) for k in node.get("trace_queues") or ()]
+        queues = node.get("trace_queues") or ()
         if queues:
             rows = [
                 [t, *(int(trace.sample_q[i][k]) for k in queues)]
@@ -216,7 +216,7 @@ def cmd_export(args) -> int:
         traj = _integrate(cfg)
         pair = node.get("fluid_phase")
         if pair:
-            i, j = int(pair[0]), int(pair[1])
+            i, j = pair
             rows = [[t, traj.q[b][i], traj.q[b][j]] for b, t in enumerate(traj.times)]
             experiments.write_csv(path("phase.csv"), ["time", f"q{i}", f"q{j}"], rows)
         experiments.export_trajectory_csv(traj, path("fluid.csv"))

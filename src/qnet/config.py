@@ -63,6 +63,17 @@ def _parse_weight(node, where: str) -> Fraction:
     raise ConfigError(f"{where}: weight must be an integer or 'p/q' string")
 
 
+def _class_ids(node, num_classes: int, where: str, length=None) -> list:
+    """A list of class ids in [0, num_classes), of ``length`` if given."""
+    if not isinstance(node, list) or (length is not None and len(node) != length):
+        size = f"{length} " if length is not None else ""
+        raise ConfigError(f"{where}: expected a list of {size}class ids")
+    for k in node:
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < num_classes:
+            raise ConfigError(f"{where}: class id {k!r} is not in [0, {num_classes})")
+    return list(node)
+
+
 def _parse_network(node) -> NetworkSpec:
     if isinstance(node, dict) and "preset" in node:
         _require_keys(node, {"preset", "threshold_base", "params"}, {"preset"}, "network")
@@ -216,6 +227,11 @@ def load_config(path) -> LoadedConfig:
     if "export" in doc:
         _require_keys(doc["export"], {"trace_queues", "fluid_phase"}, set(), "export")
         export = dict(doc["export"])
+        K = net.num_classes
+        if export.get("trace_queues") is not None:
+            export["trace_queues"] = _class_ids(export["trace_queues"], K, "export.trace_queues")
+        if export.get("fluid_phase") is not None:
+            export["fluid_phase"] = _class_ids(export["fluid_phase"], K, "export.fluid_phase", 2)
 
     return LoadedConfig(
         network=net,

@@ -15,6 +15,19 @@ Scheduling: weighted round robin over a fixed per-station visit cycle
 (w_f visits per cycle per flow), skipping empty queues, non-preemptive,
 head of line only.  The cycle cursor persists across idle periods.
 
+Engine: ``Simulation.run`` is the whole event loop.  It binds the state
+lists, the network tables, ``heappush``/``heappop``, each stream's
+``draw`` and ``check_invariants`` to locals once, then handles arrivals
+and completions inline; the only call of its own is the local ``start``,
+the round-robin pick.  In CPython a local read is an array index, while an
+attribute read or a method call costs a dictionary lookup or a frame, and
+those made up most of an event's time.  The lists are the ``Simulation``'s
+own, mutated in place, so the attributes show the state after each event;
+the clock ``t`` is written when the run ends or raises.
+The callables are bound when ``run`` starts, not at import, so wrappers
+installed on ``RenewalStream``, ``Simulation`` or ``heapq`` beforehand
+see every call.  Stations start serving when ``run`` begins.
+
 Invariant checks: ``invariant_checks`` is ``"off"``, ``"sparse"`` (after
 every 1000th event, the default) or ``"every"`` (after every event).
 ``Simulation.check_invariants`` verifies the model's identities on the
@@ -29,6 +42,8 @@ single-use ``Simulation`` is spent.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,11 +151,6 @@ class Simulation:
 
         K, F, d = spec.num_classes, spec.num_flows, spec.num_stations
         self.arr_streams, self.svc_streams = make_streams(spec, seed)
-        self.routes = spec.routes
-        self.successor = spec.successor
-        self.station_of = spec.station_of
-        self.cycles = spec.cycles
-        self.members = spec.members
         # reference structure for check_invariants, read from the matrices
         # rather than from the engine's own tables: per class the classes
         # routed into it and the flow entering at it (-1 if none), per
@@ -178,10 +188,9 @@ class Simulation:
                     self.flags[k] = 1
         self.q0 = list(self.q)
 
+        # first arrivals; the stations start serving when ``run`` begins
         for f in range(F):
             heapq.heappush(self.heap, (self.arr_streams[f].draw(), _ARRIVAL, f))
-        for i in range(d):
-            self._start_service(i, 0.0)
 
         # previous values for monotonicity checks
         self._prev_busy = list(self.busy)
@@ -205,69 +214,6 @@ class Simulation:
             if kind == _COMPLETION and idx in in_service:
                 v[idx] = max(t_ev - self.t, 0.0)
         return v
-
-    # -- engine internals ------------------------------------------------
-
-    def _start_service(self, i: int, t: float) -> None:
-        cyc = self.cycles[i]
-        if not cyc:
-            return
-        q = self.q
-        cur = self.cursor[i]
-        L = len(cyc)
-        for _ in range(L):
-            c = cyc[cur]
-            cur += 1
-            if cur == L:
-                cur = 0
-            if q[c] > 0:
-                self.cursor[i] = cur
-                self.busy_class[i] = c
-                self.service_start[i] = t
-                heapq.heappush(self.heap, (t + self.svc_streams[c].draw(), _COMPLETION, c))
-                return
-        self.busy_class[i] = -1  # idle; cursor stays where it was
-
-    def _on_arrival(self, f: int, t: float) -> None:
-        self.e[f] += 1
-        heapq.heappush(self.heap, (t + self.arr_streams[f].draw(), _ARRIVAL, f))
-        flags = self.flags
-        route = self.routes[f]
-        for k in route:
-            if flags[k]:
-                return  # discarded: some queue of the flow is above threshold
-        k0 = route[0]
-        self.q[k0] += 1
-        self.a[k0] += 1
-        self.lam[f] += 1
-        if self.q[k0] >= self.nh:
-            flags[k0] = 1
-        i = self.station_of[k0]
-        if self.busy_class[i] < 0:
-            if __debug__ and sum(self.q[c] for c in self.members[i]) != 1:
-                raise InvariantViolation(f"station {i} idle while backlogged")
-            self._start_service(i, t)
-
-    def _on_completion(self, k: int, t: float) -> None:
-        i = self.station_of[k]
-        self.busy[k] += t - self.service_start[i]
-        self.d[k] += 1
-        self.q[k] -= 1
-        if self.q[k] >= self.nh:
-            self.flags[k] = 1
-        elif self.q[k] <= self.low:
-            self.flags[k] = 0
-        l = self.successor[k]
-        if l >= 0:
-            self.q[l] += 1
-            self.a[l] += 1
-            if self.q[l] >= self.nh:
-                self.flags[l] = 1
-            j = self.station_of[l]
-            if self.busy_class[j] < 0:
-                self._start_service(j, t)
-        self.busy_class[i] = -1
-        self._start_service(i, t)
 
     # -- invariant checking ------------------------------------------------
 
@@ -372,88 +318,172 @@ class Simulation:
         if getattr(self, "_ran", False):
             raise SimulationError("a Simulation is single-use; build a new one")
         self._ran = True
-        check_every = _CHECK_PERIOD[invariant_checks]
+        spec = self.spec
         t_warm = warmup_frac * horizon
-        warm_d = None
-        warm_lam = None
-
-        si = 0
+        warm_d = warm_lam = None
+        s_list = [] if stimes is None else stimes.tolist()
         s_q = s_d = s_lam = None
         if stimes is not None:
-            s_q = np.empty((len(stimes), self.spec.num_classes), dtype=np.int64)
+            s_q = np.empty((len(s_list), spec.num_classes), dtype=np.int64)
             s_d = np.empty_like(s_q)
-            s_lam = np.empty((len(stimes), self.spec.num_flows), dtype=np.int64)
+            s_lam = np.empty((len(s_list), spec.num_flows), dtype=np.int64)
+        si, s_end = 0, len(s_list)
+        # the earliest pending record, a sample time or the end of the
+        # warmup: the first event after it records the state it finds (set
+        # at the first event)
+        mark = -math.inf
 
+        period = _CHECK_PERIOD[invariant_checks]
+        next_check = period if period else -1
+        budget = sys.maxsize if event_budget is None else event_budget
+
+        # state, tables and callables in locals: the loop reads no attribute
+        # and makes no method call of its own.  Bound here, not at import,
+        # so that wrappers installed on the classes or on heapq see each call.
+        q, a, d, lam, e, flags = self.q, self.a, self.d, self.lam, self.e, self.flags
+        busy, busy_class = self.busy, self.busy_class
+        service_start, cursor = self.service_start, self.cursor
+        routes, successor, station_of = spec.routes, spec.successor, spec.station_of
+        cycles, members = spec.cycles, spec.members
+        nh, low = self.nh, self.low
         heap = self.heap
+        heappush, heappop = heapq.heappush, heapq.heappop
+        arr_draw = [s.draw for s in self.arr_streams]
+        svc_draw = [s.draw for s in self.svc_streams]
+        check = self.check_invariants
+
+        def start(i, t):
+            # weighted round robin: serve the first nonempty class at or after
+            # station i's cursor; if all are empty, idle and keep the cursor
+            cyc = cycles[i]
+            L = len(cyc)
+            cur = cursor[i]
+            for _ in range(L):
+                c = cyc[cur]
+                cur += 1
+                if cur == L:
+                    cur = 0
+                if q[c] > 0:
+                    cursor[i] = cur
+                    busy_class[i] = c
+                    service_start[i] = t
+                    heappush(heap, (t + svc_draw[c](), _COMPLETION, c))
+                    return
+            busy_class[i] = -1
+
+        for i in range(spec.num_stations):
+            start(i, 0.0)
+
         events = 0
-        while heap:
-            t_ev = heap[0][0]
-            if t_ev > horizon:
-                break
-            if stimes is not None:
-                while si < len(stimes) and stimes[si] < t_ev:
-                    s_q[si] = self.q
-                    s_d[si] = self.d
-                    s_lam[si] = self.lam
-                    si += 1
-            if warm_d is None and t_ev > t_warm:
-                warm_d = list(self.d)
-                warm_lam = list(self.lam)
-            t_ev, kind, idx = heapq.heappop(heap)
-            self.t = t_ev
-            if kind == _ARRIVAL:
-                self._on_arrival(idx, t_ev)
-            else:
-                self._on_completion(idx, t_ev)
-            events += 1
-            if event_budget is not None and events > event_budget:
-                raise EventBudgetExceeded(
-                    f"exceeded event budget {event_budget} at t={t_ev:.6g}"
-                )
-            if check_every and events % check_every == 0:
-                self.check_invariants(t_ev)
+        t = 0.0
+        try:
+            while heap:
+                ev = heappop(heap)
+                t, kind, idx = ev
+                if t > horizon:
+                    heappush(heap, ev)
+                    break
+                if t > mark:
+                    while si < s_end and s_list[si] < t:
+                        s_q[si] = q
+                        s_d[si] = d
+                        s_lam[si] = lam
+                        si += 1
+                    if warm_d is None and t > t_warm:
+                        warm_d = d[:]
+                        warm_lam = lam[:]
+                    mark = min(
+                        s_list[si] if si < s_end else math.inf,
+                        t_warm if warm_d is None else math.inf,
+                    )
+                if kind == _ARRIVAL:
+                    f = idx
+                    e[f] += 1
+                    heappush(heap, (t + arr_draw[f](), _ARRIVAL, f))
+                    route = routes[f]
+                    for k in route:
+                        if flags[k]:
+                            break  # discarded: some queue of the flow is above threshold
+                    else:
+                        k = route[0]
+                        qk = q[k] + 1
+                        q[k] = qk
+                        a[k] += 1
+                        lam[f] += 1
+                        if qk >= nh:
+                            flags[k] = 1
+                        i = station_of[k]
+                        if busy_class[i] < 0:
+                            if __debug__ and sum(q[c] for c in members[i]) != 1:
+                                raise InvariantViolation(f"station {i} idle while backlogged")
+                            start(i, t)
+                else:
+                    k = idx
+                    i = station_of[k]
+                    busy[k] += t - service_start[i]
+                    d[k] += 1
+                    qk = q[k] - 1
+                    q[k] = qk
+                    if qk >= nh:
+                        flags[k] = 1
+                    elif qk <= low:
+                        flags[k] = 0
+                    l = successor[k]
+                    if l >= 0:
+                        ql = q[l] + 1
+                        q[l] = ql
+                        a[l] += 1
+                        if ql >= nh:
+                            flags[l] = 1
+                        j = station_of[l]
+                        if busy_class[j] < 0:
+                            start(j, t)
+                    start(i, t)
+                events += 1
+                if events > budget:
+                    raise EventBudgetExceeded(f"exceeded event budget {event_budget} at t={t:.6g}")
+                if events == next_check:
+                    check(t)
+                    next_check += period
+        except BaseException:
+            self.t = t  # the state is that of the event the run stopped in
+            raise
 
         self.t = horizon
         self.event_count = events
-        if stimes is not None:
-            while si < len(stimes):
-                s_q[si] = self.q
-                s_d[si] = self.d
-                s_lam[si] = self.lam
-                si += 1
+        while si < s_end:
+            s_q[si] = q
+            s_d[si] = d
+            s_lam[si] = lam
+            si += 1
         if warm_d is None:
-            warm_d = list(self.d)
-            warm_lam = list(self.lam)
+            warm_d = d[:]
+            warm_lam = lam[:]
 
         # truncate in-progress services at the horizon for T and I
-        busy = list(self.busy)
-        for i in range(self.spec.num_stations):
-            c = self.busy_class[i]
+        busy = busy[:]
+        for i, c in enumerate(busy_class):
             if c >= 0:
-                busy[c] += horizon - self.service_start[i]
+                busy[c] += horizon - service_start[i]
         busy = np.array(busy)
-        idle = horizon - self.spec.constituency.astype(float) @ busy
+        idle = horizon - spec.constituency.astype(float) @ busy
 
         span = horizon - t_warm
-        dep_rates = np.array(
-            [(self.d[k] - warm_d[k]) / span for k in self.spec.egress]
-        )
-        adm_rates = np.array(
-            [(self.lam[f] - warm_lam[f]) / span for f in range(self.spec.num_flows)]
-        )
+        dep_rates = np.array([(d[k] - warm_d[k]) / span for k in spec.egress])
+        adm_rates = np.array([(lam[f] - warm_lam[f]) / span for f in range(spec.num_flows)])
         return SimTrace(
             n=self.n,
             seed=self.seed,
             horizon=horizon,
             warmup_frac=warmup_frac,
-            exogenous=np.array(self.e),
-            admitted=np.array(self.lam),
-            arrivals=np.array(self.a),
-            departures=np.array(self.d),
+            exogenous=np.array(e),
+            admitted=np.array(lam),
+            arrivals=np.array(a),
+            departures=np.array(d),
             busy_time=busy,
             idle_time=idle,
-            q_final=np.array(self.q),
-            flags_final=np.array(self.flags),
+            q_final=np.array(q),
+            flags_final=np.array(flags),
             flow_depart_rates=dep_rates,
             flow_admit_rates=adm_rates,
             window=(t_warm, horizon),

@@ -2,9 +2,13 @@
 
 All sampling is inverse-CDF on a single uniform draw, so samples are a
 monotone function of the underlying uniform and replications are exactly
-reproducible from a master seed.  Renewal streams take their uniforms from
-the generator in small blocks; that changes no sample (see
-``RenewalStream``).
+reproducible from a master seed.  ``DistributionSpec.quantiles(us)`` holds
+the one scalar formula per law (``-log1p(-u)/rate``, ``((1-u)^-1/2 - 1)/rate``,
+the point mass, ``inf`` at rate 0) as a list comprehension over Python
+floats; ``quantile(u)`` is its range check plus ``quantiles([u])[0]``.
+Renewal streams take their uniforms from the generator in small blocks and
+turn each block into intervals with one ``quantiles`` call; that changes no
+sample (see ``RenewalStream``).
 """
 from __future__ import annotations
 
@@ -87,21 +91,24 @@ class DistributionSpec:
         """Inverse CDF at u in [0, 1)."""
         if not 0.0 <= u < 1.0:
             raise ValueError("u must lie in [0, 1)")
+        return self.quantiles([u])[0]
+
+    def quantiles(self, us) -> list:
+        """Inverse CDF at each u of ``us``, all in [0, 1) (not checked).
+
+        One scalar formula per law, applied to Python floats in a list
+        comprehension, so each value equals ``quantile(u)`` bit for bit.
+        """
+        p = self.param
+        if self.kind == DETERMINISTIC:
+            return [p] * len(us)
+        if p == 0.0:
+            return [math.inf] * len(us)
         if self.kind == EXPONENTIAL:
-            if self.param == 0.0:
-                return math.inf
-            return -math.log1p(-u) / self.param
-        if self.kind == PARETO_PAPER:
-            if self.param == 0.0:
-                return math.inf
-            # solve 1/(a s + 1)^2 = 1 - u for s
-            return ((1.0 - u) ** -0.5 - 1.0) / self.param
-        return self.param
-
-
-def sample(dist: DistributionSpec, rng: np.random.Generator) -> float:
-    """Draw one variate by inverse CDF on a uniform from ``rng``."""
-    return dist.quantile(rng.random())
+            log1p = math.log1p
+            return [-log1p(-u) / p for u in us]
+        # pareto_paper: solve 1/(a s + 1)^2 = 1 - u for s
+        return [((1.0 - u) ** -0.5 - 1.0) / p for u in us]
 
 
 # uniforms a RenewalStream takes from its generator at a time
@@ -115,29 +122,31 @@ class RenewalStream:
     state and the cumulative draw count.  Uniforms come from the generator
     in blocks of ``_BUFFER`` (``rng.random(_BUFFER)``), which for numpy's
     generators yields the same values, in the same order, as that many
-    scalar ``rng.random()`` calls, so the intervals equal
-    ``dist.quantile(rng.random())`` draw for draw.  Each interval is still
-    one scalar ``quantile`` call: a vectorised log1p or power may differ in
-    the last bit.  ``count`` is the number of intervals handed out; the
-    generator itself may have run up to ``_BUFFER - 1`` uniforms ahead.
+    scalar ``rng.random()`` calls.  Each block becomes intervals through
+    one ``dist.quantiles`` call, whose per-value formula is the scalar one
+    (a numpy log1p or power may differ in the last bit), so the intervals
+    equal ``dist.quantile(rng.random())`` draw for draw.  ``draw`` is the
+    only way out of a stream: ``count`` is the number of intervals handed
+    out, while the generator may have run up to ``_BUFFER - 1`` uniforms
+    ahead.
     """
 
-    __slots__ = ("dist", "rng", "count", "_uniforms")
+    __slots__ = ("dist", "rng", "count", "_intervals")
 
     def __init__(self, dist: DistributionSpec, rng: np.random.Generator):
         self.dist = dist
         self.rng = rng
         self.count = 0
-        self._uniforms = iter(())
+        self._intervals = iter(())
 
     def draw(self) -> float:
         try:
-            u = next(self._uniforms)
+            x = next(self._intervals)
         except StopIteration:
-            self._uniforms = iter(self.rng.random(_BUFFER).tolist())
-            u = next(self._uniforms)
+            self._intervals = iter(self.dist.quantiles(self.rng.random(_BUFFER).tolist()))
+            x = next(self._intervals)
         self.count += 1
-        return self.dist.quantile(u)
+        return x
 
 
 def make_streams(spec, master_seed: int):

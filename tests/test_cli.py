@@ -185,6 +185,32 @@ class TestCli:
         assert traj == (out["fluid"] / "fluid.csv").read_bytes()
         assert traj.splitlines()[2].startswith(b"0.3,")  # class 0 gate opens
 
+    @pytest.mark.parametrize(
+        "export, message",
+        [
+            ("{trace_queues: [0, 5]}", "export.trace_queues: class id 5 is not in [0, 2)"),
+            ("{trace_queues: [-1]}", "export.trace_queues: class id -1 is not in [0, 2)"),
+            ("{fluid_phase: [0, 2]}", "export.fluid_phase: class id 2 is not in [0, 2)"),
+            ("{fluid_phase: [0]}", "export.fluid_phase: expected a list of 2 class ids"),
+        ],
+        ids=["trace_queues_too_large", "trace_queues_negative", "fluid_phase_too_large",
+             "fluid_phase_one_id"],
+    )
+    def test_export_class_ids_out_of_range_exit_1(self, tmp_path, capsys, export, message):
+        # a bad id used to end in an IndexError after --out was created, and a
+        # negative one silently wrapped to another class
+        p = tmp_path / "tandem.yaml"
+        p.write_text(
+            TANDEM_YAML
+            + "simulate: {n: 4, horizon: 50, seed: 2}\n"
+            + "fluid: {hbar: 1.0, horizon: 5, initial_q: [2.0, 0.5]}\n"
+            + f"export: {export}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["export", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_verify_c2_wrong_target_exit_2(self, tmp_path):
         p = tmp_path / "c2.yaml"
         p.write_text(SWITCH_YAML.replace(

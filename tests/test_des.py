@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,8 @@ from qnet.des import (
     run,
     scaled_trajectory,
 )
-from qnet.distributions import DistributionSpec
-from qnet.network import build_network, switch_example_spec, tandem_spec
+from qnet.distributions import DistributionSpec, RenewalStream
+from qnet.network import build_network, switch_example_spec, tandem_spec, validate
 
 EXP1 = DistributionSpec.exponential(1.0)
 NEVER = DistributionSpec.deterministic(1e9)  # effectively no events
@@ -442,3 +444,74 @@ def test_sample_times_beyond_horizon_leave_simulation_usable():
         sim.run(10.0, sample_times=[5.0, 11.0])
     trace = sim.run(10.0, sample_times=[5.0, 10.0])
     assert trace.sample_q.shape == (2, 2)
+
+
+# -- the engine: check modes, sampling and draws -------------------------
+
+
+def _criterion7_spec(rng):
+    # a random valid network of the kind criterion 7 checks: 2-3 stations,
+    # 1-3 flows, exponential/pareto/deterministic service, gap 0 or 1
+    d = int(rng.integers(2, 4))
+    kinds = [
+        lambda: DistributionSpec.exponential(1.0 + rng.random()),
+        lambda: DistributionSpec.pareto_paper(0.8 + rng.random()),
+        lambda: DistributionSpec.deterministic(0.4 + 0.4 * rng.random()),
+    ]
+    paths, arrival, service = [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        length = int(rng.integers(1, d + 1))
+        paths.append(tuple(int(s) for s in rng.permutation(d)[:length]))
+        arrival.append(DistributionSpec.exponential(0.4 + rng.random()))
+        service.append([kinds[int(rng.integers(3))]() for _ in range(length)])
+    return build_network(
+        paths, arrival=arrival, service=service,
+        threshold_base=float(1.0 + 2.0 * rng.random()),
+        hysteresis_gap=float(rng.choice([0.0, 1.0])),
+        num_stations=d,
+    )
+
+
+def _assert_same_run(t1, t2):
+    for field in dataclasses.fields(t1):
+        if field.name.startswith("sample"):
+            continue
+        x, y = getattr(t1, field.name), getattr(t2, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def test_check_modes_and_sampling_leave_the_run_unchanged(monkeypatch):
+    # the checks and the sampling only read the state: every mode, sampled
+    # or not, gives the same trace, and every interval the engine takes
+    # goes through RenewalStream.draw, as counted by a class-level wrapper
+    calls = []
+    draw = RenewalStream.draw
+
+    def counted(stream):
+        calls.append(1)
+        return draw(stream)
+
+    monkeypatch.setattr(RenewalStream, "draw", counted)
+    rng = np.random.default_rng(4711)
+    horizon = 1500.0
+    grid = np.linspace(0.0, horizon, 41)
+    for _ in range(20):
+        spec = _criterion7_spec(rng)
+        assert validate(spec).ok
+        n, seed = int(rng.integers(1, 12)), int(rng.integers(2**31))
+        traces = []
+        for mode, times in [("off", None), ("sparse", None), ("every", None), ("off", grid)]:
+            calls.clear()
+            sim = Simulation(spec, n, seed)
+            traces.append(sim.run(horizon, invariant_checks=mode, sample_times=times))
+            assert len(calls) == sum(s.count for s in sim.arr_streams + sim.svc_streams)
+        assert traces[0].event_count > 1000  # the sparse mode checks at least once
+        for trace in traces[1:]:
+            _assert_same_run(traces[0], trace)
+        sampled = traces[3]
+        assert np.array_equal(sampled.sample_q[-1], sampled.q_final)
+        assert np.array_equal(sampled.sample_d[-1], sampled.departures)
+        assert np.array_equal(sampled.sample_admitted[-1], sampled.admitted)

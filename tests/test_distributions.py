@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qnet.distributions import (
     DistributionSpec,
     RenewalStream,
     make_streams,
-    sample,
 )
 from qnet.network import switch_example_spec
 
@@ -49,7 +49,7 @@ def test_pareto_empirical_mean_one_percent():
     assert abs(xs.mean() - d.mean) / d.mean < 0.01
     # spot-check that the library path agrees with the vectorized form
     rng2 = np.random.default_rng(12345)
-    assert sample(d, rng2) == pytest.approx(((1.0 - u[0]) ** -0.5 - 1.0) / 0.6)
+    assert d.quantile(rng2.random()) == pytest.approx(((1.0 - u[0]) ** -0.5 - 1.0) / 0.6)
 
 
 def test_exponential_quantile_and_mean():
@@ -136,15 +136,37 @@ def test_different_seeds_differ():
     assert a1[0].draw() != a2[0].draw()
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [
-        DistributionSpec.exponential(0.8),
-        DistributionSpec.pareto_paper(0.6),
-        DistributionSpec.deterministic(1.25),
-    ],
-    ids=["exponential", "pareto_paper", "deterministic"],
-)
+LAWS = [
+    DistributionSpec.exponential(0.8),
+    DistributionSpec.pareto_paper(0.6),
+    DistributionSpec.deterministic(1.25),
+    DistributionSpec.exponential(0.0),
+    DistributionSpec.pareto_paper(0.0),
+    DistributionSpec.deterministic(0.0),
+]
+LAW_IDS = [
+    "exponential", "pareto_paper", "deterministic",
+    "exponential_rate0", "pareto_paper_rate0", "deterministic_zero",
+]
+
+
+def _bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=LAW_IDS)
+def test_quantiles_equal_scalar_quantiles(dist):
+    # the block sampler applies the scalar formula: equal bit for bit,
+    # the sign of zero and inf at rate 0 included
+    us = [0.0, 1e-300, 0.25, 0.5, 1.0 - 2.0**-53] + np.random.default_rng(7).random(200).tolist()
+    got = dist.quantiles(us)
+    assert _bits(got) == _bits([dist.quantile(u) for u in us])
+    if dist.param == 0.0 and dist.unbounded_support:
+        assert got == [math.inf] * len(us)
+    assert dist.quantiles([]) == []
+
+
+@pytest.mark.parametrize("dist", LAWS[:4], ids=LAW_IDS[:4])
 def test_buffered_draws_equal_scalar_draws(dist):
     # across more than three refills of the uniform buffer, a stream hands
     # out exactly the intervals of one scalar uniform per draw
