@@ -17,7 +17,6 @@ from .fluid import (
     FluidState,
     FluidTrajectory,
     RateVector,
-    Regime,
     departure_rates_at,
     integrate,
     solve_rates,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "tandem_wedge_set",
     "verify_C1",
     "verify_C2",
-    "grid_plan",
 ]
 
 
@@ -325,26 +324,6 @@ class SamplePlan:
     points: list
     time_budget: float
     hit_tol: Optional[float] = None  # defaults to 1e-6 * hbar
-
-
-def grid_plan(
-    spec: NetworkSpec,
-    base_q: np.ndarray,
-    free_coords: Sequence[int],
-    lo: float,
-    hi: float,
-    per_dim: int,
-    time_budget: float,
-) -> SamplePlan:
-    """Stratified grid over selected queue coordinates."""
-    axes = [np.linspace(lo, hi, per_dim) for _ in free_coords]
-    points = []
-    for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(free_coords)):
-        q = np.asarray(base_q, dtype=float).copy()
-        for c, val in zip(free_coords, combo):
-            q[c] = val
-        points.append(SamplePoint(q=q, label="grid"))
-    return SamplePlan(points=points, time_budget=time_budget)
 
 
 @dataclass

@@ -88,25 +88,26 @@ def _sweep_cell(args):
     try:
         trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off")
     except des.SimulationError as exc:
+        error = str(exc)
+    except Exception as exc:  # a fault in one cell must not abort the sweep
+        error = f"{type(exc).__name__}: {exc}"
+    else:
         return RateRow(
-            n=n, seed=seed, flow_rates=(), admit_rates=(),
-            event_count=0, error=str(exc),
+            n=n, seed=seed,
+            flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
+            admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
+            event_count=trace.event_count,
         )
-    return RateRow(
-        n=n,
-        seed=seed,
-        flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
-        admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
-        event_count=trace.event_count,
-    )
+    return RateRow(n=n, seed=seed, flow_rates=(), admit_rates=(), event_count=0, error=error)
 
 
 def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: Optional[int] = None) -> RateTable:
     """Run every (n, seed) cell of the plan and collect long-run rates.
 
-    Budget errors in one cell are recorded on its row; the other cells
-    still run.  A scale n whose lower threshold n*h - gap is negative
-    raises ValueError before any cell runs.  Worker count comes from the
+    A cell that fails is recorded on its row and the other cells still
+    run: a budget error by its message, any other exception as
+    ``"TypeName: message"``.  A scale n whose lower threshold n*h - gap
+    is negative raises ValueError before any cell runs.  Worker count comes from the
     QNET_WORKERS environment variable unless given; results are merged in
     (n, seed) order so the table is deterministic either way.
     """

@@ -19,15 +19,19 @@ Boundary states are resolved deterministically:
 
 Both are solved exactly.  For fixed admissions the service allocation is
 a fixed point that ``_allocate`` reaches by sweeping the stations
-upstream first (``NetworkSpec.sweep``), one sweep plus a confirming one
-when the station feed graph is acyclic.  The sliding admission is the
-last zero of a continuous, nondecreasing, piecewise-linear residual, which
-secant steps hit exactly on a linear piece (``_last_zero``); on the
-switch fixture a sliding solve takes about 21 allocations.
+upstream first (``NetworkSpec.sweep``), in one sweep when the station
+feed graph is acyclic (``NetworkSpec.acyclic``).  The sliding admission is
+the last zero of a continuous, nondecreasing, piecewise-linear residual.
+Each allocation also returns the slope of the residual's current linear
+piece and the station sets that certify where that piece holds, so
+``_last_zero`` takes the zero of a piece and accepts it once the
+certificate holds there; on the switch fixture a sliding solve takes
+about 11 allocations, two per admission root.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,7 +41,6 @@ from .network import NetworkSpec
 __all__ = [
     "FluidState",
     "RateVector",
-    "Regime",
     "FluidTrajectory",
     "FluidRateError",
     "ZenoError",
@@ -46,11 +49,8 @@ __all__ = [
     "departure_rates_at",
 ]
 
-# queue status codes
-EMPTY, INTERIOR, AT_THRESHOLD, ABOVE = "empty", "interior", "at_threshold", "above_threshold"
-
 _RATE_EPS = 1e-9      # rates smaller than this are treated as zero drift
-_ROOT_TOL = 1e-13     # residual that counts as zero for sliding admission roots
+_ROOT_TOL = 1e-13     # residual that counts as zero, and tie allowed by a piece certificate
 _ROOT_STEPS = 200     # evaluations allowed per sliding admission root
 _FILL_TOL = 1e-14     # departure change that ends the service-allocation sweeps
 _ZENO_WINDOW = 64     # breakpoints that must not fall within a vanishing span
@@ -96,28 +96,6 @@ class FluidState:
 
 
 @dataclass
-class Regime:
-    """Bookkeeping of which piecewise dynamics apply at a state."""
-
-    queue_status: tuple
-    arrival_active: tuple   # per flow: t has passed the residual u
-    service_active: tuple   # per class: the initial service gate has opened
-
-    @classmethod
-    def of(cls, state: FluidState, spec: NetworkSpec) -> "Regime":
-        atol, empty, at_thr, above = _classify(state.q, state.hbar)
-        status = [
-            EMPTY if e else ABOVE if a else AT_THRESHOLD if t else INTERIOR
-            for e, t, a in zip(empty, at_thr, above)
-        ]
-        return cls(
-            queue_status=tuple(status),
-            arrival_active=tuple(bool(x <= atol) for x in state.u),
-            service_active=tuple(bool(x <= atol) for x in state.v),
-        )
-
-
-@dataclass
 class RateVector:
     admit: np.ndarray     # per flow, in [0, alpha_f]
     depart: np.ndarray    # per class
@@ -136,18 +114,20 @@ class RateVector:
 # service allocation (weighted water-filling across each station)
 
 
-def _fill_station(w, mu, ks, backlogged, gate_open, inflow, depart, busy):
-    """Water-fill one station's capacity; writes the depart/busy entries
-    of its classes ``ks`` in place and returns the largest change it made
-    to a departure rate.
+def _fill_station(w, mu, ks, backlogged, gate_open, inflow, dinflow, rate, drate, busy):
+    """Water-fill one station: writes its classes' departure rates to
+    ``rate``, their slopes to ``drate`` and their busy fractions; returns
+    the largest change to a departure rate and the station's sets
+    ``(gated, open_, limited, clamped)``.
 
-    A class with a pending residual service has a job occupying the
-    station's single non-preemptive server, so that server works on it at
-    full rate (emitting no departures) and every other class at the
-    station is blocked until the residual is gone.  Otherwise backlogged
-    queues share capacity so their departure rates stay in weight
-    proportion, and an empty queue whose input is below its share is
-    served at exactly its input.
+    A class with a pending residual service (``gated``) holds the single
+    non-preemptive server at full rate, emitting no departures and
+    blocking the station's other classes.  Otherwise the backlogged
+    classes and those with inflow (``open_``) share capacity in weight
+    proportion, an empty queue whose input is below its share
+    (``limited``) is served at its input, and ``clamped`` tells that the
+    share hit 0.  With the sets fixed the departures are affine in the
+    inflows, so the slopes ``dinflow`` map to ``drate`` the same way.
     """
     gated = None
     for k in ks:
@@ -156,70 +136,76 @@ def _fill_station(w, mu, ks, backlogged, gate_open, inflow, depart, busy):
             break
     open_ = [] if gated is not None else [k for k in ks if backlogged[k] or inflow[k] > 0.0]
     limited = []
-    share = 0.0
+    share = dshare = 0.0
+    clamped = False
     while open_:
         rest = [k for k in open_ if k not in limited]
         if not rest:
-            share = 0.0
+            share = dshare = 0.0
             break
-        denom = 0.0
+        denom = used = dused = 0.0
         for k in rest:
             denom += w[k] / mu[k]
-        used = 0.0
         for k in limited:
             used += inflow[k] / mu[k]
-        share = max(0.0, (1.0 - used) / denom)
-        movers = [
-            k for k in rest
-            if not backlogged[k] and inflow[k] < w[k] * share - 1e-15
-        ]
+            dused += dinflow[k] / mu[k]
+        share = (1.0 - used) / denom
+        clamped = share < 0.0
+        share, dshare = (0.0, 0.0) if clamped else (share, -dused / denom)
+        movers = [k for k in rest if not backlogged[k] and inflow[k] < w[k] * share - 1e-15]
         if not movers:
             break
         limited = [k for k in open_ if k in limited or k in movers]
     moved = 0.0
     for k in ks:
         if k in limited:
-            d = inflow[k]
+            d, dd = inflow[k], dinflow[k]
         elif k in open_:
-            d = w[k] * share
+            d, dd = w[k] * share, w[k] * dshare
         else:
-            d = 0.0
-        if abs(d - depart[k]) > moved:
-            moved = abs(d - depart[k])
-        depart[k] = d
+            d = dd = 0.0
+        if abs(d - rate[k]) > moved:
+            moved = abs(d - rate[k])
+        rate[k], drate[k] = d, dd
         busy[k] = 1.0 if k == gated else d / mu[k]
-    return moved
+    return moved, (gated, open_, limited, clamped)
 
 
-def _allocate(spec, admit, backlogged, gate_open):
+def _allocate(spec, admit, backlogged, gate_open, f=-1):
     """Departure, busy and inflow rates (lists over classes) for fixed
     admissions: the fixed point of inflow propagation and per-station
-    water-filling.
+    water-filling.  Also returns d(depart)/d(admit_f) and
+    d(inflow)/d(admit_f) on the current linear piece (zero for f = -1) and
+    the per-station sets of ``_fill_station``, which certify the piece.
 
     Gauss-Seidel sweeps visit the stations in ``spec.sweep`` order, each
     reading its classes' inflows from ``spec.feeder`` as the sweep has
-    left them.  On an acyclic station feed graph that order is
-    topological, so the first sweep is exact and the second confirms it;
-    a cyclic graph repeats sweeps until one moves no departure by more
-    than ``_FILL_TOL``, and raises FluidRateError if none settles within
-    the round guard.
+    left them.  On an acyclic station feed graph (``spec.acyclic``) that
+    order is topological, so one sweep is exact; a cyclic graph repeats
+    sweeps until one moves no departure by more than ``_FILL_TOL``, and
+    raises FluidRateError if none settles within the round guard.
     """
     K = spec.num_classes
     w, mu, feeder = spec.w.tolist(), spec.mu.tolist(), spec.feeder
     rate = [0.0] * K + list(admit)   # class departures, then admissions
-    inflow = [0.0] * K
-    busy = [0.0] * K
+    drate = [0.0] * len(rate)
+    if f >= 0:
+        drate[K + f] = 1.0
+    inflow, dinflow, busy = [0.0] * K, [0.0] * K, [0.0] * K
+    sets = [None] * spec.num_stations
     for _ in range(4 * K + 16):
         moved = 0.0
         for i in spec.sweep:
             ks = spec.fed[i]
             for k in ks:
-                inflow[k] = rate[feeder[k]]
-            change = _fill_station(w, mu, ks, backlogged, gate_open, inflow, rate, busy)
+                inflow[k], dinflow[k] = rate[feeder[k]], drate[feeder[k]]
+            change, sets[i] = _fill_station(
+                w, mu, ks, backlogged, gate_open, inflow, dinflow, rate, drate, busy
+            )
             if change > moved:
                 moved = change
-        if moved <= _FILL_TOL:
-            return rate[:K], busy, inflow
+        if spec.acyclic or moved <= _FILL_TOL:
+            return rate[:K], busy, inflow, drate[:K], dinflow, sets
     raise FluidRateError("service water-filling did not converge")
 
 
@@ -227,59 +213,93 @@ def _allocate(spec, admit, backlogged, gate_open):
 # sliding admission rates
 
 
-def _pinned_residual(spec, admit, backlogged, gate_open, pinned):
-    """max over pinned classes of (inflow - depart): must be <= 0 to hold
-    every pinned queue at its threshold."""
-    depart, _busy, inflow = _allocate(spec, admit, backlogged, gate_open)
-    return max(inflow[k] - depart[k] for k in pinned)
+def _pinned_residual(spec, admit, backlogged, gate_open, pinned, f=-1):
+    """max over pinned classes of (inflow - depart), which must be <= 0 to
+    hold every pinned queue at its threshold, its slope in admit_f, and
+    its piece: the station sets, the binding class's index in ``pinned``,
+    the class inflows and the pinned residuals."""
+    depart, _busy, inflow, ddepart, dinflow, sets = _allocate(
+        spec, admit, backlogged, gate_open, f
+    )
+    resid = [inflow[k] - depart[k] for k in pinned]
+    j = resid.index(max(resid))
+    k = pinned[j]
+    return resid[j], dinflow[k] - ddepart[k], (sets, j, inflow, resid)
 
 
-def _last_zero(g, g_0, top, g_top):
-    """Largest a in [0, top] with g(a) <= 0, for g continuous,
-    nondecreasing and piecewise linear, given g(0) = g_0 <= _ROOT_TOL and
-    g(top) = g_top > _ROOT_TOL.
+def _piece_holds(spec, backlogged, piece, other):
+    """Whether the binding class and station sets of ``piece`` still
+    satisfy the water-filling inequalities at the point where ``other``
+    was evaluated, ties within ``_ROOT_TOL`` allowed.  Then both points
+    lie on one linear piece of the pinned residual."""
+    (sets, j, _, _), (_, _, inflow, resid) = piece, other
+    if resid[j] < max(resid) - _ROOT_TOL:
+        return False
+    w, mu = spec.w.tolist(), spec.mu.tolist()
+    for i in spec.sweep:
+        gated, open_, limited, clamped = sets[i]
+        if gated is not None:
+            continue  # the gate does not depend on the admissions
+        if any(inflow[k] > _ROOT_TOL for k in spec.fed[i] if k not in open_):
+            return False
+        rest = [k for k in open_ if k not in limited]
+        used = sum(inflow[k] / mu[k] for k in limited)
+        if not rest:
+            if used > 1.0 + _ROOT_TOL:
+                return False
+            continue
+        share = (1.0 - used) / sum(w[k] / mu[k] for k in rest)
+        if clamped != (share < 0.0) and abs(share) > _ROOT_TOL:
+            return False
+        share = max(share, 0.0)
+        if any(inflow[k] > w[k] * share + _ROOT_TOL for k in limited) or any(
+            not backlogged[k] and inflow[k] < w[k] * share - _ROOT_TOL for k in rest
+        ):
+            return False
+    return True
 
-    The bracket [lo, hi] keeps g(lo) <= _ROOT_TOL < g(hi).  While g(lo) is
-    below zero, each step evaluates g at the root of the bracket's chord
-    (secant), which is exact when g is linear on the bracket; when one end
-    is kept twice in a row its residual counts half in the chord, so that
-    a kink between the root and that end cannot stall the bracket
-    (Illinois).  Once an evaluation lands on the zero level
-    (|g(lo)| <= _ROOT_TOL), the next one, at the bracket midpoint, tests g
-    against the chord of [lo, hi]: if g is linear there, it rises past
-    zero right after lo, so lo (moved to the chord's own zero) is the
-    answer.  Otherwise g is flat at zero on part of the bracket and the
-    midpoint splits it.  Raises FluidRateError when no root settles within
-    ``_ROOT_STEPS`` evaluations.
+
+def _last_zero(g, top, at_top, holds):
+    """Largest a in [0, top] with g(a) <= 0 (0 if there is none), for g
+    continuous, nondecreasing and piecewise linear with g(top) > _ROOT_TOL.
+
+    ``g(a)`` returns ``(value, slope, piece)``, the slope and certificate
+    of the linear piece at a, and ``at_top = g(top)``; ``holds(piece,
+    other)`` tells whether ``piece`` is still the linear piece at the point
+    where ``other`` was evaluated.  The bracket [lo, hi] keeps g(lo) <=
+    _ROOT_TOL < g(hi).  Each step evaluates g at the zero of hi's line: if
+    that is a zero of g and hi's piece holds there, g rises linearly from
+    it to hi, so it is the answer; otherwise it splits the bracket.  When
+    hi's line has no zero inside the bracket, lo is the answer if hi's
+    piece holds at lo, and otherwise the step goes to the zero of lo's
+    line or the midpoint.  g(0) is evaluated only when a step needs it.
+    Raises FluidRateError after ``_ROOT_STEPS`` evaluations.
     """
-    lo, g_lo, hi, g_hi = 0.0, g_0, top, g_top
-    w_lo = w_hi = 1.0   # chord weights of the bracket ends
-    kept = None         # the end the previous step kept
+    lo, at_lo = 0.0, None
+    hi, at_hi = top, at_top
     for _ in range(_ROOT_STEPS):
-        flat = g_lo >= -_ROOT_TOL
-        if flat:
-            x = 0.5 * (lo + hi)
-        else:
-            x = lo - w_lo * g_lo * (hi - lo) / (w_hi * g_hi - w_lo * g_lo)
+        g_hi, s_hi, p_hi = at_hi
+        x = hi - g_hi / s_hi if s_hi > 0.0 else hi
+        if not lo < x < hi:
+            if at_lo is None:
+                at_lo = g(lo)
+                if at_lo[0] > _ROOT_TOL:
+                    return lo  # not pinnable: the queue escapes upward
+            g_lo, s_lo, p_lo = at_lo
+            if x <= lo and g_lo >= -_ROOT_TOL and holds(p_hi, p_lo):
+                return lo
+            x = lo - g_lo / s_lo if s_lo > 0.0 else lo
             if not lo < x < hi:
                 x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            return lo  # the bracket is down to adjacent floats
-        g_x = g(x)
-        # a flat stretch up to the midpoint would put g(x) g(hi)/2 below
-        # the chord, which the test sees only if g(hi) > 2 * _ROOT_TOL
-        if flat and g_hi > 2 * _ROOT_TOL and abs(g_x - 0.5 * (g_lo + g_hi)) <= _ROOT_TOL:
-            return max(0.0, lo - g_lo * (hi - lo) / (g_hi - g_lo)) if g_lo else lo
-        if g_x > _ROOT_TOL:
-            hi, g_hi, w_hi = x, g_x, 1.0
-            if kept == "lo":
-                w_lo *= 0.5
-            kept = "lo"
+                if not lo < x < hi:
+                    return lo  # the bracket is down to adjacent floats
+        at_x = g(x)
+        if at_x[0] > _ROOT_TOL:
+            hi, at_hi = x, at_x
+        elif at_x[0] >= -_ROOT_TOL and holds(p_hi, at_x[2]):
+            return x
         else:
-            lo, g_lo, w_lo = x, g_x, 1.0
-            if kept == "hi":
-                w_hi *= 0.5
-            kept = "hi"
+            lo, at_lo = x, at_x
     raise FluidRateError("sliding admission root did not settle")
 
 
@@ -292,23 +312,20 @@ def _solve_admit_root(spec, admit, f, backlogged, gate_open, pinned):
     from a backlogged upstream queue does not see the admission rate at
     all).  Full admission holds when g(alpha_f) <= _ROOT_TOL, none when
     g(0) > _ROOT_TOL (the queue escapes upward), and otherwise
-    ``_last_zero`` solves g exactly on its linear pieces: on the switch
-    fixture one chord step lands on the root.
+    ``_last_zero`` takes the zero of a linear piece once the piece's
+    station sets and binding class still hold there (``_piece_holds``).
     """
     trial = list(admit)
 
     def g(a):
         trial[f] = a
-        return _pinned_residual(spec, trial, backlogged, gate_open, pinned)
+        return _pinned_residual(spec, trial, backlogged, gate_open, pinned, f)
 
     top = float(spec.alpha[f])
-    g_top = g(top)
-    if g_top <= _ROOT_TOL:
+    at_top = g(top)
+    if at_top[0] <= _ROOT_TOL:
         return top
-    g_0 = g(0.0)
-    if g_0 > _ROOT_TOL:
-        return 0.0  # not pinnable: the queue escapes upward, admit nothing
-    return _last_zero(g, g_0, top, g_top)
+    return _last_zero(g, top, at_top, partial(_piece_holds, spec, backlogged))
 
 
 def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
@@ -357,13 +374,10 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
         else:
             raise FluidRateError("sliding admission rates did not stabilize")
 
-    depart, busy, inflow = _allocate(spec, admit, backlogged, gate_open)
+    depart, busy, inflow = _allocate(spec, admit, backlogged, gate_open)[:3]
     idle = np.ones(spec.num_stations)
     for i, members in enumerate(spec.fed):
-        used = 0.0
-        for k in members:
-            used += busy[k]
-        idle[i] -= used
+        idle[i] -= sum(busy[k] for k in members)
     idle[np.abs(idle) < 1e-12] = 0.0
     if np.any(idle < 0):
         raise FluidRateError("station busy fractions exceed capacity")

@@ -8,13 +8,14 @@ are allowed if declared; they stay empty forever and carry no traffic.
 
 Each spec compiles its index tables once, in ``__post_init__`` (see the
 field comments): ``routes``, ``egress``, ``successor``, ``members``,
-``fed``, ``cycles``, ``feeder``, ``sweep`` and the read-only arrays
-``alpha``, ``mu`` and ``w``.  ``feeder`` and ``sweep`` serve the fluid
-service allocation: the rate entering each class (an admission or the
-departure of the class before it on its route) and an upstream-first
-station order.  ``des`` reads the tables in its event loop and ``fluid``
-on every rate solve; the views (``flow_classes``, ``next_class``,
-``visit_cycle``, ...) return them.  ``routing_matrix`` and
+``fed``, ``cycles``, ``feeder``, ``sweep``, ``acyclic`` and the read-only
+arrays ``alpha``, ``mu`` and ``w``.  The fluid service allocation reads
+``feeder`` (the rate entering each class: an admission or the departure
+of the class before it on its route), ``sweep`` (an upstream-first
+station order) and ``acyclic`` (the station feed graph has no cycle, so
+one sweep in that order is exact).  ``des`` reads the tables in its event
+loop and ``fluid`` on every rate solve; the views (``flow_classes``,
+``next_class``, ``visit_cycle``, ...) return them.  ``routing_matrix`` and
 ``constituency`` are derived separately, as the reference that
 ``validate`` and the ``des`` invariant checks use.
 """
@@ -60,6 +61,7 @@ class NetworkSpec:
     # stations with fed classes, upstream first: topological on the station
     # feed graph where it is acyclic, a cycle entered at its lowest station
     sweep: tuple = field(init=False, repr=False)
+    acyclic: bool = field(init=False, repr=False)  # no cycle in the station feed graph
     alpha: np.ndarray = field(init=False, repr=False)  # per flow: arrival rate
     mu: np.ndarray = field(init=False, repr=False)     # per class: service rate
     w: np.ndarray = field(init=False, repr=False)      # per class: weight, 0 for idle slots
@@ -84,6 +86,7 @@ class NetworkSpec:
             for i in range(self.num_stations)
         )
         fed = tuple(tuple(k for k in ks if k not in self.idle_slots) for ks in members)
+        sweep, acyclic = _sweep_order(self.num_stations, routes, self.station_of, fed)
         tables = {
             "routes": routes,
             "egress": tuple(ks[-1] for ks in routes),
@@ -92,7 +95,8 @@ class NetworkSpec:
             "fed": fed,
             "cycles": tuple(_visit_cycle(ks, [weight[k] for k in ks]) for ks in fed),
             "feeder": tuple(feeder),
-            "sweep": _sweep_order(self.num_stations, routes, self.station_of, fed),
+            "sweep": sweep,
+            "acyclic": acyclic,
             "alpha": _read_only([d.rate for d in self.arrival_dist]),
             "mu": _read_only([d.rate for d in self.service_dist]),
             "w": _read_only([float(x) for x in weight]),
@@ -148,7 +152,7 @@ def _visit_cycle(ks, ws) -> tuple:
 
 def _sweep_order(num_stations, routes, station_of, fed) -> tuple:
     # Kahn's algorithm, lowest ready station first; when only cycles are
-    # left, the lowest remaining station goes next
+    # left, the lowest remaining station goes next and the graph is cyclic
     succ = [set() for _ in range(num_stations)]
     for ks in routes:
         for a, b in zip(ks, ks[1:]):
@@ -161,13 +165,15 @@ def _sweep_order(num_stations, routes, station_of, fed) -> tuple:
             indeg[j] += 1
     left = list(range(num_stations))
     order = []
+    acyclic = True
     while left:
         i = next((i for i in left if indeg[i] == 0), left[0])
+        acyclic = acyclic and indeg[i] == 0
         left.remove(i)
         order.append(i)
         for j in succ[i]:
             indeg[j] -= 1
-    return tuple(i for i in order if fed[i])
+    return tuple(i for i in order if fed[i]), acyclic
 
 
 def _derive_matrices(num_stations, num_classes, class_of, station_of, flow_paths):

@@ -6,7 +6,6 @@ from qnet.absorption import (
     SamplePlan,
     SamplePoint,
     distance,
-    grid_plan,
     member_states,
     switch_equilibrium_set,
     switch_tilde_set,
@@ -105,9 +104,10 @@ class TestDistance:
 class TestVerifyC1:
     def test_tandem_point_absorption(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
-        plan = grid_plan(
-            spec, base_q=[0.0, 0.0], free_coords=(0, 1), lo=0.0, hi=3.0,
-            per_dim=4, time_budget=100.0,
+        grid = np.linspace(0.0, 3.0, 4)
+        plan = SamplePlan(
+            points=[SamplePoint(q=np.array([a, b]), label="grid") for a in grid for b in grid],
+            time_budget=100.0,
         )
         report = verify_C1(spec, tandem_point_set(), 1.0, plan)
         assert report.ok

@@ -158,6 +158,23 @@ class TestCli:
         assert sha(out1 / "rates.csv") == sha(out2 / "rates.csv")
         assert sha(out1 / "rates.json") == sha(out2 / "rates.json")
 
+    def test_sweep_cell_fault_exit_2(self, switch_cfg, tmp_path, monkeypatch, capsys):
+        import qnet
+
+        run = qnet.des.run
+
+        def faulty(spec, n, seed, *args, **kw):
+            if (n, seed) == (5.0, 4):
+                raise RuntimeError("worker fault")
+            return run(spec, n, seed, *args, **kw)
+
+        monkeypatch.setattr(qnet.des, "run", faulty)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(switch_cfg), "--out", str(out), "--workers", "1"]) == 2
+        assert "cell (n=5.0, seed=4) failed: RuntimeError: worker fault" in capsys.readouterr().out
+        rows = json.loads((out / "rates.json").read_text())["rows"]
+        assert [r["error"] for r in rows] == [None, "RuntimeError: worker fault", None, None]
+
     def test_export_phase_files(self, switch_cfg, tmp_path):
         out = tmp_path / "exp"
         assert main(["export", "--config", str(switch_cfg), "--out", str(out)]) == 0

@@ -87,6 +87,24 @@ class TestRunSweep:
             run_sweep(spec, small_plan(n_values=(5.0, 20.0)))
         assert cells == []
 
+    def test_unexpected_cell_error_recorded_on_its_row(self, monkeypatch):
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        clean = run_sweep(spec, small_plan(), workers=1)
+        run = qnet.des.run
+
+        def faulty(spec_, n, seed, *args, **kw):
+            if (n, seed) == (20.0, 7):
+                raise RuntimeError("worker fault")
+            return run(spec_, n, seed, *args, **kw)
+
+        monkeypatch.setattr(qnet.des, "run", faulty)
+        table = run_sweep(spec, small_plan(), workers=1)
+        assert [r.error for r in table.rows] == [None, None, "RuntimeError: worker fault", None]
+        assert table.rows[2].flow_rates == ()
+        for got, want in zip(table.rows, clean.rows):
+            if got.error is None:
+                assert got == want
+
     def test_parallel_matches_serial(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
         serial = run_sweep(spec, small_plan(), workers=1)

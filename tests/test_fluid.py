@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnet
 from qnet.distributions import DistributionSpec
-from qnet.fluid import FluidState, Regime, integrate, solve_rates
+from qnet.fluid import FluidState, _classify, integrate, solve_rates
 from qnet.network import SWITCH, build_network, switch_example_spec, tandem_spec
 
 EXP = DistributionSpec.exponential
@@ -236,12 +238,21 @@ class TestIntegrate:
         assert np.abs(traj.q - [0.0, 1.0]).max() == 0.0
 
     def test_regime_classification(self):
+        def status(state):
+            atol, empty, at_thr, above = _classify(state.q, state.hbar)
+            return atol, tuple(
+                "empty" if e else "above_threshold" if a else "at_threshold" if t else "interior"
+                for e, t, a in zip(empty, at_thr, above)
+            )
+
         spec = tandem_spec(1.0, 0.8, 0.5)
-        reg = Regime.of(FluidState.initial(spec, [0.0, 0.5], 1.0, u=[1.0]), spec)
-        assert reg.queue_status == ("empty", "interior")
-        assert reg.arrival_active == (False,)
-        reg2 = Regime.of(FluidState.initial(spec, [1.0, 2.0], 1.0), spec)
-        assert reg2.queue_status == ("at_threshold", "above_threshold")
+        state = FluidState.initial(spec, [0.0, 0.5], 1.0, u=[1.0])
+        atol, queues = status(state)
+        assert queues == ("empty", "interior")
+        assert (state.u <= atol).tolist() == [False]  # arrival clock not yet active
+        assert status(FluidState.initial(spec, [1.0, 2.0], 1.0))[1] == (
+            "at_threshold", "above_threshold"
+        )
 
 
 class TestDepartureRates:
@@ -451,7 +462,7 @@ def bisection_root(spec, admit, f, backlogged, gate_open, pinned):
 
     def g(a):
         trial[f] = a
-        return _pinned_residual(spec, trial, backlogged, gate_open, pinned)
+        return _pinned_residual(spec, trial, backlogged, gate_open, pinned)[0]
 
     top = float(spec.alpha[f])
     if g(top) <= _ROOT_TOL:
@@ -535,6 +546,8 @@ class TestSlidingRoot:
         assert not rv.q_dot.any()
 
     def test_last_zero_on_piecewise_linear_functions(self):
+        # the certificate of a point is the index of its piece; at a kink
+        # the evaluation reports the piece on either side of it
         from qnet.fluid import _last_zero
 
         cases = [
@@ -542,24 +555,70 @@ class TestSlidingRoot:
             ([0.0, 0.6], [-0.5, 0.1], 0.5),
             # flat at zero, then rising
             ([0.0, 0.3, 1.0], [0.0, 0.0, 1.4], 0.3),
-            # a kink past the root next to the upper end stalls plain
-            # regula falsi
+            # a kink past the root next to the upper end
             ([0.0, 0.55, 0.6], [-0.5, 0.05, 0.55], 0.5),
             # below zero, flat at zero, then two rising pieces
             ([0.0, 0.2, 0.7, 0.75, 2.0], [-1.0, 0.0, 0.0, 0.5, 1.0], 0.7),
+            # the upper end's line meets zero inside the flat stretch, so
+            # g(x) = 0 there does not certify x without the piece test
+            ([0.0, 0.5, 0.6, 1.0], [0.0, 0.0, 0.2, 0.6], 0.5),
         ]
-        for xs, ys, root in cases:
-            g = lambda a, xs=xs, ys=ys: float(np.interp(a, xs, ys))
-            assert _last_zero(g, g(0.0), xs[-1], g(xs[-1])) == pytest.approx(root, abs=1e-12)
+        for (xs, ys, root), side in itertools.product(cases, ["left", "right"]):
+            g, holds = piecewise_linear(xs, ys, side)
+            assert _last_zero(g, xs[-1], g(xs[-1]), holds) == pytest.approx(root, abs=1e-12)
 
     def test_last_zero_step_guard(self, monkeypatch):
         from qnet import fluid
 
-        # the flat stretch needs more midpoint steps than allowed here
+        # this function needs more steps than allowed here
         monkeypatch.setattr(fluid, "_ROOT_STEPS", 3)
-        g = lambda a: float(np.interp(a, [0.0, 0.3, 1.0], [0.0, 0.0, 1.4]))
+        g, holds = piecewise_linear([0.0, 0.2, 0.7, 0.75, 2.0], [-1.0, 0.0, 0.0, 0.5, 1.0], "left")
         with pytest.raises(fluid.FluidRateError, match="root"):
-            fluid._last_zero(g, 0.0, 1.0, 1.4)
+            fluid._last_zero(g, 2.0, g(2.0), holds)
+
+    def test_exact_roots_in_few_allocations(self, monkeypatch):
+        # the switch corner and the equal-rate tandem at (1, 1) end a flat
+        # stretch at zero; bisecting across it took 103 and 87 allocations
+        from qnet import fluid
+        from qnet.absorption import member_states, switch_equilibrium_set
+
+        calls = []
+        allocate = fluid._allocate
+
+        def counted(*args):
+            calls.append(1)
+            return allocate(*args)
+
+        monkeypatch.setattr(fluid, "_allocate", counted)
+        spec = switch_example_spec()
+        rv = solve_rates(settled_switch_state(1.0, 1.0), spec)
+        assert rv.admit.tolist() == [0.5, 0.5, 0.5]
+        assert len(calls) <= 25
+        calls.clear()
+        tandem = tandem_spec(0.9, 0.5, 0.5)
+        rv = solve_rates(FluidState.initial(tandem, [1.0, 1.0], 1.0), tandem)
+        assert rv.admit.tolist() == [0.5]
+        assert len(calls) <= 25
+        for st_ in member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4):
+            calls.clear()
+            solve_rates(st_, spec)
+            assert len(calls) <= 15
+
+
+def piecewise_linear(xs, ys, side):
+    """The interpolant of (xs, ys) as a root-solver evaluation with its
+    slope and piece, and the certificate test for that piece."""
+    slopes = np.diff(ys) / np.diff(xs)
+
+    def g(a):
+        i = min(max(int(np.searchsorted(xs, a, side=side)) - 1, 0), len(slopes) - 1)
+        return float(np.interp(a, xs, ys)), float(slopes[i]), (i, a)
+
+    def holds(piece, other):
+        i, a = piece[0], other[1]
+        return xs[i] - 1e-12 <= a <= xs[i + 1] + 1e-12
+
+    return g, holds
 
 
 @settings(max_examples=40, deadline=None)
@@ -582,6 +641,79 @@ def test_sliding_root_matches_bisection_oracle(case):
     finally:
         fluid._solve_admit_root = solve
     assert all(gap <= 1e-12 for gap in gaps)
+
+
+def test_sliding_root_below_a_flat_piece_above_zero():
+    # flow 0 pins three queues behind its empty ingress queue; its residual
+    # is flat at zero up to 2/3, rises, and is flat above zero again at
+    # full admission, so the upper end's piece has no zero of its own, and
+    # g = 0 at a midpoint inside the flat stretch is no root
+    spec = build_network(
+        [(0, 1, 2, 3), (1,)],
+        arrival=[EXP(1.0), EXP(1.0)],
+        service=[[EXP(1.0)] * 4, [EXP(1.0)]],
+        weights=[2, 1],
+    )
+    rv = solve_rates(FluidState.initial(spec, [0.0, 0.0, 1.0, 1.0, 1.0], 1.0), spec)
+    assert rv.admit == pytest.approx([2 / 3, 1.0], abs=1e-12)
+    assert rv.q_dot == pytest.approx([0.0, 2 / 3, 0.0, -1 / 3, 0.0], abs=1e-12)
+
+
+@st.composite
+def flat_stretch_cases(draw):
+    """Chains where a pinned queue sits behind a backlogged upstream queue
+    with the same service rate, so that its residual does not see flow 0's
+    admission over a range of it; other queues of the route are empty or
+    pinned too, and up to two cross flows share the stations."""
+    length = draw(st.integers(2, 4))
+    d = draw(st.integers(length, length + 1))
+    mu = draw(st.floats(0.3, 1.5))
+    paths = [tuple(range(length))]
+    arrival = [EXP(draw(st.floats(0.2, 1.7)))]
+    service = [[EXP(mu)] * length]
+    weights = [draw(st.integers(1, 3))]
+    for _ in range(draw(st.integers(0, 2))):
+        hops = draw(st.integers(1, 2))
+        paths.append(tuple(draw(st.permutations(range(d)))[:hops]))
+        arrival.append(EXP(draw(st.floats(0.2, 1.7))))
+        service.append([EXP(draw(st.sampled_from([mu, draw(st.floats(0.3, 2.3))])))
+                        for _ in range(hops)])
+        weights.append(draw(st.integers(1, 3)))
+    spec = build_network(
+        paths, arrival=arrival, service=service, weights=weights,
+        threshold_base=1.0, num_stations=d,
+    )
+    hbar = draw(st.floats(0.5, 2.5))
+    q = [draw(st.sampled_from([0.0, hbar, 0.5 * hbar, 2.0 * hbar])) for _ in range(spec.num_classes)]
+    route = spec.routes[0]
+    for k in route:
+        q[k] = draw(st.sampled_from([0.0, hbar]))
+    pinned = draw(st.integers(1, length - 1))
+    q[route[pinned]] = hbar
+    q[route[pinned - 1]] = hbar * draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    return spec, FluidState.initial(spec, q, hbar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flat_stretch_cases())
+def test_sliding_root_on_flat_stretches_matches_bisection_oracle(case):
+    from qnet import fluid
+
+    spec, state = case
+    solve = fluid._solve_admit_root
+    gaps = []
+
+    def checked(spec_, admit, f, backlogged, gate_open, pinned):
+        a = solve(spec_, admit, f, backlogged, gate_open, pinned)
+        gaps.append(abs(a - bisection_root(spec_, admit, f, backlogged, gate_open, pinned)))
+        return a
+
+    fluid._solve_admit_root = checked
+    try:
+        solve_rates(state, spec)
+    finally:
+        fluid._solve_admit_root = solve
+    assert gaps and max(gaps) <= 1e-12
 
 
 def test_allocation_on_cyclic_station_graph():

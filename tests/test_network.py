@@ -202,3 +202,28 @@ def test_sweep_enters_a_station_cycle_at_its_lowest_station():
     # station 2 is ready at once; stations 0 and 1 feed each other
     assert spec.sweep == (2, 0, 1)
     assert spec.feeder == (5, 6, 7, 0, 1)
+
+
+def test_acyclic_table():
+    assert switch_example_spec().acyclic
+    assert build_network([(2, 1, 0)], arrival=[EXP1], service=[[EXP1] * 3]).acyclic
+    cycle = build_network([(0, 1), (1, 0), (2,)], arrival=[EXP1] * 3,
+                          service=[[EXP1] * 2, [EXP1] * 2, [EXP1]])
+    assert not cycle.acyclic
+
+
+def test_one_sweep_on_an_acyclic_station_graph(monkeypatch):
+    from qnet import fluid
+
+    spec = switch_example_spec()
+    calls = []
+    fill = fluid._fill_station
+
+    def counted(*args):
+        calls.append(1)
+        return fill(*args)
+
+    monkeypatch.setattr(fluid, "_fill_station", counted)
+    K = spec.num_classes
+    fluid._allocate(spec, [0.6, 0.6, 0.6], [True] * K, [True] * K)
+    assert len(calls) == len(spec.sweep)
