@@ -200,9 +200,44 @@ def distance(state: FluidState, eqset: EquilibriumSet, hbar: float) -> float:
 # bundled set constructions
 
 
-def _band_vertices(a: float) -> tuple:
-    # {(x, y): x in [0,1], y in [1 - a x, 1 + a (1 - x)]} as a CCW polygon
-    return ((0.0, 1.0), (1.0, 1.0 - a), (1.0, 1.0), (0.0, 1.0 + a))
+# queues of the switch fixture that are settled in its absorbing sets:
+# flow 1's ingress and flow 3's egress at the threshold, the rest empty
+_SWITCH_SETTLED = {
+    SWITCH.flow1_ingress: (1.0, 1.0),
+    SWITCH.flow3_egress: (1.0, 1.0),
+    SWITCH.flow3_ingress: (0.0, 0.0),
+    SWITCH.idle_a: (0.0, 0.0),
+    SWITCH.flow1_egress: (0.0, 0.0),
+    SWITCH.idle_b: (0.0, 0.0),
+}
+_SWITCH_PAIR = (SWITCH.flow2_ingress, SWITCH.flow2_egress)
+_TANDEM_PAIR = (0, 1)
+_RIGHT_EDGE = ((1.0, 1.0), (0.0, 1.0))   # {1} x [0, 1]
+_TOP_EDGE = ((0.0, 1.0), (1.0, 1.0))     # [0, 1] x {1}
+
+
+def _boxes(pair: tuple, spans: tuple, settled: dict) -> tuple:
+    """One box piece per (x span, y span) in ``spans`` over the queue
+    ``pair``, every queue in ``settled`` held in its own span."""
+    i, j = pair
+    return tuple(Piece(bounds=_box_bounds(settled | {i: x, j: y})) for x, y in spans)
+
+
+def _band_with_edge(a: float, pair: tuple, settled: dict) -> tuple:
+    """The band of half-width a over the queue ``pair``,
+
+        {(x, y): x in [0,1], y in [1 - a*x, 1 + a*(1-x)]},
+
+    then the right edge {1} x [0, 1], with the ``settled`` queues held in
+    their spans on both pieces."""
+    if not 0.0 < a < 1.0:
+        raise ValueError("a must lie strictly between 0 and 1")
+    band = Piece(
+        bounds=_box_bounds(settled),
+        poly_coords=pair,
+        poly_vertices=((0.0, 1.0), (1.0, 1.0 - a), (1.0, 1.0), (0.0, 1.0 + a)),
+    )
+    return (band,) + _boxes(pair, (_RIGHT_EDGE,), settled)
 
 
 def switch_equilibrium_set(a: float) -> EquilibriumSet:
@@ -215,96 +250,31 @@ def switch_equilibrium_set(a: float) -> EquilibriumSet:
         (q2, q7) in {(x, y): x in [0,1], y in [1 - a*x, 1 + a*(1-x)]}
                    union {1} x [0, 1].
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie strictly between 0 and 1")
-    fixed = {
-        SWITCH.flow1_ingress: (1.0, 1.0),
-        SWITCH.flow3_egress: (1.0, 1.0),
-        SWITCH.flow3_ingress: (0.0, 0.0),
-        SWITCH.idle_a: (0.0, 0.0),
-        SWITCH.flow1_egress: (0.0, 0.0),
-        SWITCH.idle_b: (0.0, 0.0),
-    }
-    band = Piece(
-        bounds=_box_bounds(fixed),
-        poly_coords=(SWITCH.flow2_ingress, SWITCH.flow2_egress),
-        poly_vertices=_band_vertices(a),
-    )
-    edge = Piece(
-        bounds=_box_bounds(
-            fixed
-            | {
-                SWITCH.flow2_ingress: (1.0, 1.0),
-                SWITCH.flow2_egress: (0.0, 1.0),
-            }
-        )
-    )
-    return EquilibriumSet(num_classes=8, num_flows=3, pieces=(band, edge))
+    return EquilibriumSet(8, 3, _band_with_edge(a, _SWITCH_PAIR, _SWITCH_SETTLED))
 
 
 def switch_tilde_set() -> EquilibriumSet:
     """Minimal absorbing set of the switch fixture: the two segments
     [0,1] x {1} and {1} x [0,1] over the bottleneck pair."""
-    fixed = {
-        SWITCH.flow1_ingress: (1.0, 1.0),
-        SWITCH.flow3_egress: (1.0, 1.0),
-        SWITCH.flow3_ingress: (0.0, 0.0),
-        SWITCH.idle_a: (0.0, 0.0),
-        SWITCH.flow1_egress: (0.0, 0.0),
-        SWITCH.idle_b: (0.0, 0.0),
-    }
-    top = Piece(
-        bounds=_box_bounds(
-            fixed
-            | {
-                SWITCH.flow2_ingress: (0.0, 1.0),
-                SWITCH.flow2_egress: (1.0, 1.0),
-            }
-        )
-    )
-    right = Piece(
-        bounds=_box_bounds(
-            fixed
-            | {
-                SWITCH.flow2_ingress: (1.0, 1.0),
-                SWITCH.flow2_egress: (0.0, 1.0),
-            }
-        )
-    )
-    return EquilibriumSet(num_classes=8, num_flows=3, pieces=(top, right))
+    return EquilibriumSet(8, 3, _boxes(_SWITCH_PAIR, (_TOP_EDGE, _RIGHT_EDGE), _SWITCH_SETTLED))
 
 
 def tandem_point_set() -> EquilibriumSet:
     """Absorbing point (0, 1) of the two-station tandem with distinct
     service rates (unit coordinates)."""
-    return EquilibriumSet(
-        num_classes=2,
-        num_flows=1,
-        pieces=(Piece(bounds=((0, 0.0, 0.0), (1, 1.0, 1.0))),),
-    )
+    return EquilibriumSet(2, 1, _boxes(_TANDEM_PAIR, (((0.0, 0.0), (1.0, 1.0)),), {}))
 
 
 def tandem_tilde_set() -> EquilibriumSet:
     """Minimal absorbing set of the equal-rate tandem: the two segments
     {1} x [0,1] and [0,1] x {1}."""
-    return EquilibriumSet(
-        num_classes=2,
-        num_flows=1,
-        pieces=(
-            Piece(bounds=((0, 1.0, 1.0), (1, 0.0, 1.0))),
-            Piece(bounds=((0, 0.0, 1.0), (1, 1.0, 1.0))),
-        ),
-    )
+    return EquilibriumSet(2, 1, _boxes(_TANDEM_PAIR, (_RIGHT_EDGE, _TOP_EDGE), {}))
 
 
 def tandem_wedge_set(a: float) -> EquilibriumSet:
     """Enlarged absorbing set for the equal-rate tandem: the same band
     geometry as the switch set, over (q1, q2)."""
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie strictly between 0 and 1")
-    band = Piece(bounds=(), poly_coords=(0, 1), poly_vertices=_band_vertices(a))
-    edge = Piece(bounds=((0, 1.0, 1.0), (1, 0.0, 1.0)))
-    return EquilibriumSet(num_classes=2, num_flows=1, pieces=(band, edge))
+    return EquilibriumSet(2, 1, _band_with_edge(a, _TANDEM_PAIR, {}))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".")
         if name == "sweep":
-            p.add_argument("--workers", type=int, default=None)
+            p.add_argument("--workers", type=int, default=1)
         p.set_defaults(func=func)
     return parser
 

@@ -31,7 +31,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
+def _require_keys(section: dict, allowed: set, required: set, where: str, shapes=None) -> None:
+    """``shapes`` maps a field to the type, list or dict, its value must have."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping")
     unknown = set(section) - allowed
@@ -40,6 +41,9 @@ def _require_keys(section: dict, allowed: set, required: set, where: str) -> Non
     missing = required - set(section)
     if missing:
         raise ConfigError(f"{where}: missing fields {sorted(missing)}")
+    for key, kind in (shapes or {}).items():
+        if key in section and not isinstance(section[key], kind):
+            raise ConfigError(f"{where}.{key}: expected a {'list' if kind is list else 'mapping'}")
 
 
 def _parse_dist(node, where: str) -> DistributionSpec:
@@ -99,6 +103,7 @@ def _parse_network(node) -> NetworkSpec:
         {"stations", "flows", "threshold_base", "hysteresis_gap", "class_ids", "idle_slots"},
         {"flows", "threshold_base"},
         "network",
+        shapes={"class_ids": list, "idle_slots": dict},
     )
     flows = node["flows"]
     if not isinstance(flows, list) or not flows:
@@ -148,6 +153,7 @@ def _parse_experiment(node) -> ExperimentPlan:
         {"n_values", "horizon", "replications", "base_seed", "seeds", "warmup_frac", "target_rates"},
         {"n_values", "horizon"},
         "experiment",
+        shapes={"n_values": list, "seeds": list, "target_rates": list},
     )
     plan = ExperimentPlan(
         n_values=tuple(float(n) for n in node["n_values"]),
@@ -202,6 +208,7 @@ def load_config(path) -> LoadedConfig:
             {"n", "horizon", "seed", "warmup_frac", "sample_count", "initial_queues"},
             {"n", "horizon"},
             "simulate",
+            shapes={"initial_queues": list},
         )
         simulate = dict(doc["simulate"])
 
@@ -210,6 +217,7 @@ def load_config(path) -> LoadedConfig:
         _require_keys(
             doc["fluid"], {"hbar", "horizon", "initial_q", "initial_u", "initial_v"},
             {"hbar", "horizon", "initial_q"}, "fluid",
+            shapes={"initial_q": list, "initial_u": list, "initial_v": list},
         )
         fluid = dict(doc["fluid"])
 
@@ -220,6 +228,7 @@ def load_config(path) -> LoadedConfig:
             {"set", "hbar", "target_rates", "time_budget", "starts", "per_piece"},
             {"set", "hbar"},
             "verify",
+            shapes={"target_rates": list, "starts": list},
         )
         verify = dict(doc["verify"])
 

@@ -115,11 +115,6 @@ class ScaledPath:
     times: np.ndarray
     q: np.ndarray
 
-    def at(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 1)
-        return self.q[i]
-
 
 # event kinds: completions fire before arrivals at equal times
 _COMPLETION, _ARRIVAL = 0, 1
@@ -195,25 +190,6 @@ class Simulation:
         # previous values for monotonicity checks
         self._prev_busy = list(self.busy)
         self._prev_idle = [0.0] * d
-
-    # -- state views -------------------------------------------------------
-
-    def residual_arrivals(self) -> np.ndarray:
-        """U: per-flow time until the next exogenous arrival."""
-        u = np.zeros(self.spec.num_flows)
-        for t_ev, kind, idx in self.heap:
-            if kind == _ARRIVAL:
-                u[idx] = max(t_ev - self.t, 0.0)
-        return u
-
-    def residual_services(self) -> np.ndarray:
-        """V: per-class remaining service time, 0 for classes not in service."""
-        v = np.zeros(self.spec.num_classes)
-        in_service = set(self.busy_class) - {-1}
-        for t_ev, kind, idx in self.heap:
-            if kind == _COMPLETION and idx in in_service:
-                v[idx] = max(t_ev - self.t, 0.0)
-        return v
 
     # -- invariant checking ------------------------------------------------
 

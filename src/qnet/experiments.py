@@ -9,7 +9,6 @@ worker completion order, and wall-clock timings are kept in memory only
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,8 +32,6 @@ __all__ = [
     "export_rate_table_csv",
     "export_rate_table_json",
 ]
-
-WORKERS_ENV = "QNET_WORKERS"
 
 
 @dataclass
@@ -101,23 +98,21 @@ def _sweep_cell(args):
     return RateRow(n=n, seed=seed, flow_rates=(), admit_rates=(), event_count=0, error=error)
 
 
-def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: Optional[int] = None) -> RateTable:
+def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> RateTable:
     """Run every (n, seed) cell of the plan and collect long-run rates.
 
     A cell that fails is recorded on its row and the other cells still
     run: a budget error by its message, any other exception as
     ``"TypeName: message"``.  A scale n whose lower threshold n*h - gap
-    is negative raises ValueError before any cell runs.  Worker count comes from the
-    QNET_WORKERS environment variable unless given; results are merged in
-    (n, seed) order so the table is deterministic either way.
+    is negative raises ValueError before any cell runs.  Results from
+    ``workers`` processes are merged in (n, seed) order, so the table is
+    the same for any worker count.
     """
     plan.validate()
     if plan.horizon <= 0:
         raise des.EmptyWindowError("empty measurement window")
     for n in plan.n_values:
         des.thresholds(spec, n)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     cells = [
         (spec, float(n), seed, plan.horizon, plan.warmup_frac)
         for n in plan.n_values

@@ -429,17 +429,14 @@ class FluidTrajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def _segment(self, t: float) -> int:
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(i, 0), len(self.times) - 2) if len(self.times) > 1 else 0
-
     def state_at(self, t: float) -> FluidState:
         if not 0.0 <= t <= self.horizon + 1e-12:
             raise ValueError("t outside the integrated horizon")
         if len(self.times) == 1 or t >= self.horizon:
             i = len(self.times) - 1
             return FluidState(self.q[i].copy(), self.u[i].copy(), self.v[i].copy(), self.hbar)
-        i = self._segment(t)
+        i = int(np.searchsorted(self.times, t, side="right") - 1)
+        i = min(max(i, 0), len(self.times) - 2)
         dt = t - self.times[i]
         span = self.times[i + 1] - self.times[i]
         frac = 0.0 if span == 0 else dt / span
@@ -518,31 +515,24 @@ def integrate(
         dt = min(candidates) if candidates else np.inf
         dt = min(dt, remaining)
 
-        if remaining <= 0 or (stationary and remaining < np.inf):
-            # final segment: hold the state to the horizon
-            if remaining > 0:
-                times.append(horizon)
-                qs.append(q.copy()); us.append(u.copy()); vs.append(v.copy())
-                admits.append(rv.admit); departs.append(rv.depart)
-                busys.append(rv.busy); idles.append(rv.idle)
-                cum_a.append(cum_a[-1] + rv.arrival * remaining)
-                cum_d.append(cum_d[-1] + rv.depart * remaining)
-                cum_l.append(cum_l[-1] + rv.admit * remaining)
-            admits.append(rv.admit); departs.append(rv.depart)
-            busys.append(rv.busy); idles.append(rv.idle)
+        if remaining <= 0:
             break
-
-        # advance one segment
-        q = q + qdot * dt
-        u = np.maximum(u - dt, 0.0)
-        v = np.maximum(v - rv.busy * dt, 0.0)
-        # snap coordinates that landed on a boundary, within the same
-        # tolerance that classifies them
-        q[np.abs(q) < atol] = 0.0
-        q[np.abs(q - hbar) < atol] = hbar
-        u[u < atol] = 0.0
-        v[v < atol] = 0.0
-        t = t + dt
+        hold = stationary and remaining < np.inf
+        if hold:
+            # final segment: hold the state to the horizon
+            dt, t = remaining, horizon
+        else:
+            # advance one segment
+            q = q + qdot * dt
+            u = np.maximum(u - dt, 0.0)
+            v = np.maximum(v - rv.busy * dt, 0.0)
+            # snap coordinates that landed on a boundary, within the same
+            # tolerance that classifies them
+            q[np.abs(q) < atol] = 0.0
+            q[np.abs(q - hbar) < atol] = hbar
+            u[u < atol] = 0.0
+            v[v < atol] = 0.0
+            t = t + dt
 
         times.append(t)
         qs.append(q.copy()); us.append(u.copy()); vs.append(v.copy())
@@ -551,6 +541,8 @@ def integrate(
         cum_a.append(cum_a[-1] + rv.arrival * dt)
         cum_d.append(cum_d[-1] + rv.depart * dt)
         cum_l.append(cum_l[-1] + rv.admit * dt)
+        if hold:
+            break
 
         if len(times) > max_breakpoints:
             raise ZenoError(f"more than {max_breakpoints} breakpoints before t={t:.6g}")
@@ -561,6 +553,9 @@ def integrate(
                     f"{_ZENO_WINDOW} breakpoints within {span:.3e} time units at t={t:.6g}"
                 )
 
+    # the final row repeats the rates at the last state
+    admits.append(rv.admit); departs.append(rv.depart)
+    busys.append(rv.busy); idles.append(rv.idle)
     return FluidTrajectory(
         hbar=hbar,
         times=np.array(times),

@@ -228,6 +228,38 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "verb, extra, message",
+        [
+            ("validate", "  idle_slots: [3]\n", "network.idle_slots: expected a mapping"),
+            ("sweep", "experiment: {n_values: 5, horizon: 50}\n",
+             "experiment.n_values: expected a list"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, seeds: 3}\n",
+             "experiment.seeds: expected a list"),
+            ("simulate", "simulate: {n: 4, horizon: 50, seed: 2, initial_queues: 3}\n",
+             "simulate.initial_queues: expected a list"),
+            ("fluid", "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 1], initial_u: 3}\n",
+             "fluid.initial_u: expected a list"),
+            ("fluid", "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 1], initial_v: 0.5}\n",
+             "fluid.initial_v: expected a list"),
+            ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0, starts: 3}\n",
+             "verify.starts: expected a list"),
+            ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: 0.5}\n",
+             "verify.target_rates: expected a list"),
+        ],
+        ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
+             "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar"],
+    )
+    def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
+        # each of these used to end in an AttributeError or TypeError
+        # traceback, or (target_rates) in a scalar broadcast to every flow
+        p = tmp_path / "tandem.yaml"
+        p.write_text(TANDEM_YAML + extra)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_verify_c2_wrong_target_exit_2(self, tmp_path):
         p = tmp_path / "c2.yaml"
         p.write_text(SWITCH_YAML.replace(

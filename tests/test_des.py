@@ -273,22 +273,6 @@ def test_invariants_hold_on_random_networks(case):
     run(spec, n, seed, horizon=200.0, invariant_checks="every")
 
 
-def test_residual_state_views():
-    spec = tandem_spec(1.0, 0.8, 0.5)
-    sim = Simulation(spec, n=10, seed=3, initial_queues=[4, 2])
-    sim.run(25.0, invariant_checks="every")
-    u = sim.residual_arrivals()
-    v = sim.residual_services()
-    assert u.shape == (1,) and (u > 0).all()
-    for i in range(spec.num_stations):
-        c = sim.busy_class[i]
-        if c >= 0:
-            assert v[c] > 0
-    for k in range(spec.num_classes):
-        if k not in sim.busy_class:
-            assert v[k] == 0.0
-
-
 def test_completion_fires_before_simultaneous_arrival():
     # both events at t=1.0: the completion must pop first
     import heapq

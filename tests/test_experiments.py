@@ -199,12 +199,3 @@ class TestExport:
         bad = tmp_path / "missing_dir" / "rates.csv"
         with pytest.raises(OSError, match="rates.csv"):
             export_rate_table_csv(table, bad)
-
-
-def test_worker_pool_from_environment(monkeypatch):
-    spec = tandem_spec(1.0, 0.8, 0.5)
-    monkeypatch.setenv("QNET_WORKERS", "2")
-    table = run_sweep(spec, small_plan())
-    monkeypatch.setenv("QNET_WORKERS", "1")
-    serial = run_sweep(spec, small_plan())
-    assert [r.flow_rates for r in table.rows] == [r.flow_rates for r in serial.rows]

@@ -604,6 +604,15 @@ class TestSlidingRoot:
             solve_rates(st_, spec)
             assert len(calls) <= 15
 
+    def test_root_at_zero_behind_gated_queue(self):
+        # the pinned second queue holds a residual service, so it departs
+        # nothing and g(a) = a: the root is a = 0, where the evaluated
+        # station sets tie with those of the rising piece above it
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        rv = solve_rates(FluidState.initial(spec, [0.0, 1.0], 1.0, v=[0.0, 0.5]), spec)
+        assert rv.admit[0] == 0.0
+        assert not rv.q_dot.any()
+
 
 def piecewise_linear(xs, ys, side):
     """The interpolant of (xs, ys) as a root-solver evaluation with its
