@@ -56,21 +56,24 @@ def cmd_validate(args) -> int:
 def _simulate(cfg, args, sample_count=None):
     """Run the ``simulate`` section: n, horizon, seed (``--seed`` wins),
     warmup_frac and initial_queues, sampled at sample_count points, or at
-    ``sample_count`` points when the section gives none."""
+    ``sample_count`` points when the section gives none.  The run has
+    ``des.default_event_budget``; exceeding it exits 2."""
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
     seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
     horizon = float(sim["horizon"])
     count = sim.get("sample_count") or sample_count
+    initial_queues = sim.get("initial_queues")
     return des.run(
         cfg.network,
         float(sim["n"]),
         seed,
         horizon,
         warmup_frac=float(sim.get("warmup_frac", 0.2)),
-        initial_queues=sim.get("initial_queues"),
+        initial_queues=initial_queues,
         sample_times=np.linspace(0.0, horizon, int(count)) if count else None,
+        event_budget=des.default_event_budget(cfg.network, horizon, initial_queues),
     )
 
 

@@ -31,8 +31,29 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(value) -> bool:
+    """An int or a float, or a string that reads as one (YAML 1.1 reads
+    ``1e4`` as a string); not a bool."""
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return False
+        return True
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# field kinds for ``_require_keys(shapes=)``: the name in the error and the test
+_KINDS = {
+    list: ("list", lambda value: isinstance(value, list)),
+    dict: ("mapping", lambda value: isinstance(value, dict)),
+    float: ("number", _is_number),
+}
+
+
 def _require_keys(section: dict, allowed: set, required: set, where: str, shapes=None) -> None:
-    """``shapes`` maps a field to the type, list or dict, its value must have."""
+    """``shapes`` maps a field to the kind its value must have: list, dict
+    or float (a number, see ``_is_number``)."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected a mapping")
     unknown = set(section) - allowed
@@ -42,8 +63,9 @@ def _require_keys(section: dict, allowed: set, required: set, where: str, shapes
     if missing:
         raise ConfigError(f"{where}: missing fields {sorted(missing)}")
     for key, kind in (shapes or {}).items():
-        if key in section and not isinstance(section[key], kind):
-            raise ConfigError(f"{where}.{key}: expected a {'list' if kind is list else 'mapping'}")
+        name, fits = _KINDS[kind]
+        if key in section and not fits(section[key]):
+            raise ConfigError(f"{where}.{key}: expected a {name}")
 
 
 def _parse_dist(node, where: str) -> DistributionSpec:
@@ -80,7 +102,10 @@ def _class_ids(node, num_classes: int, where: str, length=None) -> list:
 
 def _parse_network(node) -> NetworkSpec:
     if isinstance(node, dict) and "preset" in node:
-        _require_keys(node, {"preset", "threshold_base", "params"}, {"preset"}, "network")
+        _require_keys(
+            node, {"preset", "threshold_base", "params"}, {"preset"}, "network",
+            shapes={"threshold_base": float},
+        )
         params = node.get("params", {}) or {}
         h = float(node.get("threshold_base", 1.0))
         if node["preset"] == "switch_example":
@@ -103,7 +128,10 @@ def _parse_network(node) -> NetworkSpec:
         {"stations", "flows", "threshold_base", "hysteresis_gap", "class_ids", "idle_slots"},
         {"flows", "threshold_base"},
         "network",
-        shapes={"class_ids": list, "idle_slots": dict},
+        shapes={
+            "stations": float, "threshold_base": float, "hysteresis_gap": float,
+            "class_ids": list, "idle_slots": dict,
+        },
     )
     flows = node["flows"]
     if not isinstance(flows, list) or not flows:
@@ -153,7 +181,10 @@ def _parse_experiment(node) -> ExperimentPlan:
         {"n_values", "horizon", "replications", "base_seed", "seeds", "warmup_frac", "target_rates"},
         {"n_values", "horizon"},
         "experiment",
-        shapes={"n_values": list, "seeds": list, "target_rates": list},
+        shapes={
+            "horizon": float, "replications": float, "base_seed": float, "warmup_frac": float,
+            "n_values": list, "seeds": list, "target_rates": list,
+        },
     )
     plan = ExperimentPlan(
         n_values=tuple(float(n) for n in node["n_values"]),
@@ -208,7 +239,10 @@ def load_config(path) -> LoadedConfig:
             {"n", "horizon", "seed", "warmup_frac", "sample_count", "initial_queues"},
             {"n", "horizon"},
             "simulate",
-            shapes={"initial_queues": list},
+            shapes={
+                "n": float, "horizon": float, "seed": float, "warmup_frac": float,
+                "sample_count": float, "initial_queues": list,
+            },
         )
         simulate = dict(doc["simulate"])
 
@@ -217,7 +251,10 @@ def load_config(path) -> LoadedConfig:
         _require_keys(
             doc["fluid"], {"hbar", "horizon", "initial_q", "initial_u", "initial_v"},
             {"hbar", "horizon", "initial_q"}, "fluid",
-            shapes={"initial_q": list, "initial_u": list, "initial_v": list},
+            shapes={
+                "hbar": float, "horizon": float,
+                "initial_q": list, "initial_u": list, "initial_v": list,
+            },
         )
         fluid = dict(doc["fluid"])
 
@@ -228,7 +265,10 @@ def load_config(path) -> LoadedConfig:
             {"set", "hbar", "target_rates", "time_budget", "starts", "per_piece"},
             {"set", "hbar"},
             "verify",
-            shapes={"target_rates": list, "starts": list},
+            shapes={
+                "hbar": float, "time_budget": float, "per_piece": float,
+                "target_rates": list, "starts": list,
+            },
         )
         verify = dict(doc["verify"])
 

@@ -63,6 +63,7 @@ __all__ = [
     "run",
     "scaled_trajectory",
     "thresholds",
+    "default_event_budget",
 ]
 
 
@@ -131,6 +132,28 @@ def thresholds(spec: NetworkSpec, n: float) -> tuple:
     if low < 0:
         raise ValueError(f"lower threshold n*h - gap = {low:g} is negative at n={float(n):g}")
     return nh, low
+
+
+def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None) -> int:
+    """Event budget of a run to ``horizon``: ten times its expected event
+    count, plus the departures of the initial backlog, plus 1000.
+
+    Each exogenous arrival is one event and an admitted one causes one
+    completion per hop of its route, so a run expects at most
+    horizon * sum_f alpha_f * (1 + |route_f|) events; a job queued at
+    class k at the start departs from k and from every class after it on
+    its route.  The ``simulate`` verb and every sweep cell run with this
+    budget, so a run that exceeds it raises EventBudgetExceeded."""
+    expected = horizon * sum(
+        a * (1 + len(ks)) for a, ks in zip(spec.alpha.tolist(), spec.routes)
+    )
+    backlog = 0
+    for k, qk in zip(range(spec.num_classes), () if initial_queues is None else initial_queues):
+        c = k
+        while c >= 0:
+            backlog += int(qk)
+            c = spec.successor[c]
+    return int(min(10.0 * expected, sys.maxsize)) + backlog + 1000
 
 
 class Simulation:

@@ -83,7 +83,10 @@ class RateTable:
 def _sweep_cell(args):
     spec, n, seed, horizon, warmup = args
     try:
-        trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off")
+        trace = des.run(
+            spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off",
+            event_budget=des.default_event_budget(spec, horizon),
+        )
     except des.SimulationError as exc:
         error = str(exc)
     except Exception as exc:  # a fault in one cell must not abort the sweep
@@ -101,10 +104,11 @@ def _sweep_cell(args):
 def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> RateTable:
     """Run every (n, seed) cell of the plan and collect long-run rates.
 
-    A cell that fails is recorded on its row and the other cells still
-    run: a budget error by its message, any other exception as
-    ``"TypeName: message"``.  A scale n whose lower threshold n*h - gap
-    is negative raises ValueError before any cell runs.  Results from
+    Each cell runs with ``des.default_event_budget``.  A cell that fails
+    is recorded on its row and the other cells still run: a budget error
+    by its message, any other exception as ``"TypeName: message"``.  A
+    scale n whose lower threshold n*h - gap is negative raises ValueError
+    before any cell runs.  Results from
     ``workers`` processes are merged in (n, seed) order, so the table is
     the same for any worker count.
     """

@@ -8,12 +8,14 @@ are allowed if declared; they stay empty forever and carry no traffic.
 
 Each spec compiles its index tables once, in ``__post_init__`` (see the
 field comments): ``routes``, ``egress``, ``successor``, ``members``,
-``fed``, ``cycles``, ``feeder``, ``sweep``, ``acyclic`` and the read-only
-arrays ``alpha``, ``mu`` and ``w``.  The fluid service allocation reads
-``feeder`` (the rate entering each class: an admission or the departure
-of the class before it on its route), ``sweep`` (an upstream-first
-station order) and ``acyclic`` (the station feed graph has no cycle, so
-one sweep in that order is exact).  ``des`` reads the tables in its event
+``fed``, ``cycles``, ``feeder``, ``sweep``, ``acyclic``, the read-only
+arrays ``alpha``, ``mu`` and ``w``, and the per-class float tuples
+``w_tab``, ``mu_tab`` and ``w_mu_tab`` (w / mu).  The fluid service
+allocation reads ``feeder`` (the rate entering each class: an admission
+or the departure of the class before it on its route), ``sweep`` (an
+upstream-first station order), ``acyclic`` (the station feed graph has
+no cycle, so one sweep in that order is exact) and the float tuples,
+which spare its water-filling a ``tolist()`` and a division per call.  ``des`` reads the tables in its event
 loop and ``fluid`` on every rate solve; the views (``flow_classes``,
 ``next_class``, ``visit_cycle``, ...) return them.  ``routing_matrix`` and
 ``constituency`` are derived separately, as the reference that
@@ -65,6 +67,11 @@ class NetworkSpec:
     alpha: np.ndarray = field(init=False, repr=False)  # per flow: arrival rate
     mu: np.ndarray = field(init=False, repr=False)     # per class: service rate
     w: np.ndarray = field(init=False, repr=False)      # per class: weight, 0 for idle slots
+    # per class, as Python floats for the water-filling loops: the weight,
+    # the service rate and the server time per unit of weight, w / mu
+    w_tab: tuple = field(init=False, repr=False)
+    mu_tab: tuple = field(init=False, repr=False)
+    w_mu_tab: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         K = self.num_classes
@@ -87,6 +94,8 @@ class NetworkSpec:
         )
         fed = tuple(tuple(k for k in ks if k not in self.idle_slots) for ks in members)
         sweep, acyclic = _sweep_order(self.num_stations, routes, self.station_of, fed)
+        mu = [d.rate for d in self.service_dist]
+        w = [float(x) for x in weight]
         tables = {
             "routes": routes,
             "egress": tuple(ks[-1] for ks in routes),
@@ -98,8 +107,12 @@ class NetworkSpec:
             "sweep": sweep,
             "acyclic": acyclic,
             "alpha": _read_only([d.rate for d in self.arrival_dist]),
-            "mu": _read_only([d.rate for d in self.service_dist]),
-            "w": _read_only([float(x) for x in weight]),
+            "mu": _read_only(mu),
+            "w": _read_only(w),
+            "w_tab": tuple(w),
+            "mu_tab": tuple(mu),
+            # a zero service rate fails validate(); inf keeps the spec buildable
+            "w_mu_tab": tuple(a / b if b else math.inf for a, b in zip(w, mu)),
         }
         for name, table in tables.items():
             object.__setattr__(self, name, table)

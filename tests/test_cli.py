@@ -175,6 +175,17 @@ class TestCli:
         rows = json.loads((out / "rates.json").read_text())["rows"]
         assert [r["error"] for r in rows] == [None, "RuntimeError: worker fault", None, None]
 
+    def test_default_event_budget_exceeded_exit_2(self, switch_cfg, tmp_path, monkeypatch, capsys):
+        import qnet
+
+        monkeypatch.setattr(qnet.des, "default_event_budget", lambda *args: 10)
+        assert main(["simulate", "--config", str(switch_cfg), "--out", str(tmp_path / "sim")]) == 2
+        assert "error: exceeded event budget 10 at t=" in capsys.readouterr().err
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(switch_cfg), "--out", str(out)]) == 2
+        rows = json.loads((out / "rates.json").read_text())["rows"]
+        assert all(r["error"].startswith("exceeded event budget 10 at t=") for r in rows)
+
     def test_export_phase_files(self, switch_cfg, tmp_path):
         out = tmp_path / "exp"
         assert main(["export", "--config", str(switch_cfg), "--out", str(out)]) == 0
@@ -246,9 +257,18 @@ class TestCli:
              "verify.starts: expected a list"),
             ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: 0.5}\n",
              "verify.target_rates: expected a list"),
+            ("fluid", "fluid: {hbar: [1.0], horizon: 5, initial_q: [1, 1]}\n",
+             "fluid.hbar: expected a number"),
+            ("simulate", "simulate: {n: [4], horizon: 50, seed: 2}\n",
+             "simulate.n: expected a number"),
+            ("simulate", "simulate: {n: 4, horizon: 50, seed: 2, sample_count: [3]}\n",
+             "simulate.sample_count: expected a number"),
+            ("sweep", "experiment: {n_values: [5], horizon: [50]}\n",
+             "experiment.horizon: expected a number"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
-             "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar"],
+             "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
+             "hbar_list", "n_list", "sample_count_list", "horizon_list"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError

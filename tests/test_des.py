@@ -181,6 +181,18 @@ def test_event_budget_guard():
         run(spec, 10, seed=0, horizon=1e5, event_budget=100)
 
 
+def test_default_event_budget():
+    from qnet.des import default_event_budget
+
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    # 10 * 200 * 1.0 * (1 + 2), plus 4 jobs leaving both hops and 4 one
+    assert default_event_budget(spec, 200.0, [4, 4]) == 6000 + 12 + 1000
+    assert default_event_budget(spec, 200.0) == 7000
+    # a tenth of the budget, less its margins, bounds a run's actual count
+    trace = run(spec, 10, seed=3, horizon=1000.0, initial_queues=[4, 4])
+    assert trace.event_count <= (default_event_budget(spec, 1000.0, [4, 4]) - 1000) / 10
+
+
 def test_empty_window_rejected():
     spec = tandem_spec(1.0, 0.8, 0.5)
     with pytest.raises(EmptyWindowError):
