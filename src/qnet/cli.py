@@ -11,6 +11,8 @@ verify-c2 check that does not hold.
 sections for their own verbs and for ``export``, which writes the same
 trace.csv and fluid.csv plus queues.csv and phase.csv.  Every result file
 goes through ``experiments.write_csv`` or ``experiments.write_json``.
+Config sections arrive checked, converted and with their defaults filled
+in by ``config.load_config``; this module reads them as they are.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import sys
 import numpy as np
 
 from . import absorption, des, experiments, fluid
-from .config import ConfigError, load_config, make_equilibrium_set
+from .config import ConfigError, load_config
 from .network import offered_load, validate
 
 EXIT_OK = 0
@@ -61,18 +63,14 @@ def _simulate(cfg, args, sample_count=None):
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
-    seed = args.seed if args.seed is not None else int(sim.get("seed", 0))
-    horizon = float(sim["horizon"])
-    count = sim.get("sample_count") or sample_count
-    initial_queues = sim.get("initial_queues")
+    seed = args.seed if args.seed is not None else sim["seed"]
+    horizon, initial_queues = sim["horizon"], sim["initial_queues"]
+    count = sim["sample_count"] or sample_count
     return des.run(
-        cfg.network,
-        float(sim["n"]),
-        seed,
-        horizon,
-        warmup_frac=float(sim.get("warmup_frac", 0.2)),
+        cfg.network, sim["n"], seed, horizon,
+        warmup_frac=sim["warmup_frac"],
         initial_queues=initial_queues,
-        sample_times=np.linspace(0.0, horizon, int(count)) if count else None,
+        sample_times=np.linspace(0.0, horizon, count) if count else None,
         event_budget=des.default_event_budget(cfg.network, horizon, initial_queues),
     )
 
@@ -84,13 +82,9 @@ def _integrate(cfg):
         raise ConfigError("config has no fluid section")
     node = cfg.fluid
     state = fluid.FluidState.initial(
-        cfg.network,
-        np.asarray(node["initial_q"], dtype=float),
-        float(node["hbar"]),
-        u=np.asarray(node["initial_u"], dtype=float) if "initial_u" in node else None,
-        v=np.asarray(node["initial_v"], dtype=float) if "initial_v" in node else None,
+        cfg.network, node["initial_q"], node["hbar"], u=node["initial_u"], v=node["initial_v"]
     )
-    return fluid.integrate(state, cfg.network, float(node["horizon"]))
+    return fluid.integrate(state, cfg.network, node["horizon"])
 
 
 def cmd_simulate(args) -> int:
@@ -109,9 +103,7 @@ def cmd_fluid(args) -> int:
     traj = _integrate(cfg)
     out = _outdir(args)
     experiments.export_trajectory_csv(traj, os.path.join(out, "fluid.csv"))
-    _, flow_rates = fluid.departure_rates_at(
-        traj.state_at(traj.horizon), cfg.network
-    )
+    _, flow_rates = fluid.departure_rates_at(traj.state_at(traj.horizon), cfg.network)
     print(
         f"integrated {len(traj.times)} breakpoints to t={traj.horizon}; "
         f"absorbed_at={traj.absorbed_at}; final flow rates "
@@ -124,22 +116,16 @@ def _verify_common(args):
     cfg = _load(args)
     if cfg.verify is None:
         raise ConfigError("config has no verify section")
-    node = cfg.verify
-    eqset = make_equilibrium_set(node["set"])
-    return cfg, node, eqset
+    return cfg, cfg.verify
 
 
 def cmd_verify_c1(args) -> int:
-    cfg, node, eqset = _verify_common(args)
-    if "starts" not in node:
+    cfg, node = _verify_common(args)
+    if node["starts"] is None:
         raise ConfigError("verify: c1 needs a starts list (initial q vectors)")
-    hbar = float(node["hbar"])
-    points = [
-        absorption.SamplePoint(q=np.asarray(q, dtype=float), label=f"start{i}")
-        for i, q in enumerate(node["starts"])
-    ]
-    plan = absorption.SamplePlan(points=points, time_budget=float(node.get("time_budget", 100.0 * hbar)))
-    report = absorption.verify_C1(cfg.network, eqset, hbar, plan)
+    points = [absorption.SamplePoint(q=q, label=f"start{i}") for i, q in enumerate(node["starts"])]
+    plan = absorption.SamplePlan(points=points, time_budget=node["time_budget"])
+    report = absorption.verify_C1(cfg.network, node["set"], node["hbar"], plan)
     out = _outdir(args)
     experiments.write_json(os.path.join(out, "c1.json"), report.to_dict())
     print(f"samples={len(points)} max_ratio={report.max_ratio!r} ok={report.ok}")
@@ -149,16 +135,12 @@ def cmd_verify_c1(args) -> int:
 
 
 def cmd_verify_c2(args) -> int:
-    cfg, node, eqset = _verify_common(args)
-    if "target_rates" not in node:
+    cfg, node = _verify_common(args)
+    if node["target_rates"] is None:
         raise ConfigError("verify: c2 needs target_rates")
     report = absorption.verify_C2(
-        cfg.network,
-        eqset,
-        float(node["hbar"]),
-        node["target_rates"],
-        per_piece=int(node.get("per_piece", 12)),
-        seed=args.seed or 0,
+        cfg.network, node["set"], node["hbar"], node["target_rates"],
+        per_piece=node["per_piece"], seed=args.seed or 0,
     )
     out = _outdir(args)
     experiments.write_json(os.path.join(out, "c2.json"), report.to_dict())
@@ -198,7 +180,6 @@ def cmd_export(args) -> int:
     if cfg.simulate is None and cfg.fluid is None:
         raise ConfigError("export: nothing to export (no simulate or fluid section)")
     out = _outdir(args)
-    node = cfg.export or {}
     wrote = []
 
     def path(name):
@@ -207,7 +188,7 @@ def cmd_export(args) -> int:
 
     if cfg.simulate is not None:
         trace = _simulate(cfg, args, sample_count=1000)
-        queues = node.get("trace_queues") or ()
+        queues = cfg.export["trace_queues"]
         if queues:
             rows = [
                 [t, *(int(trace.sample_q[i][k]) for k in queues)]
@@ -217,7 +198,7 @@ def cmd_export(args) -> int:
         experiments.export_trace_csv(trace, path("trace.csv"))
     if cfg.fluid is not None:
         traj = _integrate(cfg)
-        pair = node.get("fluid_phase")
+        pair = cfg.export["fluid_phase"]
         if pair:
             i, j = pair
             rows = [[t, traj.q[b][i], traj.q[b][j]] for b, t in enumerate(traj.times)]

@@ -160,8 +160,8 @@ class Simulation:
     """One seeded replication.  State is exposed for white-box tests."""
 
     def __init__(self, spec: NetworkSpec, n: float, seed: int, *, initial_queues=None):
-        if n <= 0:
-            raise ValueError("threshold scale n must be positive")
+        if not 0 < n < math.inf:
+            raise ValueError("threshold scale n must be positive and finite")
         self.spec = spec
         self.n = float(n)
         self.seed = int(seed)
@@ -301,7 +301,7 @@ class Simulation:
         invariant_checks: str = "sparse",
         event_budget: Optional[int] = None,
     ) -> SimTrace:
-        if horizon <= 0 or not 0.0 <= warmup_frac < 1.0:
+        if not 0 < horizon < math.inf or not 0.0 <= warmup_frac < 1.0:
             raise EmptyWindowError("empty measurement window")
         if invariant_checks not in _CHECK_PERIOD:
             raise ValueError(

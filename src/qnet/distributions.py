@@ -21,7 +21,7 @@ EXPONENTIAL = "exponential"
 PARETO_PAPER = "pareto_paper"
 DETERMINISTIC = "deterministic"
 
-_KINDS = (EXPONENTIAL, PARETO_PAPER, DETERMINISTIC)
+KINDS = (EXPONENTIAL, PARETO_PAPER, DETERMINISTIC)
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class DistributionSpec:
     param: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind: {self.kind!r}")
         if not (self.param >= 0.0):
             raise ValueError("distribution parameter must be nonnegative")

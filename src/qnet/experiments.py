@@ -113,7 +113,7 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
     the same for any worker count.
     """
     plan.validate()
-    if plan.horizon <= 0:
+    if not 0 < plan.horizon < np.inf:
         raise des.EmptyWindowError("empty measurement window")
     for n in plan.n_values:
         des.thresholds(spec, n)

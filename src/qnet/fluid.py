@@ -93,6 +93,8 @@ class FluidState:
         q = np.asarray(q, dtype=float).copy()
         if q.shape != (spec.num_classes,):
             raise ValueError("q must have one entry per class")
+        if not 0 < hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         u = np.zeros(spec.num_flows) if u is None else np.asarray(u, dtype=float).copy()
         v = np.zeros(spec.num_classes) if v is None else np.asarray(v, dtype=float).copy()
         if np.any(q < 0) or np.any(u < 0) or np.any(v < 0):
@@ -501,8 +503,8 @@ def integrate(
     the state is stationary with no pending events it is absorbing and the
     trajectory is extended to the horizon in one segment.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0 <= horizon < np.inf:
+        raise ValueError("horizon must be nonnegative and finite")
     hbar = state0.hbar
 
     q = state0.q.astype(float).copy()
@@ -553,8 +555,7 @@ def integrate(
 
         if remaining <= 0:
             break
-        hold = stationary and remaining < np.inf
-        if hold:
+        if stationary:
             # final segment: hold the state to the horizon
             dt, t = remaining, horizon
         else:
@@ -577,7 +578,7 @@ def integrate(
         cum_a.append(cum_a[-1] + rv.arrival * dt)
         cum_d.append(cum_d[-1] + rv.depart * dt)
         cum_l.append(cum_l[-1] + rv.admit * dt)
-        if hold:
+        if stationary:
             break
 
         if len(times) > max_breakpoints:

@@ -460,8 +460,12 @@ def tandem_spec(
         arr = DistributionSpec.exponential(lam)
     elif arrival_kind == "pareto_paper":
         arr = DistributionSpec.pareto_paper(lam)
-    else:
+    elif arrival_kind == "deterministic":
         arr = DistributionSpec.deterministic(1.0 / lam)
+    else:
+        raise ValueError(
+            f"arrival_kind must be exponential, pareto_paper or deterministic, not {arrival_kind!r}"
+        )
     return build_network(
         flow_paths=[(0, 1)],
         arrival=[arr],

@@ -1,10 +1,17 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from qnet.cli import main
 from qnet.config import ConfigError, load_config, make_equilibrium_set
+from qnet.network import validate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SWITCH_YAML = """\
 version: 1
@@ -108,6 +115,15 @@ class TestConfig:
         from fractions import Fraction
 
         assert cfg.network.weights[0] == Fraction(2, 3)
+
+    def test_readme_example_loads(self, tmp_path):
+        # the example names every field, so renaming one fails here
+        text = README.read_text().split("## Configuration", 1)[1]
+        p = tmp_path / "readme.yaml"
+        p.write_text(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+        cfg = load_config(p)
+        assert validate(cfg.network).ok
+        assert cfg.simulate["sample_count"] == 200 and cfg.verify["time_budget"] == 100.0
 
     def test_set_construction(self):
         assert len(make_equilibrium_set({"kind": "switch", "a": 0.5}).pieces) == 2
@@ -265,16 +281,53 @@ class TestCli:
              "simulate.sample_count: expected a number"),
             ("sweep", "experiment: {n_values: [5], horizon: [50]}\n",
              "experiment.horizon: expected a number"),
+            # a whole config in place of an extra section
+            ("verify-c2", "verify: {set: {kind: tandem_wedge, a: [0.5]}, hbar: 1.0, target_rates: [0.5]}\n",
+             "verify.set.a: expected a number"),
+            ("validate", "version: 1\nnetwork: {preset: tandem, params: {lam: [1], mu1: 0.8, mu2: 0.5}}\n",
+             "network.params.lam: expected a number"),
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, [0], 0], [0, 1, 1]]\n  flows:"),
+             "network.class_ids[0][1]: expected a number"),
+            ("validate", TANDEM_YAML.replace("path: [0, 1]", "path: [[0], 1]"),
+             "network.flows[0].path[0]: expected a number"),
+            ("simulate", "simulate: {n: 4, horizon: 50, seed: 1.7}\n",
+             "simulate.seed: expected an integer, not 1.7"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, replications: 1.5}\n",
+             "experiment.replications: expected an integer, not 1.5"),
+            ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: [0.5], per_piece: 0.5}\n",
+             "verify.per_piece: expected an integer, not 0.5"),
+            ("simulate", "simulate: {n: .nan, horizon: 50}\n",
+             "simulate.n: expected a positive number, not nan"),
+            ("fluid", "fluid: {hbar: 0, horizon: 5, initial_q: [1, 1]}\n",
+             "fluid.hbar: expected a positive number, not 0"),
+            ("validate", "version: 1\nnetwork: {preset: tandem,"
+             " params: {lam: 1, mu1: 0.8, mu2: 0.5, arrival_kind: exponentail}}\n",
+             "network.params.arrival_kind: expected one of exponential, pareto_paper, deterministic,"
+             " not 'exponentail'"),
+            ("simulate", "simulate: {n: 4, horizon: .inf, seed: 2}\n",
+             "simulate.horizon: expected a positive number, not inf"),
+            ("sweep", "experiment: {n_values: [5], horizon: .inf}\n",
+             "experiment.horizon: expected a positive number, not inf"),
+            ("fluid", "fluid: {hbar: 1.0, horizon: .inf, initial_q: [1, 1]}\n",
+             "fluid.horizon: expected a positive number, not inf"),
+            ("fluid", "fluid: {hbar: .nan, horizon: 5, initial_q: [1, 1]}\n",
+             "fluid.hbar: expected a positive number, not nan"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
-             "hbar_list", "n_list", "sample_count_list", "horizon_list"],
+             "hbar_list", "n_list", "sample_count_list", "horizon_list",
+             "set_a_list", "preset_lam_list", "class_ids_entry_list", "path_entry_list",
+             "seed_fraction", "replications_fraction", "per_piece_fraction", "n_nan", "hbar_zero",
+             "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
+             "fluid_horizon_inf", "hbar_nan"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError
-        # traceback, or (target_rates) in a scalar broadcast to every flow
+        # traceback, in a scalar broadcast to every flow (target_rates), in
+        # a quietly degenerate run (seed 1.7 ran as seed 1, n nan never
+        # discarded), or in a run that never ended (infinite horizons)
         p = tmp_path / "tandem.yaml"
-        p.write_text(TANDEM_YAML + extra)
+        p.write_text(extra if extra.startswith("version") else TANDEM_YAML + extra)
         out = tmp_path / "out"
         assert main([verb, "--config", str(p), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -314,3 +367,64 @@ class TestCli:
         p = tmp_path / "min.yaml"
         p.write_text(TANDEM_YAML)
         assert main(["sweep", "--config", str(p)]) == 1
+
+
+# scalar config fields of the tandem and switch presets, each with a pool of
+# good small values; a drawn config spoils up to three of them
+BAD = [0, -1, 1.5, float("nan"), float("inf"), [1], {"a": 1}, "x", None, True]
+GOOD = {
+    ("network", "threshold_base"): [1.0, 0.5],
+    ("network", "params", "lam"): [1.0, 0.6],
+    ("network", "params", "mu1"): [0.8, 1.0],
+    ("network", "params", "mu2"): [0.5, 1.0],
+    ("network", "params", "arrival_kind"): ["exponential", "pareto_paper", "deterministic"],
+    ("simulate", "n"): [4, 2.5],
+    ("simulate", "horizon"): [30, 5.0],
+    ("simulate", "seed"): [0, 3],
+    ("simulate", "warmup_frac"): [0.2, 0],
+    ("simulate", "sample_count"): [5, 0],
+    ("fluid", "hbar"): [1.0, 0.5],
+    ("fluid", "horizon"): [5, 12.5],
+    ("experiment", "horizon"): [30, 10.0],
+    ("experiment", "replications"): [1, 2],
+    ("experiment", "base_seed"): [0, 7],
+    ("experiment", "warmup_frac"): [0.2, 0.5],
+    ("verify", "hbar"): [1.0, 2],
+    ("verify", "per_piece"): [1, 2],
+    ("verify", "set", "a"): [0.5, 0.25],
+}
+SWITCH_ONLY = {("network", "params", k) for k in ("lam", "mu1", "mu2", "arrival_kind")}
+
+
+@st.composite
+def preset_configs(draw):
+    switch = draw(st.booleans())
+    fields = [f for f in GOOD if not (switch and f in SWITCH_ONLY)]
+    values = {f: draw(st.sampled_from(GOOD[f])) for f in fields}
+    values.update(draw(st.dictionaries(st.sampled_from(fields), st.sampled_from(BAD), max_size=3)))
+    K, F = (8, 3) if switch else (2, 1)
+    doc = {
+        "version": 1,
+        "network": {"preset": "switch_example" if switch else "tandem", "params": {}},
+        "simulate": {},
+        "fluid": {"initial_q": [0.5] * K},
+        "experiment": {"n_values": [2, 4]},
+        "verify": {"set": {"kind": "switch" if switch else "tandem_wedge"}, "target_rates": [0.5] * F},
+    }
+    for (*path, key), value in values.items():
+        node = doc
+        for name in path:
+            node = node[name]
+        node[key] = value
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preset_configs())
+def test_config_fields_exit_0_1_or_2(text):
+    # any drawn value either runs or fails with an exit code, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "config.yaml"
+        p.write_text(text)
+        for verb in ("simulate", "fluid", "sweep", "verify-c2"):
+            assert main([verb, "--config", str(p), "--out", str(Path(tmp) / verb)]) in (0, 1, 2)

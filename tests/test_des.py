@@ -199,6 +199,21 @@ def test_empty_window_rejected():
         run(spec, 10, seed=0, horizon=0.0)
 
 
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_horizon_not_finite_rejected(horizon):
+    # an infinite horizon used to run until the event budget of sys.maxsize
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    with pytest.raises(EmptyWindowError):
+        run(spec, 10, seed=0, horizon=horizon)
+
+
+@pytest.mark.parametrize("n", [np.inf, np.nan])
+def test_scale_not_finite_rejected(n):
+    # a nan n gave nan thresholds, so nothing was ever discarded
+    with pytest.raises(ValueError, match="positive and finite"):
+        Simulation(tandem_spec(1.0, 0.8, 0.5), n, seed=0)
+
+
 def test_scaled_trajectory_identity_at_n_1():
     spec = tandem_spec(1.0, 0.8, 0.5)
     times = np.linspace(0.0, 50.0, 26)

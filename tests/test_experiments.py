@@ -47,6 +47,11 @@ class TestPlanValidation:
         with pytest.raises(EmptyWindowError):
             run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(horizon=0.0))
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_horizon_not_finite_is_empty_window(self, horizon):
+        with pytest.raises(EmptyWindowError):
+            run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(horizon=horizon))
+
 
 class TestRunSweep:
     def test_table_shape_and_keys(self):

@@ -286,6 +286,20 @@ def test_breakpoint_budget_guard():
         )
 
 
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_horizon_not_finite_rejected(horizon):
+    # an infinite horizon used to run to the breakpoint budget on nan times
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    with pytest.raises(ValueError, match="horizon must be nonnegative and finite"):
+        integrate(FluidState.initial(spec, [2.5, 0.7], 1.0), spec, horizon)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+def test_initial_hbar_not_positive_and_finite_rejected(hbar):
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        FluidState.initial(tandem_spec(1.0, 0.8, 0.5), [0.5, 0.5], hbar)
+
+
 def test_cross_flow_sliding_coupling():
     # two pinned flows interacting through a shared station: flow 1's
     # admission bounds its pass-through rate into station 0, which sets

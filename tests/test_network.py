@@ -21,6 +21,13 @@ def test_tandem_valid():
     assert validate(tandem_spec(1.0, 0.8, 0.5)).ok
 
 
+def test_tandem_unknown_arrival_kind_rejected():
+    # a misspelt kind used to fall through to deterministic arrivals
+    with pytest.raises(ValueError, match="pareto_paper or deterministic, not 'exponentail'"):
+        tandem_spec(1.0, 0.8, 0.5, arrival_kind="exponentail")
+    assert tandem_spec(1.0, 0.8, 0.5, arrival_kind="deterministic").arrival_dist[0].param == 1.0
+
+
 def test_repeated_station_invalid():
     spec = build_network(
         [(0, 1, 0)],
