@@ -64,14 +64,13 @@ def _simulate(cfg, args, sample_count=None):
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate
     seed = args.seed if args.seed is not None else sim["seed"]
-    horizon, initial_queues = sim["horizon"], sim["initial_queues"]
+    horizon = sim["horizon"]
     count = sim["sample_count"] or sample_count
     return des.run(
         cfg.network, sim["n"], seed, horizon,
         warmup_frac=sim["warmup_frac"],
-        initial_queues=initial_queues,
+        initial_queues=sim["initial_queues"],
         sample_times=np.linspace(0.0, horizon, count) if count else None,
-        event_budget=des.default_event_budget(cfg.network, horizon, initial_queues),
     )
 
 

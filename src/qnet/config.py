@@ -14,11 +14,13 @@ holds plain Python values that need no further checks.  The kinds:
 * lists (read as tuples) and mappings of such values;
 * class ids are integers in [0, number of classes).
 
-Any other value raises ConfigError naming ``<section>.<field>``.  The
-file must declare ``version: 1``.  All ids (stations, flows, classes)
-are zero-based, matching the library.  Distributions are one-key
-mappings: ``{exponential: rate}``, ``{pareto_paper: rate}`` or
-``{deterministic: value}``.  Weights are integers or "p/q" strings.
+Any other value raises ConfigError naming ``<section>.<field>``; so do
+the path and class-numbering faults that ``build_network`` finds, as
+``network.<field>``.  The file must declare ``version: 1``.  All ids
+(stations, flows, classes) are zero-based, matching the library.
+Distributions are one-key mappings: ``{exponential: rate}``,
+``{pareto_paper: rate}`` or ``{deterministic: value}``.  Weights are
+integers or "p/q" strings.
 """
 from __future__ import annotations
 
@@ -162,17 +164,13 @@ _PRESETS = {  # name -> (spec function, its params table)
 
 
 def _flow(node, where: str) -> dict:
-    flow = _section(node, where, {
+    # build_network checks the path against the stations and the service count
+    return _section(node, where, {
         "path": (_list(INTEGER), REQUIRED),
         "weight": (_weight, Fraction(1)),
         "arrival": (_distribution, REQUIRED),
         "service": (_list(_distribution), REQUIRED),
     })
-    if not flow["path"]:
-        raise ConfigError(f"{where}.path: expected a nonempty list of station ids")
-    if len(flow["service"]) != len(flow["path"]):
-        raise ConfigError(f"{where}.service: expected one distribution per hop")
-    return flow
 
 
 def _network(node, where: str) -> NetworkSpec:
@@ -196,17 +194,20 @@ def _network(node, where: str) -> NetworkSpec:
     flows = net["flows"]
     if not flows:
         raise ConfigError(f"{where}.flows: expected a nonempty list")
-    return build_network(
-        [f["path"] for f in flows],
-        arrival=[f["arrival"] for f in flows],
-        service=[f["service"] for f in flows],
-        weights=[f["weight"] for f in flows],
-        threshold_base=net["threshold_base"],
-        hysteresis_gap=net["hysteresis_gap"],
-        num_stations=net["stations"],
-        class_ids=net["class_ids"],
-        idle_slots=net["idle_slots"],
-    )
+    try:
+        return build_network(
+            [f["path"] for f in flows],
+            arrival=[f["arrival"] for f in flows],
+            service=[f["service"] for f in flows],
+            weights=[f["weight"] for f in flows],
+            threshold_base=net["threshold_base"],
+            hysteresis_gap=net["hysteresis_gap"],
+            num_stations=net["stations"],
+            class_ids=net["class_ids"],
+            idle_slots=net["idle_slots"],
+        )
+    except ValueError as exc:  # "<field>: message" faults joined by "; "
+        raise ConfigError("; ".join(f"{where}.{fault}" for fault in str(exc).split("; "))) from exc
 
 
 # -- run sections

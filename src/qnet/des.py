@@ -142,8 +142,8 @@ def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None)
     completion per hop of its route, so a run expects at most
     horizon * sum_f alpha_f * (1 + |route_f|) events; a job queued at
     class k at the start departs from k and from every class after it on
-    its route.  The ``simulate`` verb and every sweep cell run with this
-    budget, so a run that exceeds it raises EventBudgetExceeded."""
+    its route.  A run given no ``event_budget`` runs with this one, so a
+    run that exceeds it raises EventBudgetExceeded."""
     expected = horizon * sum(
         a * (1 + len(ks)) for a, ks in zip(spec.alpha.tolist(), spec.routes)
     )
@@ -334,7 +334,8 @@ class Simulation:
 
         period = _CHECK_PERIOD[invariant_checks]
         next_check = period if period else -1
-        budget = sys.maxsize if event_budget is None else event_budget
+        # the default is read through the module global, so a patched one applies
+        budget = default_event_budget(spec, horizon, self.q0) if event_budget is None else event_budget
 
         # state, tables and callables in locals: the loop reads no attribute
         # and makes no method call of its own.  Bound here, not at import,
@@ -440,7 +441,7 @@ class Simulation:
                     start(i, t)
                 events += 1
                 if events > budget:
-                    raise EventBudgetExceeded(f"exceeded event budget {event_budget} at t={t:.6g}")
+                    raise EventBudgetExceeded(f"exceeded event budget {budget} at t={t:.6g}")
                 if events == next_check:
                     check(t)
                     next_check += period
@@ -506,7 +507,8 @@ def run(
     invariant_checks: str = "sparse",
     event_budget: Optional[int] = None,
 ) -> SimTrace:
-    """Simulate one replication to ``horizon`` and return its trace."""
+    """Simulate one replication to ``horizon`` and return its trace.  With
+    no ``event_budget`` the run has ``default_event_budget``."""
     sim = Simulation(spec, n, seed, initial_queues=initial_queues)
     return sim.run(
         horizon,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,25 +81,24 @@ class RateTable:
         )
 
 
+def _failed_row(n, seed, error: str) -> RateRow:
+    return RateRow(n=n, seed=seed, flow_rates=(), admit_rates=(), event_count=0, error=error)
+
+
 def _sweep_cell(args):
     spec, n, seed, horizon, warmup = args
     try:
-        trace = des.run(
-            spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off",
-            event_budget=des.default_event_budget(spec, horizon),
-        )
+        trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off")
     except des.SimulationError as exc:
-        error = str(exc)
+        return _failed_row(n, seed, str(exc))
     except Exception as exc:  # a fault in one cell must not abort the sweep
-        error = f"{type(exc).__name__}: {exc}"
-    else:
-        return RateRow(
-            n=n, seed=seed,
-            flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
-            admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
-            event_count=trace.event_count,
-        )
-    return RateRow(n=n, seed=seed, flow_rates=(), admit_rates=(), event_count=0, error=error)
+        return _failed_row(n, seed, f"{type(exc).__name__}: {exc}")
+    return RateRow(
+        n=n, seed=seed,
+        flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
+        admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
+        event_count=trace.event_count,
+    )
 
 
 def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> RateTable:
@@ -106,11 +106,12 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
 
     Each cell runs with ``des.default_event_budget``.  A cell that fails
     is recorded on its row and the other cells still run: a budget error
-    by its message, any other exception as ``"TypeName: message"``.  A
+    by its message, any other exception as ``"TypeName: message"``, and a
+    cell whose worker process died as ``"BrokenProcessPool: message"``.  A
     scale n whose lower threshold n*h - gap is negative raises ValueError
-    before any cell runs.  Results from
-    ``workers`` processes are merged in (n, seed) order, so the table is
-    the same for any worker count.
+    before any cell runs.  Results from up to ``workers`` processes, never
+    more than there are cells, are merged in (n, seed) order, so the table
+    is the same for any worker count.
     """
     plan.validate()
     if not 0 < plan.horizon < np.inf:
@@ -123,8 +124,15 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
         for seed in plan.resolved_seeds()
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            futures = [pool.submit(_sweep_cell, cell) for cell in cells]
+        rows = []
+        for (_, n, seed, _, _), future in zip(cells, futures):
+            try:
+                rows.append(future.result())
+            except BrokenProcessPool as exc:
+                rows.append(_failed_row(n, seed, f"BrokenProcessPool: {exc}"))
     else:
         rows = [_sweep_cell(c) for c in cells]
     rows.sort(key=lambda r: (r.n, r.seed))

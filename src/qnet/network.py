@@ -17,9 +17,14 @@ upstream-first station order), ``acyclic`` (the station feed graph has
 no cycle, so one sweep in that order is exact) and the float tuples,
 which spare its water-filling a ``tolist()`` and a division per call.  ``des`` reads the tables in its event
 loop and ``fluid`` on every rate solve; the views (``flow_classes``,
-``next_class``, ``visit_cycle``, ...) return them.  ``routing_matrix`` and
-``constituency`` are derived separately, as the reference that
-``validate`` and the ``des`` invariant checks use.
+``next_class``, ``visit_cycle``, ...) return them.  The read-only
+``routing_matrix`` and ``constituency`` are derived in the same place but
+from ``class_of``, ``flow_paths`` and ``station_of`` alone, never from the
+tables above, as the independent reference the ``des`` invariant checks use.
+
+``build_network`` checks the paths and the class numbering before it
+indexes anything, so a spec's class ids are 0..K-1, each once; ``validate``
+checks the rest (rates, weights, thresholds, revisits, ingress classes).
 """
 from __future__ import annotations
 
@@ -47,9 +52,6 @@ class NetworkSpec:
     threshold_base: float        # h > 0, before scaling by n
     hysteresis_gap: float = 0.0  # lower threshold is n*h - gap
     idle_slots: frozenset = frozenset()  # class ids fed by no flow
-    # derived structure, stored so validation can inspect it
-    routing_matrix: np.ndarray = field(default=None, repr=False)
-    constituency: np.ndarray = field(default=None, repr=False)
     # index tables, compiled once by __post_init__
     routes: tuple = field(init=False, repr=False)      # per flow: class ids, hop order
     egress: tuple = field(init=False, repr=False)      # per flow: last class of the route
@@ -72,6 +74,11 @@ class NetworkSpec:
     w_tab: tuple = field(init=False, repr=False)
     mu_tab: tuple = field(init=False, repr=False)
     w_mu_tab: tuple = field(init=False, repr=False)
+    # reference structure for the des invariant checks, read-only int8:
+    # P[k, l] = 1 iff class l follows class k on a route, C[i, k] = 1 iff
+    # station i serves class k
+    routing_matrix: np.ndarray = field(init=False, repr=False)
+    constituency: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         K = self.num_classes
@@ -96,6 +103,7 @@ class NetworkSpec:
         sweep, acyclic = _sweep_order(self.num_stations, routes, self.station_of, fed)
         mu = [d.rate for d in self.service_dist]
         w = [float(x) for x in weight]
+        P, C = _derive_matrices(self.num_stations, K, self.class_of, self.station_of, self.flow_paths)
         tables = {
             "routes": routes,
             "egress": tuple(ks[-1] for ks in routes),
@@ -113,6 +121,8 @@ class NetworkSpec:
             "mu_tab": tuple(mu),
             # a zero service rate fails validate(); inf keeps the spec buildable
             "w_mu_tab": tuple(a / b if b else math.inf for a, b in zip(w, mu)),
+            "routing_matrix": P,
+            "constituency": C,
         }
         for name, table in tables.items():
             object.__setattr__(self, name, table)
@@ -169,9 +179,8 @@ def _sweep_order(num_stations, routes, station_of, fed) -> tuple:
     succ = [set() for _ in range(num_stations)]
     for ks in routes:
         for a, b in zip(ks, ks[1:]):
-            i, j = station_of[a], station_of[b]
-            if 0 <= i < num_stations and 0 <= j < num_stations and i != j:
-                succ[i].add(j)
+            if station_of[a] != station_of[b]:
+                succ[station_of[a]].add(station_of[b])
     indeg = [0] * num_stations
     for js in succ:
         for j in js:
@@ -197,6 +206,7 @@ def _derive_matrices(num_stations, num_classes, class_of, station_of, flow_paths
     C = np.zeros((num_stations, num_classes), dtype=np.int8)
     for k, s in enumerate(station_of):
         C[s, k] = 1
+    P.flags.writeable = C.flags.writeable = False
     return P, C
 
 
@@ -212,13 +222,22 @@ def build_network(
     class_ids: Optional[dict] = None,
     idle_slots: Optional[dict] = None,
 ) -> NetworkSpec:
-    """Assemble a NetworkSpec, deriving class numbering and structure.
+    """Check the class numbering, then assemble a NetworkSpec.
 
     Default numbering assigns the ingress class of flow f the id f and the
     remaining classes sequential ids in (flow, hop) order.  ``class_ids``
     maps (flow, hop) -> class id to impose an explicit numbering instead;
     ``idle_slots`` (class id -> station id) then declares slots that exist
-    in the numbering but are fed by no flow.
+    in the numbering but are fed by no flow.  The keys of ``class_ids``
+    must be exactly the (flow, hop) pairs of the paths, and its ids with
+    the idle slot ids exactly 0..K-1, each once, K the number of hops plus
+    the number of idle slots.
+
+    Raises ValueError before anything is indexed, listing every fault as
+    ``<field>: message`` (fields ``arrival``, ``service`` and ``weights``
+    when they do not hold one entry per flow, ``flows[f].path``,
+    ``flows[f].service``, ``class_ids`` and ``idle_slots``), the faults
+    joined by ``"; "``.
     """
     flow_paths = tuple(tuple(int(s) for s in p) for p in flow_paths)
     F = len(flow_paths)
@@ -228,55 +247,60 @@ def build_network(
         weights = [Fraction(1)] * F
     weights = tuple(Fraction(w) for w in weights)
     arrival = tuple(arrival)
-    n_hops = sum(len(p) for p in flow_paths)
-
-    idle_slots = dict(idle_slots or {})
+    idle_slots = {int(k): int(s) for k, s in (idle_slots or {}).items()}
+    pairs = [(f, hop) for f, path in enumerate(flow_paths) for hop in range(len(path))]
+    K = len(pairs) + len(idle_slots)
     if class_ids is None:
-        class_of = {}
-        nxt = F
-        for f, path in enumerate(flow_paths):
-            class_of[(f, 0)] = f
-            for hop in range(1, len(path)):
-                class_of[(f, hop)] = nxt
-                nxt += 1
-        K = n_hops + len(idle_slots)
+        # ingress pairs first, so that flow f enters at class f
+        class_of = {p: k for k, p in enumerate(sorted(pairs, key=lambda p: p[1] > 0))}
     else:
         class_of = {tuple(key): int(v) for key, v in class_ids.items()}
-        K = n_hops + len(idle_slots)
+
+    faults = [f"{name}: expected one entry per flow, not {len(v)}"
+              for name, v in (("arrival", arrival), ("service", service), ("weights", weights)) if len(v) != F]
+    for f, (path, per_hop) in enumerate(zip(flow_paths, service)):
+        if not path:
+            faults.append(f"flows[{f}].path: expected a nonempty list of station ids")
+        faults += [f"flows[{f}].path: station {s} is not in [0, {num_stations})"
+                   for s in path if not 0 <= s < num_stations]
+        if len(per_hop) != len(path):
+            faults.append(f"flows[{f}].service: expected one distribution per hop")
+    on_paths = set(pairs)
+    faults += [f"class_ids: (flow, hop) {p} has no class id" for p in sorted(on_paths - class_of.keys())]
+    faults += [f"class_ids: (flow, hop) {p} is not on a path" for p in sorted(class_of.keys() - on_paths)]
+    seen = set()
+    for name, k in [("class_ids", k) for k in class_of.values()] + [("idle_slots", k) for k in idle_slots]:
+        if not 0 <= k < K:
+            faults.append(f"{name}: class id {k} is not in [0, {K})")
+        elif k in seen:
+            faults.append(f"{name}: class id {k} is used twice")
+        seen.add(k)
+    faults += [f"idle_slots: station {s} of class {k} is not in [0, {num_stations})"
+               for k, s in idle_slots.items() if not 0 <= s < num_stations]
+    if faults:
+        raise ValueError("; ".join(faults))
 
     station_of = [None] * K
+    svc = [DistributionSpec.exponential(1.0)] * K  # idle slots serve nothing
     for (f, hop), k in class_of.items():
         station_of[k] = flow_paths[f][hop]
+        svc[k] = service[f][hop]
     for k, s in idle_slots.items():
-        station_of[k] = int(s)
-    station_of = tuple(-1 if s is None else s for s in station_of)
+        station_of[k] = s
 
-    svc = [None] * K
-    for f, per_hop in enumerate(service):
-        if len(per_hop) != len(flow_paths[f]):
-            raise ValueError(f"flow {f}: need one service distribution per hop")
-        for hop, d in enumerate(per_hop):
-            svc[class_of[(f, hop)]] = d
-    service_dist = tuple(
-        d if d is not None else DistributionSpec.exponential(1.0) for d in svc
-    )
-
-    P, C = _derive_matrices(num_stations, K, class_of, station_of, flow_paths)
     return NetworkSpec(
         num_flows=F,
         num_stations=num_stations,
         num_classes=K,
         flow_paths=flow_paths,
         class_of=class_of,
-        station_of=station_of,
+        station_of=tuple(station_of),
         weights=weights,
         arrival_dist=arrival,
-        service_dist=service_dist,
+        service_dist=tuple(svc),
         threshold_base=float(threshold_base),
         hysteresis_gap=float(hysteresis_gap),
         idle_slots=frozenset(idle_slots),
-        routing_matrix=P,
-        constituency=C,
     )
 
 
@@ -298,7 +322,14 @@ class ValidationReport:
 
 
 def validate(spec: NetworkSpec) -> ValidationReport:
-    """Structural validation; the report lists every violated invariant."""
+    """Semantic validation; the report lists every violation.
+
+    The paths' station ids and the class numbering were checked when the
+    spec was built (see ``build_network``); this checks what they leave
+    open: flows exist, the thresholds and weights are in range, every rate
+    is positive and finite, no path revisits a station and flow f enters
+    at class f.  Bounded interarrival support is a warning.
+    """
     rep = ValidationReport()
     bad = rep.violations
 
@@ -310,13 +341,10 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         bad.append("hysteresis_gap must be nonnegative")
 
     for f, path in enumerate(spec.flow_paths):
-        if not path:
-            bad.append(f"flow {f}: empty path")
         if len(set(path)) != len(path):
             bad.append(f"flow {f}: path revisits a station")
-        for s in path:
-            if not 0 <= s < spec.num_stations:
-                bad.append(f"flow {f}: station {s} out of range")
+        if spec.class_of[(f, 0)] != f:
+            bad.append(f"flow {f}: ingress class is {spec.class_of[(f, 0)]}, expected {f}")
 
     for f, w in enumerate(spec.weights):
         if w <= 0:
@@ -332,55 +360,6 @@ def validate(spec: NetworkSpec) -> ValidationReport:
     for k, d in enumerate(spec.service_dist):
         if not 0 < d.rate < math.inf:
             bad.append(f"class {k}: service rate must be positive and finite")
-
-    # class map: each (flow, hop) maps to exactly one class, ids distinct,
-    # ingress class of flow f is f, every id in range is a flow class or a
-    # declared idle slot
-    seen = {}
-    for (f, hop), k in spec.class_of.items():
-        if not 0 <= k < spec.num_classes:
-            bad.append(f"class id {k} out of range")
-            continue
-        if k in seen:
-            bad.append(f"class id {k} assigned to two (flow, hop) pairs")
-        seen[k] = (f, hop)
-        if hop == 0 and k != f:
-            bad.append(f"flow {f}: ingress class is {k}, expected {f}")
-    for f, path in enumerate(spec.flow_paths):
-        for hop in range(len(path)):
-            if (f, hop) not in spec.class_of:
-                bad.append(f"flow {f} hop {hop}: no class assigned")
-    for k in range(spec.num_classes):
-        if k not in seen and k not in spec.idle_slots:
-            bad.append(f"class id {k} is neither a flow class nor a declared idle slot")
-        if k in seen and k in spec.idle_slots:
-            bad.append(f"class id {k} declared idle but fed by flow {seen[k][0]}")
-        if spec.station_of[k] is None or not 0 <= spec.station_of[k] < spec.num_stations:
-            bad.append(f"class {k}: no station assigned")
-    for (f, hop), k in spec.class_of.items():
-        if 0 <= k < spec.num_classes and spec.station_of[k] != spec.flow_paths[f][hop]:
-            bad.append(f"class {k}: station_of disagrees with flow {f}'s path")
-
-    # routing matrix: binary, at most one successor per class, nilpotent
-    P = spec.routing_matrix
-    if P.shape != (spec.num_classes, spec.num_classes):
-        bad.append("routing matrix has wrong shape")
-    else:
-        if np.any((P != 0) & (P != 1)):
-            bad.append("routing matrix is not binary")
-        if np.any(P.sum(axis=1) > 1):
-            bad.append("routing matrix row has more than one successor")
-        Pk = np.eye(spec.num_classes, dtype=np.int64)
-        for _ in range(spec.num_classes):
-            Pk = Pk @ P
-        if np.any(Pk != 0):
-            bad.append("routing matrix is not nilpotent (routing cycle)")
-
-    C = spec.constituency
-    if C.shape != (spec.num_stations, spec.num_classes):
-        bad.append("constituency matrix has wrong shape")
-    elif np.any(C.sum(axis=0) != 1):
-        bad.append("each class must be served at exactly one station")
 
     return rep
 

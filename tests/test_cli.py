@@ -202,6 +202,42 @@ class TestCli:
         rows = json.loads((out / "rates.json").read_text())["rows"]
         assert all(r["error"].startswith("exceeded event budget 10 at t=") for r in rows)
 
+    def test_sweep_pool_capped_and_dead_worker_exit_2(self, switch_cfg, tmp_path, monkeypatch, capsys):
+        # --workers 5000 used to fork 5000 processes for the plan's 4 cells,
+        # and a dead worker ended the sweep in a BrokenProcessPool traceback
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from qnet import experiments
+
+        sizes = []
+
+        class StandIn:  # runs each cell at submit; the worker of seed 4 dies
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cell):
+                future = Future()
+                if cell[2] == 4:
+                    future.set_exception(BrokenProcessPool("a process died"))
+                else:
+                    future.set_result(fn(cell))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StandIn)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(switch_cfg), "--out", str(out), "--workers", "5000"]) == 2
+        assert sizes == [4]
+        assert "cell (n=20.0, seed=4) failed: BrokenProcessPool: a process died" in capsys.readouterr().out
+        rows = json.loads((out / "rates.json").read_text())["rows"]
+        assert [r["error"] for r in rows] == [None, "BrokenProcessPool: a process died"] * 2
+
     def test_export_phase_files(self, switch_cfg, tmp_path):
         out = tmp_path / "exp"
         assert main(["export", "--config", str(switch_cfg), "--out", str(out)]) == 0
@@ -312,6 +348,23 @@ class TestCli:
              "fluid.horizon: expected a positive number, not inf"),
             ("fluid", "fluid: {hbar: .nan, horizon: 5, initial_q: [1, 1]}\n",
              "fluid.hbar: expected a positive number, not nan"),
+            # class numbering faults, found by build_network before it indexes
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 99], [0, 1, 1]]\n  flows:"),
+             "network.class_ids: class id 99 is not in [0, 2)"),
+            ("validate", TANDEM_YAML.replace("flows:", "idle_slots: {5: 0}\n  flows:"),
+             "network.idle_slots: class id 5 is not in [0, 3)"),
+            ("validate", TANDEM_YAML.replace("flows:", "idle_slots: {2: 7}\n  flows:"),
+             "network.idle_slots: station 7 of class 2 is not in [0, 2)"),
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 0]]\n  flows:"),
+             "network.class_ids: (flow, hop) (0, 1) has no class id"),
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 0], [0, 1, 1], [0, 2, 2]]\n  flows:"),
+             "network.class_ids: (flow, hop) (0, 2) is not on a path;"
+             " network.class_ids: class id 2 is not in [0, 2)"),
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 0], [0, 1, 1], [1, 0, 2]]\n  flows:"),
+             "network.class_ids: (flow, hop) (1, 0) is not on a path;"
+             " network.class_ids: class id 2 is not in [0, 2)"),
+            ("validate", TANDEM_YAML.replace("path: [0, 1]", "path: [0, 5]"),
+             "network.flows[0].path: station 5 is not in [0, 2)"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
@@ -319,13 +372,16 @@ class TestCli:
              "set_a_list", "preset_lam_list", "class_ids_entry_list", "path_entry_list",
              "seed_fraction", "replications_fraction", "per_piece_fraction", "n_nan", "hbar_zero",
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
-             "fluid_horizon_inf", "hbar_nan"],
+             "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",
+             "idle_station_too_large", "hop_without_class_id", "hop_past_path", "flow_past_paths",
+             "station_too_large"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError
         # traceback, in a scalar broadcast to every flow (target_rates), in
         # a quietly degenerate run (seed 1.7 ran as seed 1, n nan never
-        # discarded), or in a run that never ended (infinite horizons)
+        # discarded), in a run that never ended (infinite horizons), or in
+        # an IndexError or KeyError while the network was built (numbering)
         p = tmp_path / "tandem.yaml"
         p.write_text(extra if extra.startswith("version") else TANDEM_YAML + extra)
         out = tmp_path / "out"

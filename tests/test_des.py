@@ -193,6 +193,14 @@ def test_default_event_budget():
     assert trace.event_count <= (default_event_budget(spec, 1000.0, [4, 4]) - 1000) / 10
 
 
+def test_run_without_budget_has_the_default(monkeypatch):
+    # a run given no budget used to be unbounded; the default is resolved in
+    # Simulation.run through the module global, and the error prints it
+    monkeypatch.setattr(qnet.des, "default_event_budget", lambda *args: 10)
+    with pytest.raises(EventBudgetExceeded, match="exceeded event budget 10 at t="):
+        run(tandem_spec(1.0, 0.8, 0.5), 10, seed=0, horizon=1e3)
+
+
 def test_empty_window_rejected():
     spec = tandem_spec(1.0, 0.8, 0.5)
     with pytest.raises(EmptyWindowError):

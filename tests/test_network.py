@@ -39,12 +39,51 @@ def test_repeated_station_invalid():
     assert any("revisits" in v for v in report.violations)
 
 
-def test_injected_routing_cycle_invalid():
+def test_reference_matrices_read_only_and_cycle_unbuildable():
+    # the matrices are the invariant checks' reference: they cannot be
+    # overwritten, and the one class map that gave a routing cycle (a class
+    # id used by two hops) is rejected before any spec exists
     spec = tandem_spec(1.0, 0.8, 0.5)
-    spec.routing_matrix[1, 0] = 1  # class 1 feeds back to class 0
-    report = validate(spec)
-    assert not report.ok
-    assert any("nilpotent" in v for v in report.violations)
+    for matrix in (spec.routing_matrix, spec.constituency):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1
+    with pytest.raises(ValueError, match=r"class_ids: class id 0 is used twice"):
+        build_network([(0, 1)], arrival=[EXP1], service=[[EXP1] * 2],
+                      class_ids={(0, 0): 0, (0, 1): 0})
+
+
+TANDEM = dict(arrival=[EXP1], service=[[EXP1] * 2], num_stations=2)
+
+
+@pytest.mark.parametrize(
+    "paths, kw, message",
+    [
+        ([(0, 1)], dict(class_ids={(0, 0): 99, (0, 1): 1}), "class_ids: class id 99 is not in [0, 2)"),
+        ([(0, 1)], dict(idle_slots={5: 0}), "idle_slots: class id 5 is not in [0, 3)"),
+        ([(0, 1)], dict(idle_slots={2: 7}), "idle_slots: station 7 of class 2 is not in [0, 2)"),
+        ([(0, 1)], dict(class_ids={(0, 0): 0}), "class_ids: (flow, hop) (0, 1) has no class id"),
+        ([(0, 1)], dict(class_ids={(0, 0): 0, (0, 1): 1, (0, 2): 2}),
+         "class_ids: (flow, hop) (0, 2) is not on a path; class_ids: class id 2 is not in [0, 2)"),
+        ([(0, 1)], dict(class_ids={(0, 0): 0, (0, 1): 1, (1, 0): 2}),
+         "class_ids: (flow, hop) (1, 0) is not on a path; class_ids: class id 2 is not in [0, 2)"),
+        ([(0, 5)], {}, "flows[0].path: station 5 is not in [0, 2)"),
+        ([(0, 1)], dict(idle_slots={1: 0}), "idle_slots: class id 1 is used twice"),
+        ([()], dict(service=[[]]), "flows[0].path: expected a nonempty list of station ids"),
+        ([(0, 1)], dict(service=[[EXP1]]), "flows[0].service: expected one distribution per hop"),
+        ([(0,), (0,)], dict(service=[[EXP1], [EXP1]]), "arrival: expected one entry per flow, not 1"),
+        ([(0,), (0,)], dict(arrival=[EXP1] * 2, service=[[EXP1], [EXP1]], weights=[1]),
+         "weights: expected one entry per flow, not 1"),
+    ],
+    ids=["class_id_too_large", "idle_id_too_large", "idle_station_too_large", "hop_without_id",
+         "hop_past_path", "flow_past_paths", "station_too_large", "idle_id_fed", "empty_path",
+         "service_per_hop", "arrival_per_flow", "weights_per_flow"],
+)
+def test_build_network_rejects_bad_numbering(paths, kw, message):
+    # each of these used to end in an IndexError or KeyError while the spec
+    # was built, in a spec whose tables disagree, or in a message naming no field
+    with pytest.raises(ValueError) as exc:
+        build_network(paths, **{**TANDEM, **kw})
+    assert str(exc.value) == message
 
 
 def test_switch_offered_load():
