@@ -142,8 +142,8 @@ def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None)
     completion per hop of its route, so a run expects at most
     horizon * sum_f alpha_f * (1 + |route_f|) events; a job queued at
     class k at the start departs from k and from every class after it on
-    its route.  A run given no ``event_budget`` runs with this one, so a
-    run that exceeds it raises EventBudgetExceeded."""
+    its route.  Every run has this budget, and a run that exceeds it
+    raises EventBudgetExceeded."""
     expected = horizon * sum(
         a * (1 + len(ks)) for a, ks in zip(spec.alpha.tolist(), spec.routes)
     )
@@ -197,10 +197,11 @@ class Simulation:
         self.heap = []
 
         if initial_queues is not None:
-            init = [int(x) for x in initial_queues]
-            if len(init) != K or any(x < 0 for x in init):
-                raise ValueError("initial_queues must be nonnegative, one per class")
-            self.q = init
+            init = list(initial_queues)
+            # 0 <= x < inf first: int() of inf or nan raises
+            if len(init) != K or not all(0 <= x < math.inf and x == int(x) for x in init):
+                raise ValueError("initial_queues must be nonnegative integers, one per class")
+            self.q = [int(x) for x in init]
             for k in range(K):
                 if self.q[k] >= self.nh:
                     self.flags[k] = 1
@@ -299,7 +300,6 @@ class Simulation:
         warmup_frac: float = 0.2,
         sample_times=None,
         invariant_checks: str = "sparse",
-        event_budget: Optional[int] = None,
     ) -> SimTrace:
         if not 0 < horizon < math.inf or not 0.0 <= warmup_frac < 1.0:
             raise EmptyWindowError("empty measurement window")
@@ -335,7 +335,7 @@ class Simulation:
         period = _CHECK_PERIOD[invariant_checks]
         next_check = period if period else -1
         # the default is read through the module global, so a patched one applies
-        budget = default_event_budget(spec, horizon, self.q0) if event_budget is None else event_budget
+        budget = default_event_budget(spec, horizon, self.q0)
 
         # state, tables and callables in locals: the loop reads no attribute
         # and makes no method call of its own.  Bound here, not at import,
@@ -505,17 +505,15 @@ def run(
     initial_queues=None,
     sample_times=None,
     invariant_checks: str = "sparse",
-    event_budget: Optional[int] = None,
 ) -> SimTrace:
-    """Simulate one replication to ``horizon`` and return its trace.  With
-    no ``event_budget`` the run has ``default_event_budget``."""
+    """Simulate one replication to ``horizon`` and return its trace.  The
+    run has ``default_event_budget``."""
     sim = Simulation(spec, n, seed, initial_queues=initial_queues)
     return sim.run(
         horizon,
         warmup_frac=warmup_frac,
         sample_times=sample_times,
         invariant_checks=invariant_checks,
-        event_budget=event_budget,
     )
 
 

@@ -59,6 +59,7 @@ _ROOT_TOL = 1e-13     # residual that counts as zero, and tie allowed by a piece
 _ROOT_STEPS = 200     # evaluations allowed per sliding admission root
 _FILL_TOL = 1e-14     # departure change that ends the service-allocation sweeps
 _ZENO_WINDOW = 64     # breakpoints that must not fall within a vanishing span
+_MAX_BREAKPOINTS = 20000  # breakpoints one integrate call may record
 
 
 def _classify(q: np.ndarray, hbar: float) -> tuple:
@@ -91,14 +92,14 @@ class FluidState:
     @classmethod
     def initial(cls, spec: NetworkSpec, q, hbar: float, u=None, v=None) -> "FluidState":
         q = np.asarray(q, dtype=float).copy()
-        if q.shape != (spec.num_classes,):
-            raise ValueError("q must have one entry per class")
-        if not 0 < hbar < np.inf:
-            raise ValueError("hbar must be positive and finite")
         u = np.zeros(spec.num_flows) if u is None else np.asarray(u, dtype=float).copy()
         v = np.zeros(spec.num_classes) if v is None else np.asarray(v, dtype=float).copy()
-        if np.any(q < 0) or np.any(u < 0) or np.any(v < 0):
-            raise ValueError("fluid coordinates must be nonnegative")
+        if (q.shape, u.shape, v.shape) != ((spec.num_classes,), (spec.num_flows,), (spec.num_classes,)):
+            raise ValueError("q and v must have one entry per class, u one per flow")
+        if not 0 < hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
+        if not all(np.all((x >= 0) & (x < np.inf)) for x in (q, u, v)):  # nan fails too
+            raise ValueError("fluid coordinates must be nonnegative and finite")
         return cls(q=q, u=u, v=v, hbar=float(hbar))
 
 
@@ -487,13 +488,7 @@ class FluidTrajectory:
         return self.state_at(t).q
 
 
-def integrate(
-    state0: FluidState,
-    spec: NetworkSpec,
-    horizon: float,
-    *,
-    max_breakpoints: int = 20000,
-) -> FluidTrajectory:
+def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTrajectory:
     """Integrate the fluid model from ``state0`` for ``horizon`` time units.
 
     Within a regime the rates are constant, so the state is advanced
@@ -581,8 +576,8 @@ def integrate(
         if stationary:
             break
 
-        if len(times) > max_breakpoints:
-            raise ZenoError(f"more than {max_breakpoints} breakpoints before t={t:.6g}")
+        if len(times) > _MAX_BREAKPOINTS:
+            raise ZenoError(f"more than {_MAX_BREAKPOINTS} breakpoints before t={t:.6g}")
         if len(times) > _ZENO_WINDOW:
             span = times[-1] - times[-_ZENO_WINDOW]
             if span < 1e-12 * max(1.0, horizon):

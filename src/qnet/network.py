@@ -10,21 +10,18 @@ Each spec compiles its index tables once, in ``__post_init__`` (see the
 field comments): ``routes``, ``egress``, ``successor``, ``members``,
 ``fed``, ``cycles``, ``feeder``, ``sweep``, ``acyclic``, the read-only
 arrays ``alpha``, ``mu`` and ``w``, and the per-class float tuples
-``w_tab``, ``mu_tab`` and ``w_mu_tab`` (w / mu).  The fluid service
-allocation reads ``feeder`` (the rate entering each class: an admission
-or the departure of the class before it on its route), ``sweep`` (an
-upstream-first station order), ``acyclic`` (the station feed graph has
-no cycle, so one sweep in that order is exact) and the float tuples,
-which spare its water-filling a ``tolist()`` and a division per call.  ``des`` reads the tables in its event
-loop and ``fluid`` on every rate solve; the views (``flow_classes``,
-``next_class``, ``visit_cycle``, ...) return them.  The read-only
-``routing_matrix`` and ``constituency`` are derived in the same place but
-from ``class_of``, ``flow_paths`` and ``station_of`` alone, never from the
-tables above, as the independent reference the ``des`` invariant checks use.
+``w_tab``, ``mu_tab`` and ``w_mu_tab``, which spare the fluid
+water-filling a ``tolist()`` and a division per call.  ``des`` reads the
+tables in its event loop and ``fluid`` on every rate solve; the views
+(``flow_classes``, ``next_class``, ``visit_cycle``, ...) return them.  The
+read-only ``routing_matrix`` and ``constituency`` are derived in the same
+place but from ``class_of``, ``flow_paths`` and ``station_of`` alone,
+never from the tables above, as the independent reference the ``des``
+invariant checks use.
 
-``build_network`` checks the paths and the class numbering before it
-indexes anything, so a spec's class ids are 0..K-1, each once; ``validate``
-checks the rest (rates, weights, thresholds, revisits, ingress classes).
+``build_network`` checks every fault before it builds anything (paths and
+class numbering first, so class ids are 0..K-1, each once), so every spec
+it returns can be run by ``des`` and ``fluid``; ``validate`` only warns.
 """
 from __future__ import annotations
 
@@ -119,8 +116,7 @@ class NetworkSpec:
             "w": _read_only(w),
             "w_tab": tuple(w),
             "mu_tab": tuple(mu),
-            # a zero service rate fails validate(); inf keeps the spec buildable
-            "w_mu_tab": tuple(a / b if b else math.inf for a, b in zip(w, mu)),
+            "w_mu_tab": tuple(a / b for a, b in zip(w, mu)),
             "routing_matrix": P,
             "constituency": C,
         }
@@ -168,7 +164,7 @@ def _read_only(values) -> np.ndarray:
 def _visit_cycle(ks, ws) -> tuple:
     denom = math.lcm(*(w.denominator for w in ws))
     counts = [int(w * denom) for w in ws]
-    # gcd 0 means no fed class or all weights zero (validate() reports those)
+    # weights are positive, so gcd 0 means the station has no fed class
     g = math.gcd(*counts) or 1
     return tuple(k for k, c in zip(ks, counts) for _ in range(c // g))
 
@@ -222,7 +218,7 @@ def build_network(
     class_ids: Optional[dict] = None,
     idle_slots: Optional[dict] = None,
 ) -> NetworkSpec:
-    """Check the class numbering, then assemble a NetworkSpec.
+    """Check every fault, then assemble a NetworkSpec.
 
     Default numbering assigns the ingress class of flow f the id f and the
     remaining classes sequential ids in (flow, hop) order.  ``class_ids``
@@ -234,18 +230,20 @@ def build_network(
     the number of idle slots.
 
     Raises ValueError before anything is indexed, listing every fault as
-    ``<field>: message`` (fields ``arrival``, ``service`` and ``weights``
-    when they do not hold one entry per flow, ``flows[f].path``,
-    ``flows[f].service``, ``class_ids`` and ``idle_slots``), the faults
-    joined by ``"; "``.
+    ``<field>: message`` joined by ``"; "``: first the shape and numbering
+    faults (``arrival``, ``service`` or ``weights`` without one entry per
+    flow, ``flows[f].path``, ``flows[f].service``, ``class_ids``,
+    ``idle_slots``), then, once the numbering holds, the rest: no flows,
+    ``threshold_base`` outside (0, inf), ``hysteresis_gap`` outside
+    [0, inf), a revisited station, flow f not entering at class f, a
+    weight that is not a positive rational, a rate outside (0, inf).
     """
     flow_paths = tuple(tuple(int(s) for s in p) for p in flow_paths)
     F = len(flow_paths)
     if num_stations is None:
         num_stations = 1 + max((s for p in flow_paths for s in p), default=-1)
-    if weights is None:
-        weights = [Fraction(1)] * F
-    weights = tuple(Fraction(w) for w in weights)
+    given = [1] * F if weights is None else list(weights)
+    weights = tuple(_weight(w) for w in given)
     arrival = tuple(arrival)
     idle_slots = {int(k): int(s) for k, s in (idle_slots or {}).items()}
     pairs = [(f, hop) for f, path in enumerate(flow_paths) for hop in range(len(path))]
@@ -280,6 +278,26 @@ def build_network(
     if faults:
         raise ValueError("; ".join(faults))
 
+    # the numbering holds, so these may index the class map
+    h, gap = float(threshold_base), float(hysteresis_gap)
+    faults = [] if F else ["flows: expected a nonempty list"]
+    if not 0 < h < math.inf:
+        faults.append(f"threshold_base: expected a positive finite number, not {h!r}")
+    if not 0 <= gap < math.inf:
+        faults.append(f"hysteresis_gap: expected a nonnegative finite number, not {gap!r}")
+    for f, path in enumerate(flow_paths):
+        if len(set(path)) != len(path):
+            faults.append(f"flows[{f}].path: revisits a station")
+        if class_of[(f, 0)] != f:
+            faults.append(f"class_ids: flow {f} enters at class {class_of[(f, 0)]}, not {f}")
+        if weights[f] is None:
+            faults.append(f"flows[{f}].weight: expected a positive rational, not {given[f]}")
+        rates = [("arrival", arrival[f])] + [(f"service[{hop}]", d) for hop, d in enumerate(service[f])]
+        faults += [f"flows[{f}].{name}: expected a rate in (0, inf), not {d.rate!r}"
+                   for name, d in rates if not 0 < d.rate < math.inf]
+    if faults:
+        raise ValueError("; ".join(faults))
+
     station_of = [None] * K
     svc = [DistributionSpec.exponential(1.0)] * K  # idle slots serve nothing
     for (f, hop), k in class_of.items():
@@ -298,70 +316,42 @@ def build_network(
         weights=weights,
         arrival_dist=arrival,
         service_dist=tuple(svc),
-        threshold_base=float(threshold_base),
-        hysteresis_gap=float(hysteresis_gap),
+        threshold_base=h,
+        hysteresis_gap=gap,
         idle_slots=frozenset(idle_slots),
     )
 
 
+def _weight(w) -> Optional[Fraction]:
+    """``w`` as a Fraction, or None unless it is a positive rational."""
+    try:
+        w = Fraction(w)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
+    return w if w > 0 else None
+
+
 @dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """Always True: ``build_network`` rejects every faulty network."""
+        return True
 
     def __str__(self):
-        if self.ok and not self.warnings:
-            return "valid"
-        lines = [f"violation: {v}" for v in self.violations]
-        lines += [f"warning: {w}" for w in self.warnings]
-        return "\n".join(lines)
+        return "\n".join(f"warning: {w}" for w in self.warnings) or "valid"
 
 
 def validate(spec: NetworkSpec) -> ValidationReport:
-    """Semantic validation; the report lists every violation.
-
-    The paths' station ids and the class numbering were checked when the
-    spec was built (see ``build_network``); this checks what they leave
-    open: flows exist, the thresholds and weights are in range, every rate
-    is positive and finite, no path revisits a station and flow f enters
-    at class f.  Bounded interarrival support is a warning.
-    """
-    rep = ValidationReport()
-    bad = rep.violations
-
-    if spec.num_flows <= 0:
-        bad.append("network has no flows")
-    if spec.threshold_base <= 0:
-        bad.append("threshold_base must be positive")
-    if spec.hysteresis_gap < 0:
-        bad.append("hysteresis_gap must be nonnegative")
-
-    for f, path in enumerate(spec.flow_paths):
-        if len(set(path)) != len(path):
-            bad.append(f"flow {f}: path revisits a station")
-        if spec.class_of[(f, 0)] != f:
-            bad.append(f"flow {f}: ingress class is {spec.class_of[(f, 0)]}, expected {f}")
-
-    for f, w in enumerate(spec.weights):
-        if w <= 0:
-            bad.append(f"flow {f}: weight must be positive")
-    for f, d in enumerate(spec.arrival_dist):
-        if not 0 < d.rate < math.inf:
-            bad.append(f"flow {f}: arrival rate must be positive and finite")
-        if not d.unbounded_support:
-            rep.warnings.append(
-                f"flow {f}: arrival times have bounded support; long-run "
-                "rate guarantees assume unbounded, spread-out interarrivals"
-            )
-    for k, d in enumerate(spec.service_dist):
-        if not 0 < d.rate < math.inf:
-            bad.append(f"class {k}: service rate must be positive and finite")
-
-    return rep
+    """Warnings about a network that ``build_network`` accepted: arrival
+    times with bounded support.  Every fault was raised at build time."""
+    return ValidationReport([
+        f"flow {f}: arrival times have bounded support; long-run "
+        "rate guarantees assume unbounded, spread-out interarrivals"
+        for f, d in enumerate(spec.arrival_dist) if not d.unbounded_support
+    ])
 
 
 def offered_load(spec: NetworkSpec) -> np.ndarray:

@@ -299,7 +299,7 @@ def test_criterion_7_invariant_suites():
     spec_count = 0
     while total_events < 1_000_000:
         spec = _random_spec(rng)
-        assert qnet.validate(spec).ok
+        assert str(qnet.validate(spec)) == "valid"
         trace = qnet.run(
             spec, n=int(rng.integers(1, 12)), seed=int(rng.integers(2**31)),
             horizon=6e4, invariant_checks="every",

@@ -122,7 +122,7 @@ class TestConfig:
         p = tmp_path / "readme.yaml"
         p.write_text(text.split("```yaml\n", 1)[1].split("```", 1)[0])
         cfg = load_config(p)
-        assert validate(cfg.network).ok
+        assert str(validate(cfg.network)) == "valid"
         assert cfg.simulate["sample_count"] == 200 and cfg.verify["time_budget"] == 100.0
 
     def test_set_construction(self):
@@ -365,6 +365,16 @@ class TestCli:
              " network.class_ids: class id 2 is not in [0, 2)"),
             ("validate", TANDEM_YAML.replace("path: [0, 1]", "path: [0, 5]"),
              "network.flows[0].path: station 5 is not in [0, 2)"),
+            # faults the network passed at load and validate then reported
+            ("validate", TANDEM_YAML.replace("path: [0, 1]", "path: [0, 1, 0]").replace(
+                "{exponential: 0.5}]", "{exponential: 0.5}, {exponential: 1.0}]"),
+             "network.flows[0].path: revisits a station"),
+            ("validate", TANDEM_YAML.replace("weight: 1", "weight: 0"),
+             "network.flows[0].weight: expected a positive rational, not 0"),
+            ("validate", TANDEM_YAML.replace("arrival: {exponential: 1.0}", "arrival: {exponential: 0}"),
+             "network.flows[0].arrival: expected a rate in (0, inf), not 0.0"),
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 1], [0, 1, 0]]\n  flows:"),
+             "network.class_ids: flow 0 enters at class 1, not 0"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
@@ -374,14 +384,16 @@ class TestCli:
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
              "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",
              "idle_station_too_large", "hop_without_class_id", "hop_past_path", "flow_past_paths",
-             "station_too_large"],
+             "station_too_large", "path_revisit", "weight_zero", "arrival_rate_zero", "ingress_class"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError
         # traceback, in a scalar broadcast to every flow (target_rates), in
         # a quietly degenerate run (seed 1.7 ran as seed 1, n nan never
         # discarded), in a run that never ended (infinite horizons), or in
-        # an IndexError or KeyError while the network was built (numbering)
+        # an IndexError or KeyError while the network was built (numbering);
+        # the network faults validate used to list as violation: lines now
+        # exit 1 from the load, as every other fault does
         p = tmp_path / "tandem.yaml"
         p.write_text(extra if extra.startswith("version") else TANDEM_YAML + extra)
         out = tmp_path / "out"

@@ -175,12 +175,6 @@ def test_thinning_bound():
     assert (trace.admitted <= trace.exogenous).all()
 
 
-def test_event_budget_guard():
-    spec = tandem_spec(1.0, 0.8, 0.5)
-    with pytest.raises(EventBudgetExceeded):
-        run(spec, 10, seed=0, horizon=1e5, event_budget=100)
-
-
 def test_default_event_budget():
     from qnet.des import default_event_budget
 
@@ -199,6 +193,14 @@ def test_run_without_budget_has_the_default(monkeypatch):
     monkeypatch.setattr(qnet.des, "default_event_budget", lambda *args: 10)
     with pytest.raises(EventBudgetExceeded, match="exceeded event budget 10 at t="):
         run(tandem_spec(1.0, 0.8, 0.5), 10, seed=0, horizon=1e3)
+
+
+@pytest.mark.parametrize("queues", [[1.7, 0.2], [np.inf, 0], [np.nan, 0]], ids=["fraction", "inf", "nan"])
+def test_initial_queues_not_nonnegative_integers_rejected(queues):
+    # a fraction used to be truncated ([1.7, 0.2] started from [1, 0]) and
+    # an inf entry ended in an OverflowError
+    with pytest.raises(ValueError, match="initial_queues must be nonnegative integers, one per class"):
+        Simulation(tandem_spec(1.0, 0.8, 0.5), 5, 1, initial_queues=queues)
 
 
 def test_empty_window_rejected():
@@ -519,7 +521,7 @@ def test_check_modes_and_sampling_leave_the_run_unchanged(monkeypatch):
     grid = np.linspace(0.0, horizon, 41)
     for _ in range(20):
         spec = _criterion7_spec(rng)
-        assert validate(spec).ok
+        assert str(validate(spec)) == "valid"
         n, seed = int(rng.integers(1, 12)), int(rng.integers(2**31))
         traces = []
         for mode, times in [("off", None), ("sparse", None), ("every", None), ("off", grid)]:

@@ -275,15 +275,13 @@ class TestDepartureRates:
         assert flow == pytest.approx([0.0], abs=1e-12)
 
 
-def test_breakpoint_budget_guard():
+def test_breakpoint_budget_guard(monkeypatch):
     from qnet.fluid import ZenoError
 
+    monkeypatch.setattr(qnet.fluid, "_MAX_BREAKPOINTS", 3)
     spec = tandem_spec(1.0, 0.8, 0.5)
-    with pytest.raises(ZenoError):
-        integrate(
-            FluidState.initial(spec, [2.5, 0.7], 1.0), spec, 50.0,
-            max_breakpoints=3,
-        )
+    with pytest.raises(ZenoError, match="more than 3 breakpoints"):
+        integrate(FluidState.initial(spec, [2.5, 0.7], 1.0), spec, 50.0)
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan])
@@ -298,6 +296,29 @@ def test_horizon_not_finite_rejected(horizon):
 def test_initial_hbar_not_positive_and_finite_rejected(hbar):
     with pytest.raises(ValueError, match="hbar must be positive and finite"):
         FluidState.initial(tandem_spec(1.0, 0.8, 0.5), [0.5, 0.5], hbar)
+
+
+@pytest.mark.parametrize(
+    "q, u, v",
+    [([np.nan, 0.0], None, None), ([np.inf, 0.0], None, None),
+     ([0.0, 0.0], [np.nan], None), ([0.0, 0.0], [np.inf], None),
+     ([0.0, 0.0], None, [np.inf, 0.0]), ([0.0, 0.0], None, [np.nan, 0.0])],
+    ids=["q_nan", "q_inf", "u_nan", "u_inf", "v_inf", "v_nan"],
+)
+def test_initial_coordinates_not_finite_rejected(q, u, v):
+    # these used to end in a ZenoError at t=nan (q nan), a trajectory ending
+    # at inf (q inf), an absorption as if u were 0 (u nan) or two
+    # breakpoints and no error (v inf)
+    with pytest.raises(ValueError, match="fluid coordinates must be nonnegative and finite"):
+        FluidState.initial(tandem_spec(1.0, 0.8, 0.5), q, 1.0, u=u, v=v)
+
+
+@pytest.mark.parametrize("u, v", [([0.5, 0.5], None), (None, [0.3])], ids=["u_long", "v_short"])
+def test_initial_clocks_wrong_length_rejected(u, v):
+    # a second clock on the one-flow tandem used to be ignored, and a short
+    # v ended in an IndexError inside integrate
+    with pytest.raises(ValueError, match="q and v must have one entry per class, u one per flow"):
+        FluidState.initial(tandem_spec(1.0, 0.8, 0.5), [0.0, 0.0], 1.0, u=u, v=v)
 
 
 def test_cross_flow_sliding_coupling():

@@ -18,7 +18,7 @@ EXP1 = DistributionSpec.exponential(1.0)
 
 
 def test_tandem_valid():
-    assert validate(tandem_spec(1.0, 0.8, 0.5)).ok
+    assert str(validate(tandem_spec(1.0, 0.8, 0.5))) == "valid"
 
 
 def test_tandem_unknown_arrival_kind_rejected():
@@ -26,17 +26,6 @@ def test_tandem_unknown_arrival_kind_rejected():
     with pytest.raises(ValueError, match="pareto_paper or deterministic, not 'exponentail'"):
         tandem_spec(1.0, 0.8, 0.5, arrival_kind="exponentail")
     assert tandem_spec(1.0, 0.8, 0.5, arrival_kind="deterministic").arrival_dist[0].param == 1.0
-
-
-def test_repeated_station_invalid():
-    spec = build_network(
-        [(0, 1, 0)],
-        arrival=[EXP1],
-        service=[[EXP1, EXP1, EXP1]],
-    )
-    report = validate(spec)
-    assert not report.ok
-    assert any("revisits" in v for v in report.violations)
 
 
 def test_reference_matrices_read_only_and_cycle_unbuildable():
@@ -86,19 +75,50 @@ def test_build_network_rejects_bad_numbering(paths, kw, message):
     assert str(exc.value) == message
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "paths, kw, message",
+    [
+        ([(0, 1)], dict(threshold_base=0), "threshold_base: expected a positive finite number, not 0.0"),
+        ([(0, 1)], dict(threshold_base=NAN), "threshold_base: expected a positive finite number, not nan"),
+        ([(0, 1)], dict(threshold_base=INF), "threshold_base: expected a positive finite number, not inf"),
+        ([(0, 1)], dict(hysteresis_gap=-1), "hysteresis_gap: expected a nonnegative finite number, not -1.0"),
+        ([(0, 1)], dict(hysteresis_gap=NAN), "hysteresis_gap: expected a nonnegative finite number, not nan"),
+        ([(0, 1)], dict(hysteresis_gap=INF), "hysteresis_gap: expected a nonnegative finite number, not inf"),
+        ([(0, 1, 0)], dict(service=[[EXP1] * 3]), "flows[0].path: revisits a station"),
+        ([(0, 1)], dict(class_ids={(0, 0): 1, (0, 1): 0}), "class_ids: flow 0 enters at class 1, not 0"),
+        ([(0, 1)], dict(weights=[0]), "flows[0].weight: expected a positive rational, not 0"),
+        ([(0, 1)], dict(weights=["-1/2"]), "flows[0].weight: expected a positive rational, not -1/2"),
+        ([(0,), (0,)], dict(arrival=[EXP1] * 2, service=[[EXP1], [EXP1]], weights=[0, -1]),
+         "flows[0].weight: expected a positive rational, not 0;"
+         " flows[1].weight: expected a positive rational, not -1"),
+        ([(0, 1)], dict(arrival=[DistributionSpec.exponential(0)]),
+         "flows[0].arrival: expected a rate in (0, inf), not 0.0"),
+        ([(0, 1)], dict(arrival=[DistributionSpec.deterministic(0)]),
+         "flows[0].arrival: expected a rate in (0, inf), not inf"),
+        ([(0, 1)], dict(service=[[EXP1, DistributionSpec.exponential(0)]]),
+         "flows[0].service[1]: expected a rate in (0, inf), not 0.0"),
+        ([], dict(arrival=[], service=[]), "flows: expected a nonempty list"),
+    ],
+    ids=["threshold_zero", "threshold_nan", "threshold_inf", "gap_negative", "gap_nan", "gap_inf",
+         "revisit", "ingress_class", "weight_zero", "weight_negative_fraction", "weights_zero_and_negative",
+         "arrival_rate_zero", "arrival_time_zero", "service_rate_zero", "no_flows"],
+)
+def test_build_network_rejects_faulty_network(paths, kw, message):
+    # these built specs that des.run or fluid.integrate could not run: a
+    # zero rate or weight ended in a ZeroDivisionError, an idle-while-
+    # backlogged InvariantViolation or a rate of 0, a NaN or infinite
+    # threshold never discarded and a NaN gap never turned a flag off
+    with pytest.raises(ValueError) as exc:
+        build_network(paths, **{**TANDEM, **kw})
+    assert str(exc.value) == message
+
+
 def test_switch_offered_load():
     spec = switch_example_spec()
     assert offered_load(spec) == pytest.approx([1.2, 0.6, 0.6, 1.2], abs=1e-12)
-
-
-def test_zero_arrival_offered_load():
-    spec = build_network(
-        [(0, 1)],
-        arrival=[DistributionSpec.exponential(0.0)],
-        service=[[EXP1, EXP1]],
-    )
-    assert offered_load(spec) == pytest.approx([0.0, 0.0])
-    assert not validate(spec).ok  # zero arrival rate is still flagged
 
 
 def test_switch_structure():
@@ -114,7 +134,7 @@ def test_switch_structure():
     assert spec.station_of[SWITCH.flow2_ingress] == 0
     assert spec.station_of[SWITCH.flow2_egress] == 3
     assert spec.station_of[SWITCH.flow3_egress] == 3
-    assert validate(spec).ok
+    assert str(validate(spec)) == "valid"
 
 
 def test_switch_idle_slots_carry_no_flow():
@@ -136,9 +156,10 @@ def test_deterministic_arrival_warned():
         arrival=[DistributionSpec.deterministic(1.0)],
         service=[[EXP1]],
     )
-    report = validate(spec)
-    assert report.ok
-    assert report.warnings
+    assert str(validate(spec)) == (
+        "warning: flow 0: arrival times have bounded support; long-run "
+        "rate guarantees assume unbounded, spread-out interarrivals"
+    )
 
 
 def test_weights_rational_cycle():
@@ -190,7 +211,7 @@ def random_networks(draw):
 @settings(max_examples=50, deadline=None)
 @given(random_networks())
 def test_random_network_structure(spec):
-    assert validate(spec).ok
+    assert str(validate(spec)) == "valid"
     P = spec.routing_matrix.astype(np.int64)
     # each row has at most one successor and P^K vanishes exactly
     assert (P.sum(axis=1) <= 1).all()
@@ -203,6 +224,55 @@ def test_random_network_structure(spec):
     # class numbering is a bijection (flow, hop) <-> {0..K-1}
     ids = sorted(spec.class_of.values())
     assert ids == list(range(spec.num_classes))
+
+
+# input pools: three good values, then every kind of bad one
+RATES = [1.0, 0.5, 2.0, 0.0, -1.0, NAN, INF]
+WEIGHTS = [1, 2, "1/3", 0, -1, "-1/2", NAN, INF]
+THRESHOLDS = [1.0, 0.5, 3.0, 0.0, -1.0, NAN, INF]
+GAPS = [0.0, 1.0, 0.5, -1.0, NAN, INF]
+
+
+@st.composite
+def network_inputs(draw):
+    # half the draws take every value from the good part of its pool
+    pick = (lambda pool: st.sampled_from(pool[:3])) if draw(st.booleans()) else st.sampled_from
+    d = draw(st.integers(1, 3))
+    paths = draw(st.lists(st.permutations(range(d)).flatmap(
+        lambda p: st.integers(1, d).map(lambda n: p[:n])), min_size=1, max_size=3))
+    dist = st.tuples(st.sampled_from(["exponential", "pareto_paper", "deterministic"]), pick(RATES))
+    return dict(
+        flow_paths=paths,
+        arrival=[draw(dist) for _ in paths],
+        service=[[draw(dist) for _ in p] for p in paths],
+        weights=[draw(pick(WEIGHTS)) for _ in paths],
+        threshold_base=draw(pick(THRESHOLDS)),
+        hysteresis_gap=draw(pick(GAPS)),
+        num_stations=d,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(network_inputs())
+def test_every_built_network_runs(kw):
+    # a network is rejected at build time or it runs: the DES to its
+    # horizon with every invariant checked, and the fluid rates are finite
+    from qnet import des, fluid
+
+    try:
+        spec = build_network(
+            kw["flow_paths"],
+            arrival=[DistributionSpec(*a) for a in kw["arrival"]],
+            service=[[DistributionSpec(*s) for s in hops] for hops in kw["service"]],
+            **{key: kw[key] for key in ("weights", "threshold_base", "hysteresis_gap", "num_stations")},
+        )
+    except ValueError:  # DistributionSpec rejects negative and NaN parameters
+        return
+    trace = des.run(spec, 4, seed=1, horizon=20.0, invariant_checks="every")
+    assert trace.horizon == 20.0
+    state = fluid.FluidState.initial(spec, np.zeros(spec.num_classes), spec.threshold_base)
+    rv = fluid.solve_rates(state, spec)
+    assert all(np.isfinite(x).all() for x in (rv.admit, rv.depart, rv.busy, rv.idle))
 
 
 def test_cycle_enumeration_bounds_imbalance_by_one():
