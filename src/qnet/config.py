@@ -12,7 +12,9 @@ holds plain Python values that need no further checks.  The kinds:
   positive, nonnegative or a fraction in [0, 1);
 * an integer is a finite integral number: ``2`` and ``2.0`` read as 2;
 * lists (read as tuples) and mappings of such values;
-* class ids are integers in [0, number of classes).
+* class ids are integers in [0, number of classes);
+* per-class and per-flow lists have one entry per class or flow of the
+  network (``_check_lengths``).
 
 Any other value raises ConfigError naming ``<section>.<field>``; so does
 every network fault that ``build_network`` finds, as ``network.<field>``.
@@ -281,6 +283,25 @@ def _version(value, where: str) -> int:
     return value
 
 
+def _check_lengths(cfg: LoadedConfig) -> None:
+    """Per-class and per-flow lists of the run sections, checked against
+    the network once it is built."""
+    K, F = cfg.network.num_classes, cfg.network.num_flows
+    fluid, simulate, verify = cfg.fluid or {}, cfg.simulate or {}, cfg.verify or {}
+    lists = [
+        ("fluid.initial_q", fluid.get("initial_q"), K, "class"),
+        ("fluid.initial_u", fluid.get("initial_u"), F, "flow"),
+        ("fluid.initial_v", fluid.get("initial_v"), K, "class"),
+        ("simulate.initial_queues", simulate.get("initial_queues"), K, "class"),
+        ("experiment.target_rates", cfg.experiment and cfg.experiment.target_rates, F, "flow"),
+        ("verify.target_rates", verify.get("target_rates"), F, "flow"),
+    ]
+    lists += [(f"verify.starts[{i}]", q, K, "class") for i, q in enumerate(verify.get("starts") or ())]
+    for where, value, length, per in lists:
+        if value is not None and len(value) != length:
+            raise ConfigError(f"{where}: expected one entry per {per} ({length}), not {len(value)}")
+
+
 @dataclass
 class LoadedConfig:
     version: int
@@ -314,4 +335,5 @@ def load_config(path) -> LoadedConfig:
         "trace_queues": (_class_ids(K), ()),
         "fluid_phase": (_class_ids(K, 2), None),
     })
+    _check_lengths(cfg)
     return cfg

@@ -76,6 +76,9 @@ class NetworkSpec:
     # station i serves class k
     routing_matrix: np.ndarray = field(init=False, repr=False)
     constituency: np.ndarray = field(init=False, repr=False)
+    # fluid.solve_rates memo: regime key -> rate tuples, one entry per regime
+    # solved on this spec; empty for a new spec, and dataclasses.replace too
+    _rates_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = self.num_classes
@@ -122,6 +125,7 @@ class NetworkSpec:
         }
         for name, table in tables.items():
             object.__setattr__(self, name, table)
+        object.__setattr__(self, "_rates_memo", {})
 
     # -- views of the tables -------------------------------------------
     def flow_classes(self, f: int) -> tuple:
@@ -430,7 +434,8 @@ def tandem_spec(
     elif arrival_kind == "pareto_paper":
         arr = DistributionSpec.pareto_paper(lam)
     elif arrival_kind == "deterministic":
-        arr = DistributionSpec.deterministic(1.0 / lam)
+        # a zero rate is an infinite interarrival time, which build_network rejects
+        arr = DistributionSpec.deterministic(math.inf if lam == 0 else 1.0 / lam)
     else:
         raise ValueError(
             f"arrival_kind must be exponential, pareto_paper or deterministic, not {arrival_kind!r}"

@@ -375,6 +375,21 @@ class TestCli:
              "network.flows[0].arrival: expected a rate in (0, inf), not 0.0"),
             ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 1], [0, 1, 0]]\n  flows:"),
              "network.class_ids: flow 0 enters at class 1, not 0"),
+            # lists with one entry per class (2) or per flow (1) of the tandem
+            ("fluid", "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 1, 1]}\n",
+             "fluid.initial_q: expected one entry per class (2), not 3"),
+            ("fluid", "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 1], initial_v: [0.3]}\n",
+             "fluid.initial_v: expected one entry per class (2), not 1"),
+            ("fluid", "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 1], initial_u: [0.2, 0.1]}\n",
+             "fluid.initial_u: expected one entry per flow (1), not 2"),
+            ("simulate", "simulate: {n: 4, horizon: 50, seed: 2, initial_queues: [4]}\n",
+             "simulate.initial_queues: expected one entry per class (2), not 1"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, target_rates: [0.5, 0.5]}\n",
+             "experiment.target_rates: expected one entry per flow (1), not 2"),
+            ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: [0.5, 0.5]}\n",
+             "verify.target_rates: expected one entry per flow (1), not 2"),
+            ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0, starts: [[1, 1], [1]]}\n",
+             "verify.starts[1]: expected one entry per class (2), not 1"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
@@ -384,7 +399,9 @@ class TestCli:
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
              "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",
              "idle_station_too_large", "hop_without_class_id", "hop_past_path", "flow_past_paths",
-             "station_too_large", "path_revisit", "weight_zero", "arrival_rate_zero", "ingress_class"],
+             "station_too_large", "path_revisit", "weight_zero", "arrival_rate_zero", "ingress_class",
+             "initial_q_length", "initial_v_length", "initial_u_length", "initial_queues_length",
+             "experiment_target_rates_length", "verify_target_rates_length", "starts_entry_length"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError
@@ -393,7 +410,9 @@ class TestCli:
         # discarded), in a run that never ended (infinite horizons), or in
         # an IndexError or KeyError while the network was built (numbering);
         # the network faults validate used to list as violation: lines now
-        # exit 1 from the load, as every other fault does
+        # exit 1 from the load, as every other fault does; a list of the
+        # wrong length failed without naming its field, or (target_rates)
+        # was broadcast against the flow rates and the run exited 0
         p = tmp_path / "tandem.yaml"
         p.write_text(extra if extra.startswith("version") else TANDEM_YAML + extra)
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -83,8 +84,11 @@ class TestSolveRates:
             arrival=[D.exponential(0.9), D.exponential(0.9)],
             service=[[D.exponential(1.0)], [D.exponential(1.0)]],
         )
-        with pytest.raises(ValueError, match="residual service"):
-            solve_rates(FluidState.initial(spec, [0.5, 0.5], 10.0, v=[0.3, 0.4]), spec)
+        state = FluidState.initial(spec, [0.5, 0.5], 10.0, v=[0.3, 0.4])
+        for _ in range(2):  # raised on every call, never memoized
+            with pytest.raises(ValueError, match="residual service"):
+                solve_rates(state, spec)
+        assert not spec._rates_memo
 
     def test_switch_phase_portrait_rows(self):
         q2q7 = SWITCH.flow2_ingress, SWITCH.flow2_egress
@@ -454,6 +458,85 @@ def test_rate_invariants_on_random_networks(case):
     assert conservation_residual(spec, traj) <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(fluid_cases())
+def test_memo_hits_match_solves_on_a_new_spec(case):
+    # integrate leaves the regimes along the path in the memo, so every
+    # breakpoint state is then a hit; each hit gives the arrays of a solve
+    # on a new spec, whose memo starts empty, bit for bit
+    from qnet import fluid
+
+    spec, state, horizon = case
+    traj = integrate(state, spec, horizon)
+    states = [FluidState(q, u, v, traj.hbar) for q, u, v in zip(traj.q, traj.u, traj.v)]
+    entries = len(spec._rates_memo)
+    solve_regime, misses = fluid._solve_regime, []
+
+    def counted(*args):
+        misses.append(1)
+        return solve_regime(*args)
+
+    fluid._solve_regime = counted
+    try:
+        hits = [solve_rates(st_, spec) for st_ in states]
+    finally:
+        fluid._solve_regime = solve_regime
+    assert not misses and len(spec._rates_memo) == entries
+    for st_, hit in zip(states, hits):
+        new = dataclasses.replace(spec)
+        assert not new._rates_memo
+        fresh = solve_rates(st_, new)
+        for name in ("admit", "depart", "busy", "idle", "arrival"):
+            assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+class TestRateMemo:
+    def test_one_regime_one_entry(self, monkeypatch):
+        # interior ingress queue, second queue at the threshold with its
+        # service gate closed, arrival clock waiting: only the masks agree
+        from qnet import fluid
+
+        misses = []
+        solve_regime = fluid._solve_regime
+
+        def counted(*args):
+            misses.append(1)
+            return solve_regime(*args)
+
+        monkeypatch.setattr(fluid, "_solve_regime", counted)
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        a = solve_rates(FluidState.initial(spec, [0.3, 1.0], 1.0, u=[0.2], v=[0.0, 0.4]), spec)
+        b = solve_rates(FluidState.initial(spec, [2.0, 2.5], 2.5, u=[0.9], v=[0.0, 1.3]), spec)
+        assert len(misses) == 1 and len(spec._rates_memo) == 1
+        assert a.admit.tolist() == b.admit.tolist() == [0.0]
+        assert a.depart.tolist() == b.depart.tolist() == [0.8, 0.0]
+
+    def test_returned_arrays_do_not_reach_the_memo(self):
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        state = FluidState.initial(spec, [0.0, 1.0], 1.0)
+        rv = solve_rates(state, spec)
+        want = rv.depart.tolist()
+        rv.depart[:] = -1.0
+        rv.admit[0] = 7.0
+        again = solve_rates(state, spec)
+        assert again.depart.tolist() == want
+        assert again.admit.tolist() == [pytest.approx(0.5, abs=1e-12)]
+
+    def test_verify_C2_memoizes_one_entry_per_regime(self):
+        from qnet.absorption import member_states, switch_equilibrium_set, verify_C2
+
+        spec = switch_example_spec()
+        eqset = switch_equilibrium_set(0.5)
+        report = verify_C2(spec, eqset, 1.0, [0.5, 0.5, 0.5], per_piece=40, seed=4)
+        assert report.max_deviation == 0.0 and len(report.flow_rates) == 82
+        regimes = set()
+        for st_ in member_states(eqset, 1.0, spec, per_piece=40, seed=4):
+            atol, empty, at_thr, above = _classify(st_.q, st_.hbar)
+            masks = (~empty | (st_.v > atol), st_.v <= atol, st_.u > atol, above, at_thr)
+            regimes.add(np.concatenate(masks).tobytes())
+        assert len(spec._rates_memo) == len(regimes) == 4
+
+
 def conservation_residual(spec, traj):
     """Largest deviation from Q = Q(0) + A - D over the breakpoints, with
     A = P^T D + Lambda from the booked cumulative rates."""
@@ -547,11 +630,11 @@ class TestSlidingRoot:
         assert checked >= 2 * len(states) + 20
 
     def test_allocate_calls_per_sliding_switch_solve(self, monkeypatch):
-        # the bisection took 251 fixed points per solve on these states
+        # the bisection took 251 fixed points per solve on these states;
+        # each state is solved on a new spec, whose rate memo is empty
         from qnet import fluid
         from qnet.absorption import member_states, switch_equilibrium_set
 
-        spec = switch_example_spec()
         calls = []
         allocate = fluid._allocate
 
@@ -560,10 +643,11 @@ class TestSlidingRoot:
             return allocate(*args)
 
         monkeypatch.setattr(fluid, "_allocate", counted)
-        states = member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4)
+        eqset = switch_equilibrium_set(0.5)
+        states = member_states(eqset, 1.0, switch_example_spec(), per_piece=20, seed=4)
         for st_ in states + [settled_switch_state(1.0, 0.4), settled_switch_state(0.5, 1.0)]:
             calls.clear()
-            solve_rates(st_, spec)
+            solve_rates(st_, switch_example_spec())
             assert 0 < len(calls) <= 30
 
     def test_flat_at_zero_downstream_of_backlogged_queue(self):
@@ -636,13 +720,15 @@ class TestSlidingRoot:
         assert len(calls) <= 25
         for st_ in member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4):
             calls.clear()
-            solve_rates(st_, spec)
-            assert len(calls) <= 15
+            solve_rates(st_, switch_example_spec())  # a new spec: no memo hit
+            assert 0 < len(calls) <= 15
 
     def test_mean_calls_per_member_state_solve(self, monkeypatch):
         # re-solving every sliding flow on every pass took 5.05 roots and
         # 11.05 allocations per solve on these states; a root is now solved
-        # again only after another flow's admission moved
+        # again only after another flow's admission moved.  Each state is
+        # solved on a new spec, so the counts are the solver's, not the
+        # memo's hit rate.
         from qnet import fluid
         from qnet.absorption import member_states, switch_equilibrium_set
 
@@ -653,10 +739,10 @@ class TestSlidingRoot:
                 return _inner(*args)
 
             monkeypatch.setattr(fluid, name, counted)
-        spec = switch_example_spec()
-        states = member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4)
+        eqset = switch_equilibrium_set(0.5)
+        states = member_states(eqset, 1.0, switch_example_spec(), per_piece=20, seed=4)
         for st_ in states:
-            solve_rates(st_, spec)
+            solve_rates(st_, switch_example_spec())
         assert calls["_solve_admit_root"] / len(states) <= 4.05
         assert calls["_allocate"] / len(states) <= 9.05
 

@@ -28,6 +28,14 @@ def test_tandem_unknown_arrival_kind_rejected():
     assert tandem_spec(1.0, 0.8, 0.5, arrival_kind="deterministic").arrival_dist[0].param == 1.0
 
 
+def test_tandem_zero_deterministic_arrivals_rejected():
+    # the interarrival time 1/lam used to raise ZeroDivisionError before
+    # build_network could name the fault
+    with pytest.raises(ValueError) as exc:
+        tandem_spec(0, 0.8, 0.5, arrival_kind="deterministic")
+    assert str(exc.value) == "flows[0].arrival: expected a rate in (0, inf), not 0.0"
+
+
 def test_reference_matrices_read_only_and_cycle_unbuildable():
     # the matrices are the invariant checks' reference: they cannot be
     # overwritten, and the one class map that gave a routing cycle (a class
