@@ -546,6 +546,9 @@ def verify_C2(
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     R = np.asarray(target_rates, dtype=float)
+    if R.shape != (spec.num_flows,):
+        got = len(R) if R.ndim == 1 else f"shape {R.shape}"
+        raise ValueError(f"expected one target rate per flow ({spec.num_flows}), not {got}")
     states = member_states(eqset, hbar, spec, per_piece=per_piece, seed=seed)
     rates = []
     for st in states:

@@ -34,13 +34,20 @@ every 1000th event, the default) or ``"every"`` (after every event).
 current state: A = P^T D + Lambda, Q = Q(0) + A - D >= 0, monotone busy
 and idle times, the thinning bound, the draw counts of the renewal
 streams, work conservation and flag/threshold consistency.  Its reference
-structure is read once, in ``Simulation.__init__``, from ``routing_matrix``
-and ``constituency``, never from the index tables the engine runs on.
+structure is read in ``Simulation.__init__`` from ``routing_matrix`` and
+``constituency``, never from the index tables the engine runs on, and
+compiled into a function of straight-line code with fixed indices, once
+per structure (``_compile_check``, about 1 ms): a loop over the structure
+spent most of a check's time on the loop itself.  Measured on 2 shared
+cores, a check costs about 3 us on 2-3 station random networks, where an
+``"every"`` run takes 2.4 times as long as an ``"off"`` run, and 6.4 us
+on the switch (8 classes, 4 stations), where it takes 4.0 times as long.
 Any other mode, or sample times outside the horizon, raise before the
 single-use ``Simulation`` is spent.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -156,6 +163,85 @@ def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None)
     return int(min(10.0 * expected, sys.maxsize)) + backlog + 1000
 
 
+@functools.lru_cache(maxsize=256)
+def _compile_check(feeds: tuple, served: tuple, num_flows: int):
+    """The invariant check of one network structure, as a function
+    ``check(sim, t)`` of straight-line code.
+
+    ``feeds[k]`` is (the classes routed into class k, the flow entering at
+    k or -1), ``served[i]`` the classes station i serves.  Each identity
+    is one ``or``-chain over fixed indices, and a check whose message
+    names a station, a class or a flow is one ``if`` per index, in the
+    order of that index, so the first identity that fails raises its
+    message.  The function reads every piece of state from ``sim`` on
+    each call and stores the busy and idle times it computed for the next
+    call's monotonicity checks.  The source holds only integer indices
+    and fixed text and is kept as the function's ``source``.  Compiling
+    takes about a millisecond, so it is done once per structure.
+    """
+    K, F = len(feeds), int(num_flows)
+
+    def total(terms):
+        return " + ".join(terms) or "0"
+
+    def fail_if(condition, message):
+        return [f"    if {condition}:", f"        raise InvariantViolation({message!r})"]
+
+    def fail_if_any(conditions, message):
+        return fail_if(" or ".join(conditions), message)
+
+    stations = range(len(served))
+    lines = ["def check(sim, t):", "    q = sim.q", "    a = sim.a", "    d = sim.d", "    lam = sim.lam"]
+    routed = [
+        total(([f"lam[{int(f)}]"] if f >= 0 else []) + [f"d[{int(j)}]" for j in preds])
+        for preds, f in feeds
+    ]
+    lines += fail_if_any([f"a[{k}] != {r}" for k, r in enumerate(routed)], "A != P^T D + Lambda")
+    lines.append("    q0 = sim.q0")
+    lines += fail_if_any([f"q[{k}] != q0[{k}] + a[{k}] - d[{k}]" for k in range(K)],
+                         "Q != Q(0) + A - D")
+    lines += fail_if_any([f"q[{k}] < 0" for k in range(K)], "negative queue length")
+    # in-progress services count towards the busy time of their class
+    lines += ["    b = sim.busy[:]", "    bc = sim.busy_class", "    ss = sim.service_start"]
+    for i in stations:
+        lines += [f"    c = bc[{i}]", "    if c >= 0:", f"        b[c] += t - ss[{i}]"]
+    lines.append("    pb = sim._prev_busy")
+    lines += fail_if_any([f"b[{k}] < pb[{k}] - 1e-9" for k in range(K)], "busy time decreased")
+    lines += [f"    i{i} = t - ({total(f'b[{int(k)}]' for k in served[i])})" for i in stations]
+    lines += fail_if_any([f"i{i} < -1e-9" for i in stations], "negative idle time")
+    lines.append("    pi = sim._prev_idle")
+    lines += fail_if_any([f"i{i} < pi[{i}] - 1e-9" for i in stations], "idle time decreased")
+    # one interarrival is always drawn ahead of the pending event
+    lines += ["    e = sim.e", "    s = sim.arr_streams"]
+    for f in range(F):
+        lines += fail_if(f"lam[{f}] > e[{f}]", "admitted more than arrived")
+        lines += fail_if(f"e[{f}] != s[{f}].count - 1", "arrival count disagrees with its stream")
+    # departures are the composition of the service counting process with
+    # the cumulative busy time: every departure is one drawn service, with
+    # one more draw in progress for each class in service
+    lines.append("    s = sim.svc_streams")
+    lines += fail_if_any([f"s[{k}].count - ({k} in bc) != d[{k}]" for k in range(K)],
+                         "departure count disagrees with its stream")
+    for i in stations:
+        if served[i]:
+            backlog = " or ".join(f"q[{int(k)}] > 0" for k in served[i])
+            lines += fail_if(f"bc[{i}] < 0 and ({backlog})", f"station {i} idle while backlogged")
+    lines += ["    nh = sim.nh", "    low = sim.low", "    flags = sim.flags"]
+    for k in range(K):
+        lines += fail_if(f"q[{k}] >= nh and not flags[{k}]", f"flag {k} off at/above threshold")
+        lines += fail_if(f"q[{k}] < low and flags[{k}]", f"flag {k} on below the lower threshold")
+    lines += [
+        "    sim._prev_busy = b",
+        f"    sim._prev_idle = [{', '.join(f'i{i}' for i in stations)}]",
+    ]
+    source = "\n".join(lines) + "\n"
+    namespace = {"InvariantViolation": InvariantViolation}
+    exec(compile(source, "<invariant check>", "exec"), namespace)
+    check = namespace["check"]
+    check.source = source
+    return check
+
+
 class Simulation:
     """One seeded replication.  State is exposed for white-box tests."""
 
@@ -177,10 +263,11 @@ class Simulation:
         entering = [-1] * K
         for f in range(F):
             entering[spec.class_of[(f, 0)]] = f
-        self._feeds = tuple(
+        feeds = tuple(
             (tuple(int(j) for j in np.flatnonzero(P[:, k])), entering[k]) for k in range(K)
         )
-        self._served = tuple(tuple(int(k) for k in np.flatnonzero(C[i])) for i in range(d))
+        served = tuple(tuple(int(k) for k in np.flatnonzero(C[i])) for i in range(d))
+        self._check = _compile_check(feeds, served, F)
 
         self.t = 0.0
         self.q = [0] * K
@@ -222,74 +309,17 @@ class Simulation:
 
         Checks the arrival decomposition A = P^T D + Lambda, the queue
         balance Q = Q(0) + A - D with Q >= 0, monotone busy and idle
-        times, the thinning bound, work conservation (no station idle
-        while backlogged) and flag/threshold consistency.  P and the
-        station constituency come from ``routing_matrix`` and
-        ``constituency``, not from the tables the engine runs on.  The
-        arithmetic is on Python ints and floats, so a check costs a few
-        microseconds and can run after every event.
+        times, the thinning bound, the draw counts of the renewal streams,
+        work conservation (no station idle while backlogged) and
+        flag/threshold consistency, and raises InvariantViolation at the
+        first that fails.  P and the station constituency come from
+        ``routing_matrix`` and ``constituency``, not from the tables the
+        engine runs on.  The checks are straight-line code compiled once
+        per network structure (``_compile_check``), which reads the state
+        from this Simulation on each call; a check costs 3-7 us on the
+        test networks, so it can run after every event.
         """
-        q, a, d, lam = self.q, self.a, self.d, self.lam
-        for k, (preds, f) in enumerate(self._feeds):
-            routed = lam[f] if f >= 0 else 0
-            for j in preds:
-                routed += d[j]
-            if a[k] != routed:
-                raise InvariantViolation("A != P^T D + Lambda")
-        for q0k, ak, dk, qk in zip(self.q0, a, d, q):
-            if qk != q0k + ak - dk:
-                raise InvariantViolation("Q != Q(0) + A - D")
-        if min(q) < 0:
-            raise InvariantViolation("negative queue length")
-        busy = self.busy[:]
-        busy_class = self.busy_class
-        for i, c in enumerate(busy_class):
-            if c >= 0:
-                busy[c] += t - self.service_start[i]
-        for b, prev in zip(busy, self._prev_busy):
-            if b < prev - 1e-9:
-                raise InvariantViolation("busy time decreased")
-        # explicit loops: on the few classes per station they beat
-        # comprehensions and sum()
-        idle = []
-        for ks in self._served:
-            total = 0
-            for k in ks:
-                total += busy[k]
-            idle.append(t - total)
-        if min(idle) < -1e-9:
-            raise InvariantViolation("negative idle time")
-        for x, prev in zip(idle, self._prev_idle):
-            if x < prev - 1e-9:
-                raise InvariantViolation("idle time decreased")
-        for e, admitted, stream in zip(self.e, lam, self.arr_streams):
-            if admitted > e:
-                raise InvariantViolation("admitted more than arrived")
-            # one interarrival is always drawn ahead of the pending event
-            if e != stream.count - 1:
-                raise InvariantViolation("arrival count disagrees with its stream")
-        # departures are the composition of the service counting process
-        # with the cumulative busy time: every departure is one drawn
-        # service, with at most one draw in progress per station
-        drawn = [stream.count for stream in self.svc_streams]
-        for c in set(busy_class):
-            if c >= 0:
-                drawn[c] -= 1
-        if drawn != d:
-            raise InvariantViolation("departure count disagrees with its stream")
-        for i, ks in enumerate(self._served):
-            if busy_class[i] < 0:
-                for k in ks:
-                    if q[k] > 0:
-                        raise InvariantViolation(f"station {i} idle while backlogged")
-        nh, low, flags = self.nh, self.low, self.flags
-        for k, qk in enumerate(q):
-            if qk >= nh and not flags[k]:
-                raise InvariantViolation(f"flag {k} off at/above threshold")
-            if qk < low and flags[k]:
-                raise InvariantViolation(f"flag {k} on below the lower threshold")
-        self._prev_busy = busy
-        self._prev_idle = idle
+        self._check(self, t)
 
     # -- main loop -----------------------------------------------------------
 

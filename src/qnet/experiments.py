@@ -164,6 +164,9 @@ def compare_to_fluid(table: RateTable, target_rates) -> ConvergenceReport:
     if not table.rows:
         raise ValueError("rate table is empty")
     R = np.asarray(target_rates, dtype=float)
+    if R.shape != (table.num_flows,):
+        got = len(R) if R.ndim == 1 else f"shape {R.shape}"
+        raise ValueError(f"expected one target rate per flow ({table.num_flows}), not {got}")
     ns = sorted({r.n for r in table.rows})
     means, mins, maxs = [], [], []
     for n in ns:

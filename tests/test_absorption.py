@@ -193,6 +193,12 @@ class TestVerifyC2:
         report = verify_C2(spec, switch_equilibrium_set(0.5), 25.0, [0.5, 0.5, 0.5])
         assert report.max_deviation <= 1e-12
 
+    def test_wrong_length_target_rejected(self):
+        # a two-entry target on the one-flow tandem would broadcast
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        with pytest.raises(ValueError, match=r"^expected one target rate per flow \(1\), not 2$"):
+            verify_C2(spec, tandem_point_set(), 1.0, [0.5, 0.5])
+
 
 class TestProjection:
     def test_projected_set_ignores_other_coordinates(self):

@@ -407,13 +407,17 @@ def _corrupt_service_stream(sim):
     sim.svc_streams[1].count += 1
 
 
-def _corrupt_busy_class(sim):
-    # station 1 drops the job it serves: its busy time so far is booked and
+def _drop_service(sim, i):
+    # station i drops the job it serves: its busy time so far is booked and
     # its service draw undone, so only the backlog is left to notice
-    k = sim.busy_class[1]
-    sim.busy_class[1] = -1
+    k = sim.busy_class[i]
+    sim.busy_class[i] = -1
     sim.svc_streams[k].count -= 1
-    sim.busy[k] += sim.t - sim.service_start[1]
+    sim.busy[k] += sim.t - sim.service_start[i]
+
+
+def _corrupt_busy_class(sim):
+    _drop_service(sim, 1)
 
 
 def _corrupt_flag_off(sim):
@@ -423,6 +427,40 @@ def _corrupt_flag_off(sim):
 def _corrupt_flag_on(sim):
     assert sim.q[0] < sim.low and not sim.flags[0]
     sim.flags[0] = 1
+
+
+def _switch_after_run():
+    # the switch (8 classes, 3 flows, 4 stations) with every station
+    # backlogged from the start and class 7 above n*h = 2 at the end, so
+    # the cases below reach indices the two-class tandem has not
+    sim = Simulation(switch_example_spec(), n=2, seed=3, initial_queues=[4, 4, 12, 0, 12, 0, 12, 30])
+    sim.run(10.0, invariant_checks="every")
+    assert min(sim.busy_class) >= 0 and sim.q[7] >= sim.nh and sim.flags[7]
+    return sim
+
+
+def _corrupt_class6_arrivals(sim):
+    sim.a[6] += 1
+
+
+def _corrupt_class4_queue(sim):
+    sim.q[4] += 1
+
+
+def _corrupt_flow2_arrival_stream(sim):
+    sim.arr_streams[2].count += 1
+
+
+def _corrupt_class7_service_stream(sim):
+    sim.svc_streams[7].count += 1
+
+
+def _corrupt_station3_busy_class(sim):
+    _drop_service(sim, 3)
+
+
+def _corrupt_flag7_off(sim):
+    sim.flags[7] = 0
 
 
 MUTATIONS = [
@@ -438,6 +476,12 @@ MUTATIONS = [
     (_tandem_after_run, _corrupt_busy_class, r"^station 1 idle while backlogged$"),
     (_at_threshold, _corrupt_flag_off, r"^flag 0 off at/above threshold$"),
     (_tandem_after_run, _corrupt_flag_on, r"^flag 0 on below the lower threshold$"),
+    (_switch_after_run, _corrupt_class6_arrivals, r"^A != P\^T D \+ Lambda$"),
+    (_switch_after_run, _corrupt_class4_queue, r"^Q != Q\(0\) \+ A - D$"),
+    (_switch_after_run, _corrupt_flow2_arrival_stream, r"^arrival count disagrees with its stream$"),
+    (_switch_after_run, _corrupt_class7_service_stream, r"^departure count disagrees with its stream$"),
+    (_switch_after_run, _corrupt_station3_busy_class, r"^station 3 idle while backlogged$"),
+    (_switch_after_run, _corrupt_flag7_off, r"^flag 7 off at/above threshold$"),
 ]
 
 
@@ -450,6 +494,147 @@ def test_check_invariants_detects_corruption(make, corrupt, message):
     corrupt(sim)
     with pytest.raises(InvariantViolation, match=message):
         sim.check_invariants(sim.t)
+
+
+def test_check_is_compiled_once_per_structure_and_called_per_event(monkeypatch):
+    # run binds check_invariants when it starts, so a class-level wrapper
+    # sees every check of an "every" run
+    calls = []
+    check = Simulation.check_invariants
+
+    def counted(sim, t):
+        calls.append(t)
+        check(sim, t)
+
+    monkeypatch.setattr(Simulation, "check_invariants", counted)
+    spec = switch_example_spec()
+    sim = Simulation(spec, n=10, seed=1)
+    trace = sim.run(200.0, invariant_checks="every")
+    assert trace.event_count > 0 and len(calls) == trace.event_count
+    # the compiled check belongs to the structure, not to the spec object
+    for other in (Simulation(spec, 10, 2), Simulation(dataclasses.replace(spec), 5, 3)):
+        assert other._check is sim._check
+    # same class, flow and station counts, but class 0 is at another station
+    line = [[EXP1, EXP1]]
+    forward = Simulation(build_network([(0, 1)], arrival=[EXP1], service=line), 10, 1)
+    backward = Simulation(build_network([(1, 0)], arrival=[EXP1], service=line), 10, 1)
+    assert forward._check is not backward._check
+
+
+def _reference_check(sim, t):
+    # the identities as loops over the structure read from the matrices, in
+    # the order and with the messages of the compiled check
+    spec = sim.spec
+    P, C = spec.routing_matrix, spec.constituency
+    entering = [-1] * spec.num_classes
+    for f in range(spec.num_flows):
+        entering[spec.class_of[(f, 0)]] = f
+    q, a, d, lam = sim.q, sim.a, sim.d, sim.lam
+    for k in range(spec.num_classes):
+        f = entering[k]
+        routed = lam[f] if f >= 0 else 0
+        for j in np.flatnonzero(P[:, k]):
+            routed += d[j]
+        if a[k] != routed:
+            raise InvariantViolation("A != P^T D + Lambda")
+    for q0k, ak, dk, qk in zip(sim.q0, a, d, q):
+        if qk != q0k + ak - dk:
+            raise InvariantViolation("Q != Q(0) + A - D")
+    if min(q) < 0:
+        raise InvariantViolation("negative queue length")
+    busy = sim.busy[:]
+    for i, c in enumerate(sim.busy_class):
+        if c >= 0:
+            busy[c] += t - sim.service_start[i]
+    for b, prev in zip(busy, sim._prev_busy):
+        if b < prev - 1e-9:
+            raise InvariantViolation("busy time decreased")
+    idle = []
+    for i in range(spec.num_stations):
+        total = 0
+        for k in np.flatnonzero(C[i]):
+            total += busy[k]
+        idle.append(t - total)
+    if min(idle) < -1e-9:
+        raise InvariantViolation("negative idle time")
+    for x, prev in zip(idle, sim._prev_idle):
+        if x < prev - 1e-9:
+            raise InvariantViolation("idle time decreased")
+    for e, admitted, stream in zip(sim.e, lam, sim.arr_streams):
+        if admitted > e:
+            raise InvariantViolation("admitted more than arrived")
+        if e != stream.count - 1:
+            raise InvariantViolation("arrival count disagrees with its stream")
+    drawn = [stream.count for stream in sim.svc_streams]
+    for c in set(sim.busy_class):
+        if c >= 0:
+            drawn[c] -= 1
+    if drawn != d:
+        raise InvariantViolation("departure count disagrees with its stream")
+    for i in range(spec.num_stations):
+        if sim.busy_class[i] < 0 and any(q[k] > 0 for k in np.flatnonzero(C[i])):
+            raise InvariantViolation(f"station {i} idle while backlogged")
+    for k, qk in enumerate(q):
+        if qk >= sim.nh and not sim.flags[k]:
+            raise InvariantViolation(f"flag {k} off at/above threshold")
+        if qk < sim.low and sim.flags[k]:
+            raise InvariantViolation(f"flag {k} on below the lower threshold")
+    sim._prev_busy = busy
+    sim._prev_idle = idle
+
+
+_INT_FIELDS = ("q", "a", "d", "lam", "e", "q0", "flags")
+_FLOAT_FIELDS = ("busy", "service_start", "_prev_busy", "_prev_idle")
+
+
+def _outcome(check, sim, prev):
+    sim._prev_busy, sim._prev_idle = list(prev[0]), list(prev[1])
+    try:
+        check(sim, sim.t)
+    except InvariantViolation as exc:
+        return str(exc)
+    return sim._prev_busy, sim._prev_idle
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_compiled_check_matches_reference_loops(seed, data):
+    # random networks, each run and then corrupted in one to three random
+    # places: the compiled check and the loops raise the same first message,
+    # or both pass and leave the same busy and idle times
+    rng = np.random.default_rng(seed)
+    sim = Simulation(_criterion7_spec(rng), int(rng.integers(1, 12)), seed)
+    sim.run(float(rng.uniform(1.0, 40.0)), invariant_checks="every")
+    K, F, d = sim.spec.num_classes, sim.spec.num_flows, sim.spec.num_stations
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(_INT_FIELDS + _FLOAT_FIELDS + (
+            "busy_class", "arrival count", "service count", "nh", "low", "backlog", "drop service"
+        )))
+        if kind == "backlog":  # Q and Q(0) together, so later checks see it
+            k, step = data.draw(st.integers(0, K - 1)), data.draw(st.sampled_from([-3, -1, 1, 3]))
+            sim.q[k] += step
+            sim.q0[k] += step
+        elif kind == "drop service":
+            i = data.draw(st.integers(0, d - 1))
+            if sim.busy_class[i] >= 0:
+                _drop_service(sim, i)
+        elif kind in ("nh", "low"):
+            setattr(sim, kind, getattr(sim, kind) + data.draw(st.sampled_from([-1.0, 1.0])))
+        elif kind == "arrival count":
+            sim.arr_streams[data.draw(st.integers(0, F - 1))].count += data.draw(st.sampled_from([-1, 1]))
+        elif kind == "service count":
+            sim.svc_streams[data.draw(st.integers(0, K - 1))].count += data.draw(st.sampled_from([-1, 1]))
+        elif kind == "busy_class":
+            sim.busy_class[data.draw(st.integers(0, d - 1))] = data.draw(st.integers(-1, K - 1))
+        else:
+            values = getattr(sim, kind)
+            i = data.draw(st.integers(0, len(values) - 1))
+            if kind in _INT_FIELDS:
+                values[i] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+            else:
+                values[i] += data.draw(st.sampled_from([-1.0, -1e-10, 1e-10, 1.0]))
+    prev = (list(sim._prev_busy), list(sim._prev_idle))
+    assert _outcome(sim._check, sim, prev) == _outcome(_reference_check, sim, prev)
 
 
 def test_unknown_check_mode_leaves_simulation_usable():

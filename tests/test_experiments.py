@@ -142,6 +142,12 @@ class TestCompare:
         report = compare_to_fluid(table, observed)
         assert report.mean_deviation[0] == 0.0
 
+    def test_wrong_length_target_rejected(self):
+        # a two-entry target on the one-flow tandem would broadcast
+        table = run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(n_values=(5.0,), replications=1))
+        with pytest.raises(ValueError, match=r"^expected one target rate per flow \(1\), not 2$"):
+            compare_to_fluid(table, [0.5, 0.5])
+
     def test_empty_table_rejected(self):
         from qnet.experiments import RateTable
 
