@@ -523,6 +523,8 @@ def member_states(
 ) -> list:
     """Generic member states of the scaled set (residuals zero): random
     points of each piece plus its centroid."""
+    if per_piece < 0 or seed < 0:
+        raise ValueError(f"per_piece and seed must be nonnegative, not {per_piece} and {seed}")
     rng = np.random.default_rng(seed)
     states = []
     for piece in eqset.pieces:

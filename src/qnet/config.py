@@ -11,6 +11,7 @@ holds plain Python values that need no further checks.  The kinds:
   1.1 reads ``1e4`` as a string), never a bool; some fields must also be
   positive, nonnegative or a fraction in [0, 1);
 * an integer is a finite integral number: ``2`` and ``2.0`` read as 2;
+  seeds, ``sample_count`` and ``per_piece`` must also be nonnegative;
 * lists (read as tuples) and mappings of such values;
 * class ids are integers in [0, number of classes);
 * per-class and per-flow lists have one entry per class or flow of the
@@ -88,6 +89,7 @@ POSITIVE = _number("a positive number", lambda x: x > 0)
 NONNEGATIVE = _number("a nonnegative number", lambda x: x >= 0)
 FRACTION = _number("a number in [0, 1)", lambda x: 0 <= x < 1)
 INTEGER = _number("an integer", float.is_integer, int)
+NONNEGATIVE_INTEGER = _number("a nonnegative integer", lambda x: x >= 0 and x.is_integer(), int)
 
 
 def _list(item, length=None, into=tuple):
@@ -215,8 +217,8 @@ def _experiment(node, where: str) -> ExperimentPlan:
         "n_values": (_list(POSITIVE), REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
         "replications": (INTEGER, 10),
-        "base_seed": (INTEGER, 0),
-        "seeds": (_list(INTEGER), None),
+        "base_seed": (NONNEGATIVE_INTEGER, 0),
+        "seeds": (_list(NONNEGATIVE_INTEGER), None),
         "warmup_frac": (FRACTION, 0.2),
         "target_rates": (_list(NUMBER), None),
     }))
@@ -231,9 +233,9 @@ def _simulate(node, where: str) -> dict:
     return _section(node, where, {
         "n": (POSITIVE, REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
-        "seed": (INTEGER, 0),
+        "seed": (NONNEGATIVE_INTEGER, 0),
         "warmup_frac": (FRACTION, 0.2),
-        "sample_count": (INTEGER, None),
+        "sample_count": (NONNEGATIVE_INTEGER, None),
         "initial_queues": (_list(INTEGER), None),
     })
 
@@ -260,7 +262,10 @@ _SETS = {  # verify.set kind -> the set for band half-width a
 def make_equilibrium_set(node, where: str = "verify.set"):
     """Build a named equilibrium set from a config node."""
     eqset = _section(node, where, {"kind": (_one_of(_SETS), REQUIRED), "a": (NUMBER, 0.5)})
-    return _SETS[eqset["kind"]](eqset["a"])
+    try:
+        return _SETS[eqset["kind"]](eqset["a"])
+    except ValueError as exc:  # the band half-width a is its one parameter
+        raise ConfigError(f"{where}.a: {exc}") from exc
 
 
 def _verify(node, where: str) -> dict:
@@ -270,7 +275,7 @@ def _verify(node, where: str) -> dict:
         "target_rates": (_list(NUMBER), None),
         "time_budget": (POSITIVE, None),  # None: 100 * hbar
         "starts": (_list(_list(NUMBER), into=list), None),
-        "per_piece": (INTEGER, 12),
+        "per_piece": (NONNEGATIVE_INTEGER, 12),
     })
     if verify["time_budget"] is None:
         verify["time_budget"] = 100.0 * verify["hbar"]

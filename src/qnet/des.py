@@ -42,8 +42,14 @@ spent most of a check's time on the loop itself.  Measured on 2 shared
 cores, a check costs about 3 us on 2-3 station random networks, where an
 ``"every"`` run takes 2.4 times as long as an ``"off"`` run, and 6.4 us
 on the switch (8 classes, 4 stations), where it takes 4.0 times as long.
-Any other mode, or sample times outside the horizon, raise before the
-single-use ``Simulation`` is spent.
+Any other mode, or sample times that are not a 1-D array within the
+horizon, raise before the single-use ``Simulation`` is spent.
+
+Records: the sample times and the end of the warmup form one stably
+sorted list.  The first event after a record's time stores (q, D, Lambda)
+as it finds them, the state at that time, and records still open at the
+end take the final state.  The samples are their records in the given
+order; the window rates subtract the warmup's.
 """
 from __future__ import annotations
 
@@ -248,6 +254,8 @@ class Simulation:
     def __init__(self, spec: NetworkSpec, n: float, seed: int, *, initial_queues=None):
         if not 0 < n < math.inf:
             raise ValueError("threshold scale n must be positive and finite")
+        if not (0 <= seed < math.inf and seed == int(seed)):
+            raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
         self.spec = spec
         self.n = float(n)
         self.seed = int(seed)
@@ -338,29 +346,24 @@ class Simulation:
                 f"invariant_checks must be one of {', '.join(map(repr, _CHECK_PERIOD))}, "
                 f"not {invariant_checks!r}"
             )
-        stimes = None
-        if sample_times is not None:
-            stimes = np.asarray(sample_times, dtype=float)
-            if np.any(stimes < 0) or np.any(stimes > horizon):
-                raise SimulationError("sample times outside the horizon")
+        stimes = None if sample_times is None else np.asarray(sample_times, dtype=float)
+        if stimes is not None and (stimes.ndim != 1 or not np.all((stimes >= 0) & (stimes <= horizon))):
+            raise SimulationError("sample times outside the horizon")  # nan included
         # every argument is checked: from here on the run uses up the Simulation
         if getattr(self, "_ran", False):
             raise SimulationError("a Simulation is single-use; build a new one")
         self._ran = True
         spec = self.spec
+        K, F = spec.num_classes, spec.num_flows
         t_warm = warmup_frac * horizon
-        warm_d = warm_lam = None
-        s_list = [] if stimes is None else stimes.tolist()
-        s_q = s_d = s_lam = None
-        if stimes is not None:
-            s_q = np.empty((len(s_list), spec.num_classes), dtype=np.int64)
-            s_d = np.empty_like(s_q)
-            s_lam = np.empty((len(s_list), spec.num_flows), dtype=np.int64)
-        si, s_end = 0, len(s_list)
-        # the earliest pending record, a sample time or the end of the
-        # warmup: the first event after it records the state it finds (set
-        # at the first event)
-        mark = -math.inf
+        # a row of (q, d, lam) per sample time, then one for the warmup's end
+        rec_times = ([] if stimes is None else stimes.tolist()) + [t_warm]
+        m = len(rec_times) - 1
+        order = sorted(range(m + 1), key=rec_times.__getitem__)
+        marks = [rec_times[j] for j in order] + [math.inf]
+        records = np.empty((m + 1, 2 * K + F), dtype=np.int64)
+        r = 0
+        mark = marks[0]  # the time of the next record
 
         period = _CHECK_PERIOD[invariant_checks]
         next_check = period if period else -1
@@ -413,19 +416,10 @@ class Simulation:
                 if t > horizon:
                     heappush(heap, ev)
                     break
-                if t > mark:
-                    while si < s_end and s_list[si] < t:
-                        s_q[si] = q
-                        s_d[si] = d
-                        s_lam[si] = lam
-                        si += 1
-                    if warm_d is None and t > t_warm:
-                        warm_d = d[:]
-                        warm_lam = lam[:]
-                    mark = min(
-                        s_list[si] if si < s_end else math.inf,
-                        t_warm if warm_d is None else math.inf,
-                    )
+                while t > mark:
+                    records[order[r]] = q + d + lam
+                    r += 1
+                    mark = marks[r]
                 if kind == _ARRIVAL:
                     f = idx
                     e[f] += 1
@@ -481,14 +475,9 @@ class Simulation:
 
         self.t = horizon
         self.event_count = events
-        while si < s_end:
-            s_q[si] = q
-            s_d[si] = d
-            s_lam[si] = lam
-            si += 1
-        if warm_d is None:
-            warm_d = d[:]
-            warm_lam = lam[:]
+        records[order[r:]] = q + d + lam
+        rec_q, rec_d, rec_lam = np.split(records, [K, 2 * K], axis=1)
+        warm_d, warm_lam = rec_d[m], rec_lam[m]
 
         # truncate in-progress services at the horizon for T and I
         busy = busy[:]
@@ -499,8 +488,8 @@ class Simulation:
         idle = horizon - spec.constituency.astype(float) @ busy
 
         span = horizon - t_warm
-        dep_rates = np.array([(d[k] - warm_d[k]) / span for k in spec.egress])
-        adm_rates = np.array([(lam[f] - warm_lam[f]) / span for f in range(spec.num_flows)])
+        dep_rates = (np.array(d) - warm_d)[list(spec.egress)] / span
+        adm_rates = (np.array(lam) - warm_lam) / span
         return SimTrace(
             n=self.n,
             seed=self.seed,
@@ -519,9 +508,9 @@ class Simulation:
             window=(t_warm, horizon),
             event_count=events,
             sample_times=stimes,
-            sample_q=s_q,
-            sample_d=s_d,
-            sample_admitted=s_lam,
+            sample_q=None if stimes is None else rec_q[:m],
+            sample_d=None if stimes is None else rec_d[:m],
+            sample_admitted=None if stimes is None else rec_lam[:m],
         )
 
 

@@ -56,8 +56,11 @@ class ExperimentPlan:
             raise ValueError("n_values must be positive and strictly increasing")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
-        if not self.resolved_seeds():
+        seeds = self.resolved_seeds()
+        if not seeds:
             raise ValueError("plan has no replications")
+        if min(seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, not {min(seeds)}")
 
 
 @dataclass

@@ -37,6 +37,9 @@ spec's ``_rates_memo`` and answers later states of the region from there.
 On the switch member states a miss takes 4.05 roots and 9.05 allocations
 on average, about 180 us on two shared cores, as long as a solve without
 the memo, and a hit about 12 us, mostly the masks and the fresh arrays.
+``integrate`` appends one row per breakpoint (time, q, u, v, the rates
+solved there, the cumulative flows) and one for a stationary state's hold
+to the horizon; ``FluidTrajectory`` holds their columns.
 """
 from __future__ import annotations
 
@@ -464,11 +467,11 @@ def departure_rates_at(state: FluidState, spec: NetworkSpec):
 class FluidTrajectory:
     """Piecewise-linear fluid path with its breakpoints.
 
-    Row i of the rate arrays holds the constant rates on the segment
-    starting at ``times[i]``; the final row repeats the rates at the last
-    recorded state.  ``absorbed_at`` is the first breakpoint at which the
-    state was stationary with no pending clock or gate events (the
-    trajectory then stays there for all later times).
+    Row i holds breakpoint i: the state at ``times[i]``, the rates solved
+    there, constant on the segment starting there, and the cumulative
+    flows.  ``absorbed_at`` is the first breakpoint at which the state was
+    stationary with no pending clock or gate events (the trajectory then
+    stays there for all later times).
     """
 
     hbar: float
@@ -528,18 +531,18 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     v = state0.v.astype(float).copy()
     K, F = len(q), len(u)
 
-    times = [0.0]
-    qs, us, vs = [q.copy()], [u.copy()], [v.copy()]
-    admits, departs, busys, idles = [], [], [], []
-    cum_a = [np.zeros(K)]
-    cum_d = [np.zeros(K)]
-    cum_l = [np.zeros(F)]
+    # one row per breakpoint, in the order of FluidTrajectory's fields: its
+    # time, state, the rates solved there and the cumulative flows
+    rows = []
+    cum = (np.zeros(K), np.zeros(K), np.zeros(F))  # arrivals, departures, admissions
     absorbed_at = None
 
     t = 0.0
     while True:
-        state = FluidState(q, u, v, hbar)
-        rv = solve_rates(state, spec)
+        rv = solve_rates(FluidState(q, u, v, hbar), spec)
+        rates = (rv.admit, rv.depart, rv.busy, rv.idle)
+        flows = (rv.arrival, rv.depart, rv.admit)
+        rows.append((t, q, u, v, *rates, *cum))
         qdot = rv.q_dot
         atol, empty, at_thr, above = _classify(q, hbar)
 
@@ -563,64 +566,40 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
             and not np.any(u > atol)
             and not np.any(v > atol)
         )
-        remaining = horizon - t
         if stationary and absorbed_at is None:
             absorbed_at = t
-        dt = min(candidates) if candidates else np.inf
-        dt = min(dt, remaining)
-
+        remaining = horizon - t
         if remaining <= 0:
             break
         if stationary:
-            # final segment: hold the state to the horizon
-            dt, t = remaining, horizon
-        else:
-            # advance one segment
-            q = q + qdot * dt
-            u = np.maximum(u - dt, 0.0)
-            v = np.maximum(v - rv.busy * dt, 0.0)
-            # snap coordinates that landed on a boundary, within the same
-            # tolerance that classifies them
-            q[np.abs(q) < atol] = 0.0
-            q[np.abs(q - hbar) < atol] = hbar
-            u[u < atol] = 0.0
-            v[v < atol] = 0.0
-            t = t + dt
-
-        times.append(t)
-        qs.append(q.copy()); us.append(u.copy()); vs.append(v.copy())
-        admits.append(rv.admit); departs.append(rv.depart)
-        busys.append(rv.busy); idles.append(rv.idle)
-        cum_a.append(cum_a[-1] + rv.arrival * dt)
-        cum_d.append(cum_d[-1] + rv.depart * dt)
-        cum_l.append(cum_l[-1] + rv.admit * dt)
-        if stationary:
+            # hold the state to the horizon in one segment
+            cum = tuple(c + r * remaining for c, r in zip(cum, flows))
+            rows.append((horizon, q, u, v, *rates, *cum))
             break
+        dt = min(candidates + [remaining])
 
-        if len(times) > _MAX_BREAKPOINTS:
+        # advance one segment
+        q = q + qdot * dt
+        u = np.maximum(u - dt, 0.0)
+        v = np.maximum(v - rv.busy * dt, 0.0)
+        # snap coordinates that landed on a boundary, within the same
+        # tolerance that classifies them
+        q[np.abs(q) < atol] = 0.0
+        q[np.abs(q - hbar) < atol] = hbar
+        u[u < atol] = 0.0
+        v[v < atol] = 0.0
+        cum = tuple(c + r * dt for c, r in zip(cum, flows))
+        t = t + dt
+
+        # the breakpoint at t is the (len(rows) + 1)-th
+        if len(rows) >= _MAX_BREAKPOINTS:
             raise ZenoError(f"more than {_MAX_BREAKPOINTS} breakpoints before t={t:.6g}")
-        if len(times) > _ZENO_WINDOW:
-            span = times[-1] - times[-_ZENO_WINDOW]
+        if len(rows) >= _ZENO_WINDOW:
+            span = t - rows[1 - _ZENO_WINDOW][0]
             if span < 1e-12 * max(1.0, horizon):
                 raise ZenoError(
                     f"{_ZENO_WINDOW} breakpoints within {span:.3e} time units at t={t:.6g}"
                 )
 
-    # the final row repeats the rates at the last state
-    admits.append(rv.admit); departs.append(rv.depart)
-    busys.append(rv.busy); idles.append(rv.idle)
-    return FluidTrajectory(
-        hbar=hbar,
-        times=np.array(times),
-        q=np.array(qs),
-        u=np.array(us),
-        v=np.array(vs),
-        admit=np.array(admits),
-        depart=np.array(departs),
-        busy=np.array(busys),
-        idle=np.array(idles),
-        cum_arrival=np.array(cum_a),
-        cum_depart=np.array(cum_d),
-        cum_admit=np.array(cum_l),
-        absorbed_at=absorbed_at,
-    )
+    columns = (np.array(column) for column in zip(*rows))
+    return FluidTrajectory(hbar, *columns, absorbed_at=absorbed_at)

@@ -193,6 +193,13 @@ class TestVerifyC2:
         report = verify_C2(spec, switch_equilibrium_set(0.5), 25.0, [0.5, 0.5, 0.5])
         assert report.max_deviation <= 1e-12
 
+    @pytest.mark.parametrize("per_piece, seed", [(-3, 0), (12, -1)])
+    def test_negative_per_piece_or_seed_rejected(self, per_piece, seed):
+        # per_piece -3 used to check the piece centroids alone and pass
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        with pytest.raises(ValueError, match="per_piece and seed must be nonnegative"):
+            verify_C2(spec, tandem_point_set(), 1.0, [0.5], per_piece=per_piece, seed=seed)
+
     def test_wrong_length_target_rejected(self):
         # a two-entry target on the one-flow tandem would broadcast
         spec = tandem_spec(1.0, 0.8, 0.5)

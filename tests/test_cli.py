@@ -327,11 +327,25 @@ class TestCli:
             ("validate", TANDEM_YAML.replace("path: [0, 1]", "path: [[0], 1]"),
              "network.flows[0].path[0]: expected a number"),
             ("simulate", "simulate: {n: 4, horizon: 50, seed: 1.7}\n",
-             "simulate.seed: expected an integer, not 1.7"),
+             "simulate.seed: expected a nonnegative integer, not 1.7"),
             ("sweep", "experiment: {n_values: [5], horizon: 50, replications: 1.5}\n",
              "experiment.replications: expected an integer, not 1.5"),
             ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: [0.5], per_piece: 0.5}\n",
-             "verify.per_piece: expected an integer, not 0.5"),
+             "verify.per_piece: expected a nonnegative integer, not 0.5"),
+            # seeds and counts below 0: numpy's unnamed error, a sweep of
+            # failed cells, or (per_piece) a check of the centroids alone
+            ("simulate", "simulate: {n: 4, horizon: 50, seed: -1}\n",
+             "simulate.seed: expected a nonnegative integer, not -1"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, base_seed: -3}\n",
+             "experiment.base_seed: expected a nonnegative integer, not -3"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, seeds: [1, -2]}\n",
+             "experiment.seeds[1]: expected a nonnegative integer, not -2"),
+            ("simulate", "simulate: {n: 4, horizon: 50, sample_count: -5}\n",
+             "simulate.sample_count: expected a nonnegative integer, not -5"),
+            ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: [0.5], per_piece: -3}\n",
+             "verify.per_piece: expected a nonnegative integer, not -3"),
+            ("verify-c2", "verify: {set: {kind: switch, a: 2}, hbar: 1.0, target_rates: [0.5]}\n",
+             "verify.set.a: a must lie strictly between 0 and 1"),
             ("simulate", "simulate: {n: .nan, horizon: 50}\n",
              "simulate.n: expected a positive number, not nan"),
             ("fluid", "fluid: {hbar: 0, horizon: 5, initial_q: [1, 1]}\n",
@@ -395,7 +409,9 @@ class TestCli:
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
              "hbar_list", "n_list", "sample_count_list", "horizon_list",
              "set_a_list", "preset_lam_list", "class_ids_entry_list", "path_entry_list",
-             "seed_fraction", "replications_fraction", "per_piece_fraction", "n_nan", "hbar_zero",
+             "seed_fraction", "replications_fraction", "per_piece_fraction",
+             "seed_negative", "base_seed_negative", "seeds_entry_negative", "sample_count_negative",
+             "per_piece_negative", "set_a_outside", "n_nan", "hbar_zero",
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
              "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",
              "idle_station_too_large", "hop_without_class_id", "hop_past_path", "flow_past_paths",

@@ -652,6 +652,42 @@ def test_sample_times_beyond_horizon_leave_simulation_usable():
     assert trace.sample_q.shape == (2, 2)
 
 
+@pytest.mark.parametrize("times", [[np.nan, 1.0], [[1.0, 2.0]], 1.0], ids=["nan", "2d", "scalar"])
+def test_malformed_sample_times_leave_simulation_usable(times):
+    # nan passed both bounds and the t=1 row took the final state
+    sim = Simulation(tandem_spec(1.0, 0.8, 0.5), n=4, seed=2)
+    with pytest.raises(qnet.des.SimulationError, match="outside the horizon"):
+        sim.run(50.0, sample_times=times)
+    assert sim.run(50.0, sample_times=[1.0]).sample_q.tolist() == [[0, 0]]
+
+
+def test_unsorted_sample_times_record_the_state_at_each_time():
+    # a record is the state at its own time, whatever the order of the
+    # times: the t=40 state used to land in the t=1 row
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    times = [40.0, 1.0, 25.0, 1.0, 50.0, 0.0, 10.0]
+    order = np.argsort(times, kind="stable")
+    shuffled = run(spec, 4, 2, 50.0, sample_times=times)
+    ordered = run(spec, 4, 2, 50.0, sample_times=np.array(times)[order])
+    assert shuffled.sample_q[:2].tolist() == [[2, 4], [0, 0]]
+    for name in ("sample_q", "sample_d", "sample_admitted"):
+        assert np.array_equal(getattr(shuffled, name)[order], getattr(ordered, name)), name
+    _assert_same_run(shuffled, ordered)
+
+
+def test_empty_sample_times_keep_their_shapes():
+    trace = run(switch_example_spec(), 4, 2, 20.0, sample_times=[])
+    assert trace.sample_q.shape == trace.sample_d.shape == (0, 8)
+    assert trace.sample_admitted.shape == (0, 3)
+    assert trace.sample_q.dtype == trace.sample_admitted.dtype == np.int64
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.nan, np.inf])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        Simulation(tandem_spec(1.0, 0.8, 0.5), n=4, seed=seed)
+
+
 # -- the engine: check modes, sampling and draws -------------------------
 
 

@@ -43,6 +43,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(warmup_frac=1.0).validate()
 
+    @pytest.mark.parametrize("plan", [{"base_seed": -3}, {"seeds": (1, -2)}])
+    def test_negative_seed_rejected(self, plan):
+        with pytest.raises(ValueError, match="seeds must be nonnegative"):
+            small_plan(**plan).validate()
+
     def test_zero_horizon_is_empty_window(self):
         with pytest.raises(EmptyWindowError):
             run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(horizon=0.0))

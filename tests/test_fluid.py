@@ -235,6 +235,23 @@ class TestIntegrate:
         assert 2.0 in [round(t, 9) for t in traj.times]
         assert traj.u[-1][0] == 0.0
 
+    def test_one_row_per_breakpoint_and_one_for_the_hold(self):
+        # horizon 0 records the start alone; a stationary start adds the end
+        # of its hold; every row carries the rates solved at its state
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        start = FluidState.initial(spec, [0.0, 1.0], 1.0)
+        rv = solve_rates(start, spec)
+        for horizon, times in [(0.0, [0.0]), (25.0, [0.0, 25.0])]:
+            traj = integrate(start, spec, horizon)
+            assert traj.times.tolist() == times
+            for name, rates in [("admit", rv.admit), ("depart", rv.depart),
+                                ("busy", rv.busy), ("idle", rv.idle)]:
+                assert np.array_equal(getattr(traj, name), [rates] * len(times)), name
+            for name, rates in [("cum_arrival", rv.arrival), ("cum_depart", rv.depart),
+                                ("cum_admit", rv.admit)]:
+                assert np.array_equal(getattr(traj, name), [rates * t for t in times]), name
+            assert np.array_equal(traj.q, [start.q] * len(times))
+
     def test_absorbing_state_stays(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
         traj = integrate(FluidState.initial(spec, [0.0, 1.0], 1.0), spec, 25.0)
