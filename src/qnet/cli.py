@@ -169,6 +169,8 @@ def cmd_export(args) -> int:
     cfg = load_config(args.config)
     if cfg.simulate is None and cfg.fluid is None:
         raise ConfigError("export: nothing to export (no simulate or fluid section)")
+    trace = None if cfg.simulate is None else _simulate(cfg, args, sample_count=1000)
+    traj = None if cfg.fluid is None else _integrate(cfg)
     out = _outdir(args)
     wrote = []
 
@@ -176,8 +178,7 @@ def cmd_export(args) -> int:
         wrote.append(os.path.join(out, name))
         return wrote[-1]
 
-    if cfg.simulate is not None:
-        trace = _simulate(cfg, args, sample_count=1000)
+    if trace is not None:
         queues = cfg.export["trace_queues"]
         if queues:
             rows = [
@@ -186,8 +187,7 @@ def cmd_export(args) -> int:
             ]
             experiments.write_csv(path("queues.csv"), ["time"] + [f"q{k}" for k in queues], rows)
         experiments.export_trace_csv(trace, path("trace.csv"))
-    if cfg.fluid is not None:
-        traj = _integrate(cfg)
+    if traj is not None:
         pair = cfg.export["fluid_phase"]
         if pair:
             i, j = pair

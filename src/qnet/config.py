@@ -11,11 +11,12 @@ holds plain Python values that need no further checks.  The kinds:
   1.1 reads ``1e4`` as a string), never a bool; some fields must also be
   positive, nonnegative or a fraction in [0, 1);
 * an integer is a finite integral number: ``2`` and ``2.0`` read as 2;
-  seeds, ``sample_count`` and ``per_piece`` must also be nonnegative;
+  seeds, ``sample_count``, ``per_piece`` and the entries of
+  ``initial_queues`` must also be nonnegative;
 * lists (read as tuples) and mappings of such values;
 * class ids are integers in [0, number of classes);
 * per-class and per-flow lists have one entry per class or flow of the
-  network (``_check_lengths``).
+  network, which ``load_config`` builds before the run sections.
 
 Any other value raises ConfigError naming ``<section>.<field>``; so does
 every network fault that ``build_network`` finds, as ``network.<field>``.
@@ -92,11 +93,15 @@ INTEGER = _number("an integer", float.is_integer, int)
 NONNEGATIVE_INTEGER = _number("a nonnegative integer", lambda x: x >= 0 and x.is_integer(), int)
 
 
-def _list(item, length=None, into=tuple):
-    """A list, of ``length`` if given, with each entry converted by ``item``."""
+def _list(item, length=None, into=tuple, per=None):
+    """A list, of ``length`` if given, with each entry converted by
+    ``item``; ``per`` ("class" or "flow") says that the length is the
+    network's number of classes or flows."""
     def kind(value, where):
         if not isinstance(value, list) or length not in (None, len(value)):
-            raise ConfigError(f"{where}: expected a list" + (f" of {length}" if length else ""))
+            if per and isinstance(value, list):
+                raise ConfigError(f"{where}: expected one entry per {per} ({length}), not {len(value)}")
+            raise ConfigError(f"{where}: expected a list" + (f" of {length}" if length and not per else ""))
         return into([item(x, f"{where}[{i}]") for i, x in enumerate(value)])
     return kind
 
@@ -209,10 +214,10 @@ def _network(node, where: str) -> NetworkSpec:
         raise ConfigError("; ".join(f"{where}.{fault}" for fault in str(exc).split("; "))) from exc
 
 
-# -- run sections
+# -- run sections: each reads the numbers of classes K and flows F of the network
 
 
-def _experiment(node, where: str) -> ExperimentPlan:
+def _experiment(node, where: str, K: int, F: int) -> ExperimentPlan:
     plan = ExperimentPlan(**_section(node, where, {
         "n_values": (_list(POSITIVE), REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
@@ -220,7 +225,7 @@ def _experiment(node, where: str) -> ExperimentPlan:
         "base_seed": (NONNEGATIVE_INTEGER, 0),
         "seeds": (_list(NONNEGATIVE_INTEGER), None),
         "warmup_frac": (FRACTION, 0.2),
-        "target_rates": (_list(NUMBER), None),
+        "target_rates": (_list(NUMBER, F, per="flow"), None),
     }))
     try:
         plan.validate()
@@ -229,24 +234,24 @@ def _experiment(node, where: str) -> ExperimentPlan:
     return plan
 
 
-def _simulate(node, where: str) -> dict:
+def _simulate(node, where: str, K: int, F: int) -> dict:
     return _section(node, where, {
         "n": (POSITIVE, REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
         "seed": (NONNEGATIVE_INTEGER, 0),
         "warmup_frac": (FRACTION, 0.2),
         "sample_count": (NONNEGATIVE_INTEGER, None),
-        "initial_queues": (_list(INTEGER), None),
+        "initial_queues": (_list(NONNEGATIVE_INTEGER, K, per="class"), None),
     })
 
 
-def _fluid(node, where: str) -> dict:
+def _fluid(node, where: str, K: int, F: int) -> dict:
     return _section(node, where, {
         "hbar": (POSITIVE, REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
-        "initial_q": (_list(NUMBER), REQUIRED),
-        "initial_u": (_list(NUMBER), None),
-        "initial_v": (_list(NUMBER), None),
+        "initial_q": (_list(NUMBER, K, per="class"), REQUIRED),
+        "initial_u": (_list(NUMBER, F, per="flow"), None),
+        "initial_v": (_list(NUMBER, K, per="class"), None),
     })
 
 
@@ -268,13 +273,13 @@ def make_equilibrium_set(node, where: str = "verify.set"):
         raise ConfigError(f"{where}.a: {exc}") from exc
 
 
-def _verify(node, where: str) -> dict:
+def _verify(node, where: str, K: int, F: int) -> dict:
     verify = _section(node, where, {
         "set": (make_equilibrium_set, REQUIRED),
         "hbar": (POSITIVE, REQUIRED),
-        "target_rates": (_list(NUMBER), None),
+        "target_rates": (_list(NUMBER, F, per="flow"), None),
         "time_budget": (POSITIVE, None),  # None: 100 * hbar
-        "starts": (_list(_list(NUMBER), into=list), None),
+        "starts": (_list(_list(NUMBER, K, per="class"), into=list), None),
         "per_piece": (NONNEGATIVE_INTEGER, 12),
     })
     if verify["time_budget"] is None:
@@ -282,29 +287,17 @@ def _verify(node, where: str) -> dict:
     return verify
 
 
+def _export(node, where: str, K: int, F: int) -> dict:
+    return _section(node, where, {
+        "trace_queues": (_class_ids(K), ()),
+        "fluid_phase": (_class_ids(K, 2), None),
+    })
+
+
 def _version(value, where: str) -> int:
     if value != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {value!r}")
     return value
-
-
-def _check_lengths(cfg: LoadedConfig) -> None:
-    """Per-class and per-flow lists of the run sections, checked against
-    the network once it is built."""
-    K, F = cfg.network.num_classes, cfg.network.num_flows
-    fluid, simulate, verify = cfg.fluid or {}, cfg.simulate or {}, cfg.verify or {}
-    lists = [
-        ("fluid.initial_q", fluid.get("initial_q"), K, "class"),
-        ("fluid.initial_u", fluid.get("initial_u"), F, "flow"),
-        ("fluid.initial_v", fluid.get("initial_v"), K, "class"),
-        ("simulate.initial_queues", simulate.get("initial_queues"), K, "class"),
-        ("experiment.target_rates", cfg.experiment and cfg.experiment.target_rates, F, "flow"),
-        ("verify.target_rates", verify.get("target_rates"), F, "flow"),
-    ]
-    lists += [(f"verify.starts[{i}]", q, K, "class") for i, q in enumerate(verify.get("starts") or ())]
-    for where, value, length, per in lists:
-        if value is not None and len(value) != length:
-            raise ConfigError(f"{where}: expected one entry per {per} ({length}), not {len(value)}")
 
 
 @dataclass
@@ -326,19 +319,18 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: malformed YAML: {exc}") from exc
-    cfg = LoadedConfig(**_section(doc, "", {
+    cfg = _section(doc, "", {
         "version": (_version, REQUIRED),
         "network": (_network, REQUIRED),
-        "experiment": (_experiment, None),
-        "simulate": (_simulate, None),
-        "fluid": (_fluid, None),
-        "verify": (_verify, None),
-        "export": (_mapping, {}),  # its class ids are checked against the network
-    }))
-    K = cfg.network.num_classes
-    cfg.export = _section(cfg.export, "export", {
-        "trace_queues": (_class_ids(K), ()),
-        "fluid_phase": (_class_ids(K, 2), None),
+        "experiment": (_mapping, None),
+        "simulate": (_mapping, None),
+        "fluid": (_mapping, None),
+        "verify": (_mapping, None),
+        "export": (_mapping, {}),
     })
-    _check_lengths(cfg)
-    return cfg
+    K, F = cfg["network"].num_classes, cfg["network"].num_flows
+    for name, section in [("experiment", _experiment), ("simulate", _simulate),
+                          ("fluid", _fluid), ("verify", _verify), ("export", _export)]:
+        if cfg[name] is not None:
+            cfg[name] = section(cfg[name], name, K, F)
+    return LoadedConfig(**cfg)

@@ -33,10 +33,11 @@ The water-filling reads the spec's float tables ``w_tab``, ``mu_tab`` and
 
 As the rates are constant within a region, ``solve_rates`` solves each
 region once per spec: it keys the rates by the region's masks in the
-spec's ``_rates_memo`` and answers later states of the region from there.
-On the switch member states a miss takes 4.05 roots and 9.05 allocations
-on average, about 180 us on two shared cores, as long as a solve without
-the memo, and a hit about 12 us, mostly the masks and the fresh arrays.
+spec's ``_rates_memo`` and answers later states of the region with the
+same read-only ``RateVector``.  On the switch member states a miss takes
+4.05 roots and 9.05 allocations on average, about 180 us on two shared
+cores, as long as a solve without the memo, and a hit about 11 us,
+mostly the masks and their key.
 ``integrate`` appends one row per breakpoint (time, q, u, v, the rates
 solved there, the cumulative flows) and one for a stationary state's hold
 to the horizon; ``FluidTrajectory`` holds their columns.
@@ -49,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import NetworkSpec
+from .network import NetworkSpec, _read_only
 
 __all__ = [
     "FluidState",
@@ -111,19 +112,16 @@ class FluidState:
         return cls(q=q, u=u, v=v, hbar=float(hbar))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RateVector:
+    """The rates of one regime, in read-only arrays: ``solve_rates``
+    returns the same object for every state of the regime."""
     admit: np.ndarray     # per flow, in [0, alpha_f]
     depart: np.ndarray    # per class
     busy: np.ndarray      # per class, server time fraction in [0, 1]
     idle: np.ndarray      # per station, 1 - sum of busy fractions
     arrival: np.ndarray   # per class inflow: routed departures + admissions
-
-    @property
-    def q_dot(self) -> np.ndarray:
-        d = self.arrival - self.depart
-        d[np.abs(d) < _RATE_EPS] = 0.0
-        return d
+    q_dot: np.ndarray     # per class, arrival - depart, 0 below _RATE_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -376,31 +374,23 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     backlogged classes, the open service gates, the waiting arrival
     clocks and the queues above and at the threshold.  Each spec memoizes
     the rates by those masks in ``spec._rates_memo``, with no size limit:
-    it holds one entry per regime the spec has been solved in.  A fault is
-    raised again on every call and never stored, and every call returns
-    fresh arrays.
+    it holds one entry per regime the spec has been solved in, and every
+    state of the regime gets that entry's read-only ``RateVector``.  A
+    fault is raised again on every call and never stored.
     """
     atol, empty, at_thr, above = _classify(state.q, state.hbar)
     v = state.v
     masks = (~empty | (v > atol), v <= atol, state.u > atol, above, at_thr)
     key = np.concatenate(masks).tobytes()
-    rates = spec._rates_memo.get(key)
-    if rates is None:
-        rates = _solve_regime(spec, *(m.tolist() for m in masks))
-        spec._rates_memo[key] = rates
-    admit, depart, busy, idle, inflow = rates
-    return RateVector(
-        admit=np.array(admit),
-        depart=np.array(depart),
-        busy=np.array(busy),
-        idle=np.array(idle),
-        arrival=np.array(inflow),
-    )
+    rv = spec._rates_memo.get(key)
+    if rv is None:
+        rv = spec._rates_memo[key] = _solve_regime(spec, *(m.tolist() for m in masks))
+    return rv
 
 
-def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr):
-    """Admission, departure, busy, idle and inflow rates (tuples) of the
-    regime given by the masks of ``solve_rates``, as lists of bools."""
+def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVector:
+    """The rates of the regime whose masks, those of ``solve_rates``, are
+    given as lists of bools."""
     if not all(gate_open):
         for members in spec.fed:
             if sum(1 for k in members if not gate_open[k]) > 1:
@@ -450,7 +440,11 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr):
         idle.append(0.0 if abs(x) < 1e-12 else x)
     if any(x < 0.0 for x in idle):
         raise FluidRateError("station busy fractions exceed capacity")
-    return tuple(admit), tuple(depart), tuple(busy), tuple(idle), tuple(inflow)
+    arrival, depart = _read_only(inflow), _read_only(depart)
+    q_dot = arrival - depart
+    q_dot[np.abs(q_dot) < _RATE_EPS] = 0.0
+    q_dot.flags.writeable = False
+    return RateVector(_read_only(admit), depart, _read_only(busy), _read_only(idle), arrival, q_dot)
 
 
 def departure_rates_at(state: FluidState, spec: NetworkSpec):

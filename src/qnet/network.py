@@ -76,7 +76,7 @@ class NetworkSpec:
     # station i serves class k
     routing_matrix: np.ndarray = field(init=False, repr=False)
     constituency: np.ndarray = field(init=False, repr=False)
-    # fluid.solve_rates memo: regime key -> rate tuples, one entry per regime
+    # fluid.solve_rates memo: regime key -> RateVector, one entry per regime
     # solved on this spec; empty for a new spec, and dataclasses.replace too
     _rates_memo: dict = field(init=False, repr=False, compare=False)
 

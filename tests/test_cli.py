@@ -291,6 +291,19 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_export_run_fault_leaves_no_out(self, tmp_path, capsys):
+        # export used to create --out before the run, and left it empty
+        p = tmp_path / "tandem.yaml"
+        p.write_text(
+            TANDEM_YAML
+            + "simulate: {n: 4, horizon: 50, seed: 2}\n"
+            + "fluid: {hbar: 1.0, horizon: 5, initial_q: [2.0, 0.5]}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["export", "--config", str(p), "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, not -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "verb, extra, message",
         [
@@ -340,6 +353,8 @@ class TestCli:
              "experiment.base_seed: expected a nonnegative integer, not -3"),
             ("sweep", "experiment: {n_values: [5], horizon: 50, seeds: [1, -2]}\n",
              "experiment.seeds[1]: expected a nonnegative integer, not -2"),
+            ("simulate", "simulate: {n: 4, horizon: 50, seed: 2, initial_queues: [-1, 0]}\n",
+             "simulate.initial_queues[0]: expected a nonnegative integer, not -1"),
             ("simulate", "simulate: {n: 4, horizon: 50, sample_count: -5}\n",
              "simulate.sample_count: expected a nonnegative integer, not -5"),
             ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: [0.5], per_piece: -3}\n",
@@ -410,7 +425,8 @@ class TestCli:
              "hbar_list", "n_list", "sample_count_list", "horizon_list",
              "set_a_list", "preset_lam_list", "class_ids_entry_list", "path_entry_list",
              "seed_fraction", "replications_fraction", "per_piece_fraction",
-             "seed_negative", "base_seed_negative", "seeds_entry_negative", "sample_count_negative",
+             "seed_negative", "base_seed_negative", "seeds_entry_negative", "initial_queues_negative",
+             "sample_count_negative",
              "per_piece_negative", "set_a_outside", "n_nan", "hbar_zero",
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
              "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",

@@ -503,7 +503,7 @@ def test_memo_hits_match_solves_on_a_new_spec(case):
         new = dataclasses.replace(spec)
         assert not new._rates_memo
         fresh = solve_rates(st_, new)
-        for name in ("admit", "depart", "busy", "idle", "arrival"):
+        for name in ("admit", "depart", "busy", "idle", "arrival", "q_dot"):
             assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes()
 
 
@@ -524,19 +524,25 @@ class TestRateMemo:
         spec = tandem_spec(1.0, 0.8, 0.5)
         a = solve_rates(FluidState.initial(spec, [0.3, 1.0], 1.0, u=[0.2], v=[0.0, 0.4]), spec)
         b = solve_rates(FluidState.initial(spec, [2.0, 2.5], 2.5, u=[0.9], v=[0.0, 1.3]), spec)
-        assert len(misses) == 1 and len(spec._rates_memo) == 1
+        assert len(misses) == 1 and len(spec._rates_memo) == 1 and a is b
         assert a.admit.tolist() == b.admit.tolist() == [0.0]
         assert a.depart.tolist() == b.depart.tolist() == [0.8, 0.0]
 
     def test_returned_arrays_do_not_reach_the_memo(self):
+        # the memo's RateVector is returned as it is, so a write to any of
+        # its arrays raises rather than changing later answers
         spec = tandem_spec(1.0, 0.8, 0.5)
         state = FluidState.initial(spec, [0.0, 1.0], 1.0)
         rv = solve_rates(state, spec)
-        want = rv.depart.tolist()
-        rv.depart[:] = -1.0
-        rv.admit[0] = 7.0
+        want = {f.name: getattr(rv, f.name).tolist() for f in dataclasses.fields(rv)}
+        for name in want:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rv, name)[0] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rv.admit = np.zeros(1)
         again = solve_rates(state, spec)
-        assert again.depart.tolist() == want
+        assert again is rv
+        assert {name: getattr(again, name).tolist() for name in want} == want
         assert again.admit.tolist() == [pytest.approx(0.5, abs=1e-12)]
 
     def test_verify_C2_memoizes_one_entry_per_regime(self):
