@@ -32,15 +32,19 @@ The water-filling reads the spec's float tables ``w_tab``, ``mu_tab`` and
 ``w_mu_tab``.
 
 As the rates are constant within a region, ``solve_rates`` solves each
-region once per spec: it keys the rates by the region's masks in the
-spec's ``_rates_memo`` and answers later states of the region with the
-same read-only ``RateVector``.  On the switch member states a miss takes
-4.05 roots and 9.05 allocations on average, about 180 us on two shared
-cores, as long as a solve without the memo, and a hit about 11 us,
-mostly the masks and their key.
-``integrate`` appends one row per breakpoint (time, q, u, v, the rates
-solved there, the cumulative flows) and one for a stationary state's hold
-to the horizon; ``FluidTrajectory`` holds their columns.
+region once per spec: it classifies the state once, on Python floats,
+keys the rates by the tuple of the region's masks in the spec's
+``_rates_memo`` and answers later states of the region with the same
+read-only ``RateVector``.  On the switch member states a miss takes 4.05
+roots and 9.05 allocations on average, about 180 us on two shared cores,
+as long as a solve without the memo, and a hit about 4.7 us (6.9 us with
+numpy masks joined into a bytes key), mostly the masks.
+``integrate`` runs its breakpoint loop on lists of floats, numpy only
+building the state handed to ``solve_rates`` and the columns: about 76 us
+per C1 start on the switch (4.2 breakpoints), 120 us on numpy arrays.  It
+appends one row per breakpoint (time, q, u, v, the rates solved there,
+the cumulative flows) and one for a stationary state's hold to the
+horizon; ``FluidTrajectory`` holds their columns.
 """
 from __future__ import annotations
 
@@ -71,15 +75,16 @@ _ZENO_WINDOW = 64     # breakpoints that must not fall within a vanishing span
 _MAX_BREAKPOINTS = 20000  # breakpoints one integrate call may record
 
 
-def _classify(q: np.ndarray, hbar: float) -> tuple:
-    """Boundary tolerance at threshold ``hbar`` and the boolean masks of
-    the queues that are empty, at the threshold and above it; every other
-    queue is interior.  The tolerance also decides whether a residual
-    clock or gate is still running."""
+def _classify(q: list, hbar: float) -> tuple:
+    """Boundary tolerance at threshold ``hbar`` and the boolean masks (lists)
+    of the queues in ``q``, a list of floats, that are empty, at the
+    threshold and above it; every other queue is interior.  The tolerance
+    also decides whether a residual clock or gate is still running."""
     atol = 1e-10 * max(1.0, hbar)
-    empty = q <= atol
-    above = q >= hbar + atol
-    at_thr = ~above & (q >= hbar - atol)
+    lo, hi = hbar - atol, hbar + atol
+    empty = [x <= atol for x in q]
+    above = [x >= hi for x in q]
+    at_thr = [x >= lo and not a for x, a in zip(q, above)]
     return atol, empty, at_thr, above
 
 
@@ -378,19 +383,24 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     state of the regime gets that entry's read-only ``RateVector``.  A
     fault is raised again on every call and never stored.
     """
-    atol, empty, at_thr, above = _classify(state.q, state.hbar)
-    v = state.v
-    masks = (~empty | (v > atol), v <= atol, state.u > atol, above, at_thr)
-    key = np.concatenate(masks).tobytes()
+    atol, empty, at_thr, above = _classify(state.q.tolist(), state.hbar)
+    v = state.v.tolist()
+    key = (
+        tuple([not e or x > atol for e, x in zip(empty, v)]),
+        tuple([x <= atol for x in v]),
+        tuple([x > atol for x in state.u.tolist()]),
+        tuple(above),
+        tuple(at_thr),
+    )
     rv = spec._rates_memo.get(key)
     if rv is None:
-        rv = spec._rates_memo[key] = _solve_regime(spec, *(m.tolist() for m in masks))
+        rv = spec._rates_memo[key] = _solve_regime(spec, *key)
     return rv
 
 
 def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVector:
     """The rates of the regime whose masks, those of ``solve_rates``, are
-    given as lists of bools."""
+    given as tuples of bools."""
     if not all(gate_open):
         for members in spec.fed:
             if sum(1 for k in members if not gate_open[k]) > 1:
@@ -436,7 +446,10 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVe
     depart, busy, inflow = _allocate(spec, admit, backlogged, gate_open)[:3]
     idle = []
     for members in spec.fed:
-        x = 1.0 - sum(busy[k] for k in members)
+        used = 0.0  # left to right: builtin sum rounds differently on 3.12+
+        for k in members:
+            used += busy[k]
+        x = 1.0 - used
         idle.append(0.0 if abs(x) < 1e-12 else x)
     if any(x < 0.0 for x in idle):
         raise FluidRateError("station busy fractions exceed capacity")
@@ -519,70 +532,64 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     if not 0 <= horizon < np.inf:
         raise ValueError("horizon must be nonnegative and finite")
     hbar = state0.hbar
+    atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
+    lo, hi = hbar - atol, hbar + atol
 
-    q = state0.q.astype(float).copy()
-    u = state0.u.astype(float).copy()
-    v = state0.v.astype(float).copy()
+    q, u, v = (np.asarray(x, dtype=float).tolist() for x in (state0.q, state0.u, state0.v))
     K, F = len(q), len(u)
 
     # one row per breakpoint, in the order of FluidTrajectory's fields: its
     # time, state, the rates solved there and the cumulative flows
     rows = []
-    cum = (np.zeros(K), np.zeros(K), np.zeros(F))  # arrivals, departures, admissions
+    cum = ([0.0] * K, [0.0] * K, [0.0] * F)  # arrivals, departures, admissions
     absorbed_at = None
 
     t = 0.0
     while True:
-        rv = solve_rates(FluidState(q, u, v, hbar), spec)
+        rv = solve_rates(FluidState(np.array(q), np.array(u), np.array(v), hbar), spec)
         rates = (rv.admit, rv.depart, rv.busy, rv.idle)
-        flows = (rv.arrival, rv.depart, rv.admit)
         rows.append((t, q, u, v, *rates, *cum))
-        qdot = rv.q_dot
-        atol, empty, at_thr, above = _classify(q, hbar)
+        qdot, busy = rv.q_dot.tolist(), rv.busy.tolist()
 
+        # the boundary each moving coordinate reaches next; solve_rates has
+        # classified the state, so only the moving queues are tested here
         candidates = []
         for k in range(K):
-            if qdot[k] < 0 and not empty[k]:
-                candidates.append(q[k] / -qdot[k])
-                if above[k]:
-                    candidates.append((q[k] - hbar) / -qdot[k])
-            elif qdot[k] > 0 and not (at_thr[k] or above[k]):
-                candidates.append((hbar - q[k]) / qdot[k])
-        for f in range(F):
-            if u[f] > atol:
-                candidates.append(u[f])
-        for k in range(K):
-            if v[k] > atol and rv.busy[k] > _RATE_EPS:
-                candidates.append(v[k] / rv.busy[k])
+            x, r = q[k], qdot[k]
+            if r < 0.0 and x > atol:
+                candidates.append(x / -r)
+                if x >= hi:
+                    candidates.append((x - hbar) / -r)
+            elif r > 0.0 and x < lo:
+                candidates.append((hbar - x) / r)
+        waiting = [x for x in u if x > atol]
+        gated = [k for k in range(K) if v[k] > atol]
+        candidates += waiting + [v[k] / busy[k] for k in gated if busy[k] > _RATE_EPS]
 
-        stationary = (
-            not np.any(qdot != 0.0)
-            and not np.any(u > atol)
-            and not np.any(v > atol)
-        )
+        stationary = not (any(qdot) or waiting or gated)
         if stationary and absorbed_at is None:
             absorbed_at = t
         remaining = horizon - t
         if remaining <= 0:
             break
+        flows = (rv.arrival.tolist(), rv.depart.tolist(), rv.admit.tolist())
         if stationary:
             # hold the state to the horizon in one segment
-            cum = tuple(c + r * remaining for c, r in zip(cum, flows))
+            cum = tuple([c + r * remaining for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
             rows.append((horizon, q, u, v, *rates, *cum))
             break
-        dt = min(candidates + [remaining])
+        candidates.append(remaining)
+        dt = min(candidates)
 
-        # advance one segment
-        q = q + qdot * dt
-        u = np.maximum(u - dt, 0.0)
-        v = np.maximum(v - rv.busy * dt, 0.0)
-        # snap coordinates that landed on a boundary, within the same
-        # tolerance that classifies them
-        q[np.abs(q) < atol] = 0.0
-        q[np.abs(q - hbar) < atol] = hbar
-        u[u < atol] = 0.0
-        v[v < atol] = 0.0
-        cum = tuple(c + r * dt for c, r in zip(cum, flows))
+        # advance one segment; snap coordinates that landed on a boundary,
+        # within the same tolerance that classifies them (u and v run down
+        # to 0, so a value below the tolerance, negative or not, becomes 0)
+        q = [x + r * dt for x, r in zip(q, qdot)]
+        q = [0.0 if abs(x) < atol else x for x in q]
+        q = [hbar if abs(x - hbar) < atol else x for x in q]
+        u = [0.0 if x < atol else x for x in (y - dt for y in u)]
+        v = [0.0 if x < atol else x for x in (y - b * dt for y, b in zip(v, busy))]
+        cum = tuple([c + r * dt for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
         t = t + dt
 
         # the breakpoint at t is the (len(rows) + 1)-th

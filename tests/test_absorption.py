@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnet.absorption import (
     EquilibriumSet,
+    Piece,
     SamplePlan,
     SamplePoint,
     distance,
@@ -15,6 +17,8 @@ from qnet.absorption import (
     verify_C1,
     verify_C2,
     _first_hit,
+    _polygon_dist,
+    _segment_dist,
 )
 from qnet.fluid import FluidState, FluidTrajectory, integrate
 from qnet.network import SWITCH, switch_example_spec, tandem_spec
@@ -27,6 +31,82 @@ def switch_state(q2, q7, hbar=1.0, q1=None, q8=None):
     q[SWITCH.flow2_ingress] = q2
     q[SWITCH.flow2_egress] = q7
     return FluidState.initial(switch_example_spec(), q, hbar)
+
+
+def numpy_segment_dist(x, p, r):
+    """The numpy form of ``_segment_dist`` that the float one replaced, kept
+    as its oracle: x, p and r are arrays of two floats."""
+    d = r - p
+    a = x - p
+    cands = [0.0, 1.0]
+    for c in range(2):
+        if d[c] != 0.0:
+            cands.append(a[c] / d[c])
+    best = np.inf
+    for t in cands:
+        t = min(max(t, 0.0), 1.0)
+        dev0, dev1 = abs(a[0] - t * d[0]), abs(a[1] - t * d[1])
+        best = min(best, float(dev0 + dev1))
+    return best
+
+
+def numpy_polygon_dist(x, verts):
+    """The numpy form of ``_polygon_dist``, kept as its oracle."""
+    m = len(verts)
+    inside = True
+    for i in range(m):
+        p, r = verts[i], verts[(i + 1) % m]
+        cross = (r[0] - p[0]) * (x[1] - p[1]) - (r[1] - p[1]) * (x[0] - p[0])
+        if cross < 0.0:
+            inside = False
+            break
+    if inside:
+        return 0.0
+    return min(numpy_segment_dist(x, verts[i], verts[(i + 1) % m]) for i in range(m))
+
+
+@st.composite
+def band_points(draw):
+    """The vertices of a band of ``_band_with_edge`` and a point inside it,
+    on one of its edges, at one of its vertices or anywhere near it."""
+    a = draw(st.floats(0.001, 0.999))
+    verts = ((0.0, 1.0), (1.0, 1.0 - a), (1.0, 1.0), (0.0, 1.0 + a))
+    kind = draw(st.sampled_from(["inside", "edge", "vertex", "near"]))
+    if kind == "vertex":
+        return verts, draw(st.sampled_from(verts))
+    if kind == "edge":
+        n = draw(st.integers(0, 3))
+        (px, py), (rx, ry) = verts[n], verts[(n + 1) % 4]
+        t = draw(st.floats(0.0, 1.0))
+        return verts, (px + t * (rx - px), py + t * (ry - py))
+    if kind == "inside":
+        x = draw(st.floats(0.0, 1.0))
+        return verts, (x, draw(st.floats(1.0 - a * x, 1.0 + a * (1.0 - x))))
+    return verts, (draw(st.floats(-1.0, 3.0)), draw(st.floats(-1.0, 3.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_points())
+def test_float_distances_equal_the_numpy_oracle(case):
+    verts, (x, y) = case
+    xy, arr = np.array([x, y]), np.asarray(verts)
+    assert _polygon_dist(x, y, verts) == numpy_polygon_dist(xy, arr)
+    for n in range(4):
+        p, r = verts[n], verts[(n + 1) % 4]
+        assert _segment_dist(x, y, p, r) == numpy_segment_dist(xy, arr[n], arr[(n + 1) % 4])
+    piece = Piece(bounds=((2, 0.0, 0.0),), poly_coords=(0, 1), poly_vertices=verts)
+    assert piece.q_distance([x, y, 0.25]) == float(sum([0.25, numpy_polygon_dist(xy, arr)]))
+
+
+def test_distances_sum_left_to_right():
+    # builtin sum() is compensated for exact floats from Python 3.12 on: it
+    # gives 1.0 for ten deviations of 0.1 there and 0.9999999999999999 on
+    # 3.11, so a distance summed by it would depend on the Python version
+    piece = Piece(bounds=tuple((k, 0.0, 0.0) for k in range(10)))
+    assert piece.q_distance([0.1] * 10) == 0.9999999999999999
+    eqset = EquilibriumSet(5, 4, (Piece(bounds=((0, 0.0, 0.0),)),))
+    state = FluidState(np.array([0.1, 0.0, 0.0, 0.0, 0.0]), np.full(4, 0.1), np.full(5, 0.1), 1.0)
+    assert distance(state, eqset, 1.0) == 0.9999999999999999
 
 
 class TestDistance:

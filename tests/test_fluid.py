@@ -260,7 +260,7 @@ class TestIntegrate:
 
     def test_regime_classification(self):
         def status(state):
-            atol, empty, at_thr, above = _classify(state.q, state.hbar)
+            atol, empty, at_thr, above = _classify(state.q.tolist(), state.hbar)
             return atol, tuple(
                 "empty" if e else "above_threshold" if a else "at_threshold" if t else "interior"
                 for e, t, a in zip(empty, at_thr, above)
@@ -554,7 +554,8 @@ class TestRateMemo:
         assert report.max_deviation == 0.0 and len(report.flow_rates) == 82
         regimes = set()
         for st_ in member_states(eqset, 1.0, spec, per_piece=40, seed=4):
-            atol, empty, at_thr, above = _classify(st_.q, st_.hbar)
+            atol, *masks = _classify(st_.q.tolist(), st_.hbar)
+            empty, at_thr, above = map(np.array, masks)
             masks = (~empty | (st_.v > atol), st_.v <= atol, st_.u > atol, above, at_thr)
             regimes.add(np.concatenate(masks).tobytes())
         assert len(spec._rates_memo) == len(regimes) == 4
@@ -625,7 +626,7 @@ def sliding_flows(state, spec):
     queue above the threshold and one at it."""
     from qnet.fluid import _classify
 
-    atol, _empty, at_thr, above = _classify(state.q, state.hbar)
+    atol, _empty, at_thr, above = _classify(state.q.tolist(), state.hbar)
     return [
         f for f, ks in enumerate(spec.routes)
         if state.u[f] <= atol and not any(above[k] for k in ks) and any(at_thr[k] for k in ks)
@@ -896,7 +897,8 @@ def reference_solve_rates(state, spec):
     admit, depart, busy, idle and arrival."""
     from qnet import fluid
 
-    atol, empty, at_thr, above = _classify(state.q, state.hbar)
+    atol, *masks = _classify(state.q.tolist(), state.hbar)
+    empty, at_thr, above = map(np.array, masks)
     backlogged = (~empty | (state.v > atol)).tolist()
     gate_open = (state.v <= atol).tolist()
     admit = [0.0] * spec.num_flows
@@ -1054,7 +1056,8 @@ def test_allocation_matches_jacobi_reference(case, data):
     from qnet.fluid import _allocate, _classify
 
     spec, state, _horizon = case
-    atol, empty, _at, _above = _classify(state.q, state.hbar)
+    atol, *masks = _classify(state.q.tolist(), state.hbar)
+    empty, _at, _above = map(np.array, masks)
     backlogged = (~empty | (state.v > atol)).tolist()
     gate_open = (state.v <= atol).tolist()
     admit = [data.draw(st.floats(0.0, float(a))) for a in spec.alpha]

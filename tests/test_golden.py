@@ -21,7 +21,9 @@ from qnet.absorption import (
 from qnet.cli import main
 from qnet.experiments import export_trajectory_csv
 from qnet.fluid import FluidState, integrate
+from qnet.fluid import FluidTrajectory
 from qnet.network import SWITCH, switch_example_spec
+from test_acceptance import _random_spec
 
 SWEEP_YAML = """\
 version: 1
@@ -96,12 +98,55 @@ def trajectory_csv(tmp_path) -> bytes:
     return path.read_bytes()
 
 
+def c1_grid_report(tmp_path) -> bytes:
+    # the 40 criterion-3 starts, over all four regions of the switch
+    proj = switch_equilibrium_set(0.5).projected((SWITCH.flow2_ingress, SWITCH.flow2_egress))
+    edges = [0.02, 0.2, 0.95]
+    starts = [(a, b, "region1") for a in edges + [0.5] for b in edges + [0.6]]
+    starts += [(a, b, "region2") for a in [1.02, 1.3, 2.9] for b in edges]
+    starts += [(a, b, "region3") for a in [0.02, 0.6, 1.5, 2.9] for b in [1.02, 1.6, 2.9]]
+    starts += [(0.0, b, "region4") for b in [1.52, 1.8, 2.9]]
+    plan = SamplePlan(
+        points=[SamplePoint(q=switch_q(a, b), label=region) for a, b, region in starts],
+        time_budget=120.0,
+    )
+    return canon(verify_C1(switch_example_spec(), proj, 1.0, plan).to_dict())
+
+
+def random_trajectories(tmp_path) -> bytes:
+    # 20 random networks, each from the empty state, from a seeded q and u,
+    # and from a seeded q with one residual gate per station
+    rng = np.random.default_rng(31)
+    columns = [f for f in FluidTrajectory.__dataclass_fields__ if f not in ("hbar", "absorbed_at")]
+    blob = []
+    for _ in range(20):
+        spec = _random_spec(rng)
+        K, F = spec.num_classes, spec.num_flows
+        v = np.zeros(K)
+        for ks in spec.fed:
+            if ks:
+                v[ks[int(rng.integers(len(ks)))]] = rng.random()
+        starts = [
+            (np.zeros(K), None, None),
+            (3.0 * rng.random(K), rng.random(F), None),
+            (3.0 * rng.random(K), None, v),
+        ]
+        for q, u, v0 in starts:
+            traj = integrate(FluidState.initial(spec, q, 1.0, u=u, v=v0), spec, 40.0)
+            blob += [np.ascontiguousarray(getattr(traj, name)).tobytes() for name in columns]
+            absorbed = np.nan if traj.absorbed_at is None else traj.absorbed_at
+            blob.append(np.float64(absorbed).tobytes())
+    return b"".join(blob)
+
+
 GOLDEN = {
     sweep_rates_json: "93e0f1b021a7ee66e62a3de76c5ac36ecf64aa9194d775627dec37fa8e44c86f",
     simulate_trace_json: "8ac682e8c68a8ecf02d6ad8970c4408e520f11f3cf52f16817c24feee9d678f3",
     c1_report: "bddd15a9f0394f566e6fcc9f9e373c002e84120fa1ad0e26a6a7cdf790b6a59b",
     c2_report: "93d38b1ff91ddf3593634eb0465d156682ab159d03993f4d393e3ba1b75fd2f9",
     trajectory_csv: "57bf56625133359307b2b83536d1172dd0cc6f25d5084f98f03dff09f78902cb",
+    c1_grid_report: "912d75f4631bbf467b6785292850ad96e2ed358b76f355c65fa246f8a3288817",
+    random_trajectories: "281a551c95cda951289f3308830dbb62b21f1c9b5c90c45be183878b29953101",
 }
 
 
