@@ -93,7 +93,7 @@ def cmd_fluid(args) -> int:
     traj = _integrate(cfg)
     out = _outdir(args)
     experiments.export_trajectory_csv(traj, os.path.join(out, "fluid.csv"))
-    _, flow_rates = fluid.departure_rates_at(traj.state_at(traj.horizon), cfg.network)
+    flow_rates = fluid.departure_rates_at(traj.state_at(traj.horizon), cfg.network)
     print(
         f"integrated {len(traj.times)} breakpoints to t={traj.horizon}; "
         f"absorbed_at={traj.absorbed_at}; final flow rates "

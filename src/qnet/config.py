@@ -16,7 +16,8 @@ holds plain Python values that need no further checks.  The kinds:
 * lists (read as tuples) and mappings of such values;
 * class ids are integers in [0, number of classes);
 * per-class and per-flow lists have one entry per class or flow of the
-  network, which ``load_config`` builds before the run sections.
+  network, which ``load_config`` builds before the run sections, and so
+  does ``verify.set``, whose kinds without a band take no ``a``.
 
 Any other value raises ConfigError naming ``<section>.<field>``; so does
 every network fault that ``build_network`` finds, as ``network.<field>``.
@@ -121,19 +122,6 @@ def _one_of(names):
         if not isinstance(value, str) or value not in names:
             raise ConfigError(f"{where}: expected one of {', '.join(names)}, not {value!r}")
         return value
-    return kind
-
-
-def _class_ids(num_classes: int, length=None):
-    """A list of class ids in [0, num_classes), of ``length`` if given."""
-    def kind(node, where):
-        if not isinstance(node, list) or length not in (None, len(node)):
-            size = f"{length} " if length is not None else ""
-            raise ConfigError(f"{where}: expected a list of {size}class ids")
-        for k in node:
-            if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < num_classes:
-                raise ConfigError(f"{where}: class id {k!r} is not in [0, {num_classes})")
-        return tuple(node)
     return kind
 
 
@@ -255,20 +243,27 @@ def _fluid(node, where: str, K: int, F: int) -> dict:
     })
 
 
-_SETS = {  # verify.set kind -> the set for band half-width a
+_SETS = {  # verify.set kind -> the set, built from the band half-width a if it has a band
     "switch": absorption.switch_equilibrium_set,
-    "switch_segments": lambda a: absorption.switch_tilde_set(),
-    "tandem_point": lambda a: absorption.tandem_point_set(),
-    "tandem_segments": lambda a: absorption.tandem_tilde_set(),
+    "switch_segments": absorption.switch_tilde_set,
+    "tandem_point": absorption.tandem_point_set,
+    "tandem_segments": absorption.tandem_tilde_set,
     "tandem_wedge": absorption.tandem_wedge_set,
 }
+_BANDED = ("switch", "tandem_wedge")
 
 
 def make_equilibrium_set(node, where: str = "verify.set"):
-    """Build a named equilibrium set from a config node."""
-    eqset = _section(node, where, {"kind": (_one_of(_SETS), REQUIRED), "a": (NUMBER, 0.5)})
+    """Build a named equilibrium set from a config node; ``a``, the band
+    half-width (default 0.5), only for the kinds with a band."""
+    eqset = _section(node, where, {"kind": (_one_of(_SETS), REQUIRED), "a": (NUMBER, None)})
+    name, a = eqset["kind"], eqset["a"]
+    if name not in _BANDED:
+        if a is not None:
+            raise ConfigError(f"{where}.a: the {name} set has no band")
+        return _SETS[name]()
     try:
-        return _SETS[eqset["kind"]](eqset["a"])
+        return _SETS[name](0.5 if a is None else a)
     except ValueError as exc:  # the band half-width a is its one parameter
         raise ConfigError(f"{where}.a: {exc}") from exc
 
@@ -282,15 +277,19 @@ def _verify(node, where: str, K: int, F: int) -> dict:
         "starts": (_list(_list(NUMBER, K, per="class"), into=list), None),
         "per_piece": (NONNEGATIVE_INTEGER, 12),
     })
+    shape = verify["set"].num_classes, verify["set"].num_flows
+    if shape != (K, F):
+        raise ConfigError(f"{where}.set: the set has (classes, flows) = {shape}, the network {(K, F)}")
     if verify["time_budget"] is None:
         verify["time_budget"] = 100.0 * verify["hbar"]
     return verify
 
 
 def _export(node, where: str, K: int, F: int) -> dict:
+    class_id = _number(f"a class id in [0, {K})", lambda x: 0 <= x < K and x.is_integer(), int)
     return _section(node, where, {
-        "trace_queues": (_class_ids(K), ()),
-        "fluid_phase": (_class_ids(K, 2), None),
+        "trace_queues": (_list(class_id), ()),
+        "fluid_phase": (_list(class_id, 2), None),
     })
 
 

@@ -34,14 +34,15 @@ every 1000th event, the default) or ``"every"`` (after every event).
 current state: A = P^T D + Lambda, Q = Q(0) + A - D >= 0, monotone busy
 and idle times, the thinning bound, the draw counts of the renewal
 streams, work conservation and flag/threshold consistency.  Its reference
-structure is read in ``Simulation.__init__`` from ``routing_matrix`` and
-``constituency``, never from the index tables the engine runs on, and
-compiled into a function of straight-line code with fixed indices, once
-per structure (``_compile_check``, about 1 ms): a loop over the structure
-spent most of a check's time on the loop itself.  Measured on 2 shared
-cores, a check costs about 3 us on 2-3 station random networks, where an
-``"every"`` run takes 2.4 times as long as an ``"off"`` run, and 6.4 us
-on the switch (8 classes, 4 stations), where it takes 4.0 times as long.
+structure, the spec's ``check_structure``, is read once per spec from
+``routing_matrix`` and ``constituency``, never from the index tables the
+engine runs on, and compiled into a function of straight-line code with
+fixed indices, once per structure (``_compile_check``, about 1 ms): a
+loop over the structure spent most of a check's time on the loop itself.
+Measured on 2 shared cores, a check costs about 3 us on 2-3 station
+random networks, where an ``"every"`` run takes 2.4 times as long as an
+``"off"`` run, and 6.4 us on the switch (8 classes, 4 stations), where it
+takes 4.0 times as long.
 Any other mode, or sample times that are not a 1-D array within the
 horizon, raise before the single-use ``Simulation`` is spent.
 
@@ -157,9 +158,10 @@ def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None)
     class k at the start departs from k and from every class after it on
     its route.  Every run has this budget, and a run that exceeds it
     raises EventBudgetExceeded."""
-    expected = horizon * sum(
-        a * (1 + len(ks)) for a, ks in zip(spec.alpha.tolist(), spec.routes)
-    )
+    expected = 0.0  # left to right: builtin sum rounds differently on 3.12+
+    for a, ks in zip(spec.alpha, spec.routes):
+        expected += a * (1 + len(ks))
+    expected *= horizon
     backlog = 0
     for k, qk in zip(range(spec.num_classes), () if initial_queues is None else initial_queues):
         c = k
@@ -263,19 +265,7 @@ class Simulation:
 
         K, F, d = spec.num_classes, spec.num_flows, spec.num_stations
         self.arr_streams, self.svc_streams = make_streams(spec, seed)
-        # reference structure for check_invariants, read from the matrices
-        # rather than from the engine's own tables: per class the classes
-        # routed into it and the flow entering at it (-1 if none), per
-        # station the classes it serves
-        P, C = spec.routing_matrix, spec.constituency
-        entering = [-1] * K
-        for f in range(F):
-            entering[spec.class_of[(f, 0)]] = f
-        feeds = tuple(
-            (tuple(int(j) for j in np.flatnonzero(P[:, k])), entering[k]) for k in range(K)
-        )
-        served = tuple(tuple(int(k) for k in np.flatnonzero(C[i])) for i in range(d))
-        self._check = _compile_check(feeds, served, F)
+        self._check = _compile_check(*spec.check_structure, F)
 
         self.t = 0.0
         self.q = [0] * K
@@ -320,12 +310,13 @@ class Simulation:
         times, the thinning bound, the draw counts of the renewal streams,
         work conservation (no station idle while backlogged) and
         flag/threshold consistency, and raises InvariantViolation at the
-        first that fails.  P and the station constituency come from
-        ``routing_matrix`` and ``constituency``, not from the tables the
-        engine runs on.  The checks are straight-line code compiled once
-        per network structure (``_compile_check``), which reads the state
-        from this Simulation on each call; a check costs 3-7 us on the
-        test networks, so it can run after every event.
+        first that fails.  P and the station constituency come from the
+        spec's ``check_structure``, read from ``routing_matrix`` and
+        ``constituency``, not from the tables the engine runs on.  The
+        checks are straight-line code compiled once per network structure
+        (``_compile_check``), which reads the state from this Simulation
+        on each call; a check costs 3-7 us on the test networks, so it can
+        run after every event.
         """
         self._check(self, t)
 
@@ -488,7 +479,7 @@ class Simulation:
         idle = horizon - spec.constituency.astype(float) @ busy
 
         span = horizon - t_warm
-        dep_rates = (np.array(d) - warm_d)[list(spec.egress)] / span
+        dep_rates = (np.array(d) - warm_d)[spec.egress] / span
         adm_rates = (np.array(lam) - warm_lam) / span
         return SimTrace(
             n=self.n,

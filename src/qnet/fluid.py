@@ -28,8 +28,8 @@ piece and the station sets that certify where that piece holds, so
 certificate holds there.  ``solve_rates`` runs Gauss-Seidel passes over
 the sliding flows and solves a flow's root again only after another
 flow's admission moved, as the root reads only the others' admissions.
-The water-filling reads the spec's float tables ``w_tab``, ``mu_tab`` and
-``w_mu_tab``.
+The water-filling reads the spec's float tables ``w``, ``mu`` and
+``w_mu``.
 
 As the rates are constant within a region, ``solve_rates`` solves each
 region once per spec: it classifies the state once, on Python floats,
@@ -37,14 +37,14 @@ keys the rates by the tuple of the region's masks in the spec's
 ``_rates_memo`` and answers later states of the region with the same
 read-only ``RateVector``.  On the switch member states a miss takes 4.05
 roots and 9.05 allocations on average, about 180 us on two shared cores,
-as long as a solve without the memo, and a hit about 4.7 us (6.9 us with
-numpy masks joined into a bytes key), mostly the masks.
+as long as a solve without the memo, and a hit about 4.7 us, mostly the
+masks.
 ``integrate`` runs its breakpoint loop on lists of floats, numpy only
 building the state handed to ``solve_rates`` and the columns: about 76 us
-per C1 start on the switch (4.2 breakpoints), 120 us on numpy arrays.  It
-appends one row per breakpoint (time, q, u, v, the rates solved there,
-the cumulative flows) and one for a stationary state's hold to the
-horizon; ``FluidTrajectory`` holds their columns.
+per C1 start on the switch (4.2 breakpoints).  It appends one row per
+breakpoint (time, q, u, v, the rates solved there, the cumulative flows)
+and one for a stationary state's hold to the horizon; ``FluidTrajectory``
+holds their columns.
 """
 from __future__ import annotations
 
@@ -211,7 +211,7 @@ def _allocate(spec, admit, backlogged, gate_open, f=-1):
     raises FluidRateError if none settles within the round guard.
     """
     K = spec.num_classes
-    w, mu, w_mu = spec.w_tab, spec.mu_tab, spec.w_mu_tab
+    w, mu, w_mu = spec.w, spec.mu, spec.w_mu
     feeder, fed, sweep = spec.feeder, spec.fed, spec.sweep
     rate = [0.0] * K + list(admit)   # class departures, then admissions
     drate = [0.0] * len(rate)
@@ -259,12 +259,12 @@ def _piece_holds(spec, backlogged, piece, other):
     was evaluated, ties within ``_ROOT_TOL`` allowed.  Then both points
     lie on one linear piece of the pinned residual.  Each station's
     ``rest`` comes from ``_fill_station`` and its share denominator from
-    the spec's ``w_mu_tab``, summed in the same order; a sliding solve on
+    the spec's ``w_mu``, summed in the same order; a sliding solve on
     the switch tests a certificate about four times."""
     (sets, j, _, _), (_, _, inflow, resid) = piece, other
     if resid[j] < max(resid) - _ROOT_TOL:
         return False
-    w, mu, w_mu, fed = spec.w_tab, spec.mu_tab, spec.w_mu_tab, spec.fed
+    w, mu, w_mu, fed = spec.w, spec.mu, spec.w_mu, spec.fed
     for i in spec.sweep:
         gated, open_, limited, rest, clamped = sets[i]
         if gated is not None:
@@ -358,7 +358,7 @@ def _solve_admit_root(spec, admit, f, backlogged, gate_open, pinned):
         trial[f] = a
         return _pinned_residual(spec, trial, backlogged, gate_open, pinned, f)
 
-    top = float(spec.alpha[f])
+    top = spec.alpha[f]
     at_top = g(top)
     if at_top[0] <= _ROOT_TOL:
         return top
@@ -408,7 +408,6 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVe
                     "at most one class per station may carry a residual service"
                 )
 
-    alpha = spec.alpha.tolist()
     admit = [0.0] * spec.num_flows
     sliding = []
     for f, ks in enumerate(spec.routes):
@@ -416,7 +415,7 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVe
             continue  # arrival clock not yet active
         if any(above[k] for k in ks):
             continue
-        admit[f] = alpha[f]
+        admit[f] = spec.alpha[f]
         pinned = [k for k in ks if at_thr[k]]
         if pinned:
             sliding.append((f, pinned))
@@ -460,10 +459,9 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVe
     return RateVector(_read_only(admit), depart, _read_only(busy), _read_only(idle), arrival, q_dot)
 
 
-def departure_rates_at(state: FluidState, spec: NetworkSpec):
-    """Per-class departure rates and per-flow rates at the egress classes."""
-    rv = solve_rates(state, spec)
-    return rv.depart, rv.depart[list(spec.egress)]
+def departure_rates_at(state: FluidState, spec: NetworkSpec) -> np.ndarray:
+    """Per-flow departure rates: those of the egress classes."""
+    return solve_rates(state, spec).depart[spec.egress]
 
 
 # ---------------------------------------------------------------------------

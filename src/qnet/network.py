@@ -7,17 +7,17 @@ external diagram, in which case unused class slots (queues no flow feeds)
 are allowed if declared; they stay empty forever and carry no traffic.
 
 Each spec compiles its index tables once, in ``__post_init__`` (see the
-field comments): ``routes``, ``egress``, ``successor``, ``members``,
-``fed``, ``cycles``, ``feeder``, ``sweep``, ``acyclic``, the read-only
-arrays ``alpha``, ``mu`` and ``w``, and the per-class float tuples
-``w_tab``, ``mu_tab`` and ``w_mu_tab``, which spare the fluid
-water-filling a ``tolist()`` and a division per call.  ``des`` reads the
-tables in its event loop and ``fluid`` on every rate solve; the views
-(``flow_classes``, ``next_class``, ``visit_cycle``, ...) return them.  The
-read-only ``routing_matrix`` and ``constituency`` are derived in the same
-place but from ``class_of``, ``flow_paths`` and ``station_of`` alone,
-never from the tables above, as the independent reference the ``des``
-invariant checks use.
+field comments): ``routes``, ``egress`` (a read-only index array),
+``successor``, ``members``, ``fed``, ``cycles``, ``feeder``, ``sweep``,
+``acyclic`` and the per-class or per-flow float tuples ``alpha``, ``mu``,
+``w`` and ``w_mu``.  ``des`` reads the tables in its event loop and
+``fluid`` on every rate solve; the views (``flow_classes``,
+``next_class``, ``arrival_rates``, ...) return them, the rate views as
+read-only arrays.  The read-only ``routing_matrix`` and ``constituency``
+are derived in the same place but from ``class_of``, ``flow_paths`` and
+``station_of`` alone, never from the tables above, as the independent
+reference the ``des`` invariant checks use; ``check_structure`` is that
+reference as index tuples, read from the two matrices.
 
 ``build_network`` checks every fault before it builds anything (paths and
 class numbering first, so class ids are 0..K-1, each once), so every spec
@@ -51,7 +51,7 @@ class NetworkSpec:
     idle_slots: frozenset = frozenset()  # class ids fed by no flow
     # index tables, compiled once by __post_init__
     routes: tuple = field(init=False, repr=False)      # per flow: class ids, hop order
-    egress: tuple = field(init=False, repr=False)      # per flow: last class of the route
+    egress: np.ndarray = field(init=False, repr=False)  # per flow: last class of the route, read-only
     successor: tuple = field(init=False, repr=False)   # per class: next class, -1 at egress
     members: tuple = field(init=False, repr=False)     # per station: its class ids
     fed: tuple = field(init=False, repr=False)         # per station: class ids minus idle slots
@@ -63,19 +63,20 @@ class NetworkSpec:
     # feed graph where it is acyclic, a cycle entered at its lowest station
     sweep: tuple = field(init=False, repr=False)
     acyclic: bool = field(init=False, repr=False)  # no cycle in the station feed graph
-    alpha: np.ndarray = field(init=False, repr=False)  # per flow: arrival rate
-    mu: np.ndarray = field(init=False, repr=False)     # per class: service rate
-    w: np.ndarray = field(init=False, repr=False)      # per class: weight, 0 for idle slots
-    # per class, as Python floats for the water-filling loops: the weight,
-    # the service rate and the server time per unit of weight, w / mu
-    w_tab: tuple = field(init=False, repr=False)
-    mu_tab: tuple = field(init=False, repr=False)
-    w_mu_tab: tuple = field(init=False, repr=False)
+    # Python floats, for the des budget and the fluid water-filling loops
+    alpha: tuple = field(init=False, repr=False)  # per flow: arrival rate
+    mu: tuple = field(init=False, repr=False)     # per class: service rate
+    w: tuple = field(init=False, repr=False)      # per class: weight, 0 for idle slots
+    w_mu: tuple = field(init=False, repr=False)   # per class: server time per unit of weight, w / mu
     # reference structure for the des invariant checks, read-only int8:
     # P[k, l] = 1 iff class l follows class k on a route, C[i, k] = 1 iff
     # station i serves class k
     routing_matrix: np.ndarray = field(init=False, repr=False)
     constituency: np.ndarray = field(init=False, repr=False)
+    # the same structure as read from P and C: per class (the classes
+    # routed into it, the flow entering at it or -1), per station the
+    # classes it serves
+    check_structure: tuple = field(init=False, repr=False)
     # fluid.solve_rates memo: regime key -> RateVector, one entry per regime
     # solved on this spec; empty for a new spec, and dataclasses.replace too
     _rates_memo: dict = field(init=False, repr=False, compare=False)
@@ -101,12 +102,12 @@ class NetworkSpec:
         )
         fed = tuple(tuple(k for k in ks if k not in self.idle_slots) for ks in members)
         sweep, acyclic = _sweep_order(self.num_stations, routes, self.station_of, fed)
-        mu = [d.rate for d in self.service_dist]
-        w = [float(x) for x in weight]
+        mu = tuple(float(d.rate) for d in self.service_dist)
+        w = tuple(float(x) for x in weight)
         P, C = _derive_matrices(self.num_stations, K, self.class_of, self.station_of, self.flow_paths)
         tables = {
             "routes": routes,
-            "egress": tuple(ks[-1] for ks in routes),
+            "egress": _read_only([ks[-1] for ks in routes], np.intp),
             "successor": tuple(successor),
             "members": members,
             "fed": fed,
@@ -114,14 +115,13 @@ class NetworkSpec:
             "feeder": tuple(feeder),
             "sweep": sweep,
             "acyclic": acyclic,
-            "alpha": _read_only([d.rate for d in self.arrival_dist]),
-            "mu": _read_only(mu),
-            "w": _read_only(w),
-            "w_tab": tuple(w),
-            "mu_tab": tuple(mu),
-            "w_mu_tab": tuple(a / b for a, b in zip(w, mu)),
+            "alpha": tuple(float(d.rate) for d in self.arrival_dist),
+            "mu": mu,
+            "w": w,
+            "w_mu": tuple(a / b for a, b in zip(w, mu)),
             "routing_matrix": P,
             "constituency": C,
+            "check_structure": _check_structure(P, C, self.class_of, self.num_flows),
         }
         for name, table in tables.items():
             object.__setattr__(self, name, table)
@@ -148,19 +148,19 @@ class NetworkSpec:
 
     @property
     def arrival_rates(self) -> np.ndarray:
-        return self.alpha
+        return _read_only(self.alpha)
 
     @property
     def service_rates(self) -> np.ndarray:
-        return self.mu
+        return _read_only(self.mu)
 
     def class_weights(self) -> np.ndarray:
         """Per-class scheduler weight w_{ff(k)} as floats (0 for idle slots)."""
-        return self.w
+        return _read_only(self.w)
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _read_only(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -208,6 +208,15 @@ def _derive_matrices(num_stations, num_classes, class_of, station_of, flow_paths
         C[s, k] = 1
     P.flags.writeable = C.flags.writeable = False
     return P, C
+
+
+def _check_structure(P, C, class_of, num_flows) -> tuple:
+    entering = [-1] * len(P)
+    for f in range(num_flows):
+        entering[class_of[(f, 0)]] = f
+    feeds = tuple((tuple(int(j) for j in np.flatnonzero(col)), f) for col, f in zip(P.T, entering))
+    served = tuple(tuple(int(k) for k in np.flatnonzero(row)) for row in C)
+    return feeds, served
 
 
 def build_network(

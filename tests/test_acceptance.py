@@ -71,7 +71,7 @@ def test_criterion_2_tandem_absorption():
             traj = integrate(FluidState.initial(spec, [q1, q2], HBAR), spec, 80.0)
             absorbed = traj.absorbed_at is not None
             at_point = np.abs(traj.q[-1] - [0.0, HBAR]).max() <= 1e-9
-            _, flow = qnet.departure_rates_at(traj.state_at(traj.horizon), spec)
+            flow = qnet.departure_rates_at(traj.state_at(traj.horizon), spec)
             ok_all = ok_all and absorbed and at_point and abs(flow[0] - 0.5) <= 1e-9
     plan = SamplePlan(
         points=[SamplePoint(q=np.array([a, b])) for a in grid for b in grid],

@@ -116,6 +116,13 @@ class TestConfig:
 
         assert cfg.network.weights[0] == Fraction(2, 3)
 
+    def test_class_id_reads_integral_float(self, tmp_path):
+        # class ids follow the integer rule of every other field: 1.0 reads as 1
+        p = tmp_path / "tandem.yaml"
+        p.write_text(TANDEM_YAML + "export: {trace_queues: [1.0]}\n")
+        (k,) = load_config(p).export["trace_queues"]
+        assert k == 1 and type(k) is int
+
     def test_readme_example_loads(self, tmp_path):
         # the example names every field, so renaming one fails here
         text = README.read_text().split("## Configuration", 1)[1]
@@ -268,10 +275,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "export, message",
         [
-            ("{trace_queues: [0, 5]}", "export.trace_queues: class id 5 is not in [0, 2)"),
-            ("{trace_queues: [-1]}", "export.trace_queues: class id -1 is not in [0, 2)"),
-            ("{fluid_phase: [0, 2]}", "export.fluid_phase: class id 2 is not in [0, 2)"),
-            ("{fluid_phase: [0]}", "export.fluid_phase: expected a list of 2 class ids"),
+            ("{trace_queues: [0, 5]}", "export.trace_queues[1]: expected a class id in [0, 2), not 5"),
+            ("{trace_queues: [-1]}", "export.trace_queues[0]: expected a class id in [0, 2), not -1"),
+            ("{fluid_phase: [0, 2]}", "export.fluid_phase[1]: expected a class id in [0, 2), not 2"),
+            ("{fluid_phase: [0]}", "export.fluid_phase: expected a list of 2"),
         ],
         ids=["trace_queues_too_large", "trace_queues_negative", "fluid_phase_too_large",
              "fluid_phase_one_id"],
@@ -419,6 +426,17 @@ class TestCli:
              "verify.target_rates: expected one entry per flow (1), not 2"),
             ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0, starts: [[1, 1], [1]]}\n",
              "verify.starts[1]: expected one entry per class (2), not 1"),
+            # a set built for another network, or given a band half-width it has no band for
+            ("verify-c1", "verify: {set: {kind: switch}, hbar: 1.0}\n",
+             "verify.set: the set has (classes, flows) = (8, 3), the network (2, 1)"),
+            ("verify-c1", "version: 1\nnetwork: {preset: switch_example}\n"
+             "verify: {set: {kind: tandem_point}, hbar: 1.0}\n",
+             "verify.set: the set has (classes, flows) = (2, 1), the network (8, 3)"),
+            ("verify-c2", "version: 1\nnetwork: {preset: switch_example}\n"
+             "verify: {set: {kind: tandem_segments}, hbar: 1.0, target_rates: [0.5, 0.5, 0.5]}\n",
+             "verify.set: the set has (classes, flows) = (2, 1), the network (8, 3)"),
+            ("verify-c2", "verify: {set: {kind: tandem_point, a: 7}, hbar: 1.0, target_rates: [0.5]}\n",
+             "verify.set.a: the tandem_point set has no band"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
@@ -433,7 +451,8 @@ class TestCli:
              "idle_station_too_large", "hop_without_class_id", "hop_past_path", "flow_past_paths",
              "station_too_large", "path_revisit", "weight_zero", "arrival_rate_zero", "ingress_class",
              "initial_q_length", "initial_v_length", "initial_u_length", "initial_queues_length",
-             "experiment_target_rates_length", "verify_target_rates_length", "starts_entry_length"],
+             "experiment_target_rates_length", "verify_target_rates_length", "starts_entry_length",
+             "set_switch_on_tandem", "set_tandem_on_switch", "set_tandem_on_switch_c2", "set_a_without_band"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError

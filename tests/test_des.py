@@ -15,6 +15,7 @@ from qnet.des import (
 )
 from qnet.distributions import DistributionSpec, RenewalStream
 from qnet.network import build_network, switch_example_spec, tandem_spec, validate
+from test_acceptance import _random_spec
 
 EXP1 = DistributionSpec.exponential(1.0)
 NEVER = DistributionSpec.deterministic(1e9)  # effectively no events
@@ -185,6 +186,21 @@ def test_default_event_budget():
     # a tenth of the budget, less its margins, bounds a run's actual count
     trace = run(spec, 10, seed=3, horizon=1000.0, initial_queues=[4, 4])
     assert trace.event_count <= (default_event_budget(spec, 1000.0, [4, 4]) - 1000) / 10
+
+
+def test_default_event_budget_sums_left_to_right():
+    # ten one-hop flows at rate 0.1: ten 0.2 terms summed left to right give
+    # 1.9999999999999998 (a correctly rounded sum gives 2.0), so the budget
+    # of a 100-unit run is 2999 events, not 3000, on every Python version
+    from qnet.des import default_event_budget
+
+    spec = build_network([(i,) for i in range(10)], arrival=[DistributionSpec.exponential(0.1)] * 10,
+                         service=[[EXP1]] * 10)
+    total = 0.0
+    for f in range(10):
+        total += 0.1 * 2
+    assert total != 2.0
+    assert default_event_budget(spec, 100.0) == int(10.0 * (100.0 * total)) + 1000 == 2999
 
 
 def test_run_without_budget_has_the_default(monkeypatch):
@@ -521,19 +537,35 @@ def test_check_is_compiled_once_per_structure_and_called_per_event(monkeypatch):
     assert forward._check is not backward._check
 
 
-def _reference_check(sim, t):
-    # the identities as loops over the structure read from the matrices, in
-    # the order and with the messages of the compiled check
-    spec = sim.spec
+def _reference_structure(spec):
+    # per class (the classes routed into it, the flow entering at it or -1)
+    # and per station the classes it serves, read from the matrices
     P, C = spec.routing_matrix, spec.constituency
     entering = [-1] * spec.num_classes
     for f in range(spec.num_flows):
         entering[spec.class_of[(f, 0)]] = f
+    feeds = tuple((tuple(int(j) for j in np.flatnonzero(P[:, k])), entering[k])
+                  for k in range(spec.num_classes))
+    served = tuple(tuple(int(k) for k in np.flatnonzero(C[i])) for i in range(spec.num_stations))
+    return feeds, served
+
+
+def test_check_structure_is_the_one_read_from_the_matrices():
+    rng = np.random.default_rng(21)
+    specs = [switch_example_spec(), tandem_spec(1.0, 0.8, 0.5)] + [_random_spec(rng) for _ in range(20)]
+    for spec in specs:
+        assert spec.check_structure == _reference_structure(spec)
+
+
+def _reference_check(sim, t):
+    # the identities as loops over the structure read from the matrices, in
+    # the order and with the messages of the compiled check
+    spec = sim.spec
+    feeds, served = _reference_structure(spec)
     q, a, d, lam = sim.q, sim.a, sim.d, sim.lam
-    for k in range(spec.num_classes):
-        f = entering[k]
+    for k, (preds, f) in enumerate(feeds):
         routed = lam[f] if f >= 0 else 0
-        for j in np.flatnonzero(P[:, k]):
+        for j in preds:
             routed += d[j]
         if a[k] != routed:
             raise InvariantViolation("A != P^T D + Lambda")
@@ -552,7 +584,7 @@ def _reference_check(sim, t):
     idle = []
     for i in range(spec.num_stations):
         total = 0
-        for k in np.flatnonzero(C[i]):
+        for k in served[i]:
             total += busy[k]
         idle.append(t - total)
     if min(idle) < -1e-9:
@@ -572,7 +604,7 @@ def _reference_check(sim, t):
     if drawn != d:
         raise InvariantViolation("departure count disagrees with its stream")
     for i in range(spec.num_stations):
-        if sim.busy_class[i] < 0 and any(q[k] > 0 for k in np.flatnonzero(C[i])):
+        if sim.busy_class[i] < 0 and any(q[k] > 0 for k in served[i]):
             raise InvariantViolation(f"station {i} idle while backlogged")
     for k, qk in enumerate(q):
         if qk >= sim.nh and not sim.flags[k]:

@@ -279,18 +279,25 @@ class TestIntegrate:
 class TestDepartureRates:
     def test_tandem_point(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
-        _, flow = qnet.departure_rates_at(FluidState.initial(spec, [0.0, 1.0], 1.0), spec)
+        flow = qnet.departure_rates_at(FluidState.initial(spec, [0.0, 1.0], 1.0), spec)
         assert flow == pytest.approx([0.5], abs=1e-12)
 
     def test_switch_inside_set(self):
         spec = switch_example_spec()
         for q2, q7 in [(0.5, 1.0), (1.0, 0.3), (1.0, 1.0), (0.25, 1.1)]:
-            _, flow = qnet.departure_rates_at(settled_switch_state(q2, q7), spec)
+            flow = qnet.departure_rates_at(settled_switch_state(q2, q7), spec)
             assert flow == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
+
+    def test_rates_of_the_egress_classes(self):
+        spec = switch_example_spec()
+        assert spec.egress.tolist() == [SWITCH.flow1_egress, SWITCH.flow2_egress, SWITCH.flow3_egress]
+        for state in (settled_switch_state(0.5, 1.0), FluidState.initial(spec, [0.4, 2.0] + [0.0] * 6, 1.0)):
+            want = solve_rates(state, spec).depart[spec.egress]
+            assert qnet.departure_rates_at(state, spec).tolist() == want.tolist()
 
     def test_all_idle_network(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
-        _, flow = qnet.departure_rates_at(
+        flow = qnet.departure_rates_at(
             FluidState.initial(spec, [0.0, 0.0], 1.0, u=[5.0]), spec
         )
         assert flow == pytest.approx([0.0], abs=1e-12)

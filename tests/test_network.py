@@ -49,6 +49,22 @@ def test_reference_matrices_read_only_and_cycle_unbuildable():
                       class_ids={(0, 0): 0, (0, 1): 0})
 
 
+def test_rate_tables_are_python_floats_and_egress_read_only():
+    # the float tuples des and fluid read are the values of the array views,
+    # also for a distribution given an int rate
+    exp2 = DistributionSpec("exponential", 2)
+    int_rates = build_network([(0, 1), (1,)], arrival=[exp2, EXP1], service=[[exp2, EXP1], [exp2]],
+                              weights=[1, "1/2"])
+    for spec in (switch_example_spec(), tandem_spec(1.0, 0.8, 0.5), int_rates):
+        w, mu = spec.class_weights(), spec.service_rates
+        for table, view in [(spec.alpha, spec.arrival_rates), (spec.mu, mu), (spec.w, w), (spec.w_mu, w / mu)]:
+            assert type(table) is tuple and all(type(x) is float for x in table)
+            assert list(table) == view.tolist()
+        assert spec.egress.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            spec.egress[0] = 0
+
+
 TANDEM = dict(arrival=[EXP1], service=[[EXP1] * 2], num_stations=2)
 
 
