@@ -17,6 +17,7 @@ to the distance; projections drop that requirement.
 
 The scaled set at threshold hbar contains x iff x/hbar is in the unit
 set, giving the exact scale law dist(x, hbar*S) = hbar * dist(x/hbar, S).
+``verify_C1`` and ``verify_C2`` first check that the set fits the network.
 """
 from __future__ import annotations
 
@@ -172,6 +173,14 @@ class EquilibriumSet:
     def q_distance(self, q_unit) -> float:
         return min(p.q_distance(q_unit) for p in self.pieces)
 
+    def check_fits(self, spec: NetworkSpec) -> None:
+        """Raise ValueError unless the set has the numbers of classes and
+        flows of ``spec``: a set built for another network measures the
+        wrong coordinates, or indexes past its own."""
+        shape, net = (self.num_classes, self.num_flows), (spec.num_classes, spec.num_flows)
+        if shape != net:
+            raise ValueError(f"the set has (classes, flows) = {shape}, the network {net}")
+
     def projected(self, coords) -> "EquilibriumSet":
         """Projection onto a coordinate subset: hitting times measured on
         those phase-portrait coordinates only."""
@@ -183,9 +192,10 @@ class EquilibriumSet:
         )
 
 
-def distance(state: FluidState, eqset: EquilibriumSet, hbar: float) -> float:
-    """Exact L1 distance from ``state`` to the set scaled by ``hbar`` (the
-    norm all absorption-time bounds are stated in)."""
+def distance(state: FluidState, eqset: EquilibriumSet) -> float:
+    """Exact L1 distance from ``state`` to the set scaled by ``state.hbar``
+    (the norm all absorption-time bounds are stated in)."""
+    hbar = state.hbar
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     d = hbar * eqset.q_distance([x / hbar for x in state.q.tolist()])
@@ -389,10 +399,9 @@ def _first_below(dist, tol: float, lo: float, hi: float, f: float) -> float:
         step *= 2.0
 
 
-def _first_hit(
-    traj: FluidTrajectory, eqset: EquilibriumSet, hbar: float, tol: float
-) -> Optional[float]:
-    """Earliest trajectory time with distance to the scaled set <= tol.
+def _first_hit(traj: FluidTrajectory, eqset: EquilibriumSet, tol: float) -> Optional[float]:
+    """Earliest trajectory time with distance <= tol to the set scaled by
+    ``traj.hbar``, or None.
 
     Along one linear segment the distance to each piece is convex and
     piecewise linear in the segment fraction f, with its kinks at known
@@ -400,23 +409,23 @@ def _first_hit(
     order until it drops to tol, or rises (past its minimum, so the piece
     is missed on this segment).  The crossing is interpolated linearly
     between the last two kinks, and ``_first_below`` turns that estimate
-    into the smallest float fraction whose distance is <= tol.  The queue
-    rows are interpolated as lists of floats: a C1 start on the switch
-    takes about 58 us here.
+    into the smallest float fraction whose distance is <= tol.  Rows are
+    interpolated and residuals summed on lists of floats, left to right as
+    in ``distance``: a C1 start on the switch takes about 58 us here.
     """
-    qs, times = traj.q.tolist(), traj.times.tolist()
+    hbar, qs, times = traj.hbar, traj.q.tolist(), traj.times.tolist()
+    # per breakpoint: residual clocks, then gates, which a projection drops
+    rs = [u + v if eqset.constrain_residuals else [] for u, v in zip(traj.u.tolist(), traj.v.tolist())]
 
     def piece_hit(i, piece):
-        base = qs[i]
+        base, r_base = qs[i], rs[i]
         step = [b - a for a, b in zip(base, qs[i + 1])]
+        r_step = [b - a for a, b in zip(r_base, rs[i + 1])]
 
         def dist(f):
             d = piece.q_distance([(a + f * s) / hbar for a, s in zip(base, step)]) * hbar
-            if eqset.constrain_residuals:
-                # numpy's pairwise sums, whose order a plain loop does not keep
-                u = traj.u[i] + f * (traj.u[i + 1] - traj.u[i])
-                v = traj.v[i] + f * (traj.v[i + 1] - traj.v[i])
-                d += float(np.sum(u)) + float(np.sum(v))
+            for a, s in zip(r_base, r_step):
+                d += a + f * s
             return d
 
         x0 = [a / hbar for a in base]
@@ -434,9 +443,6 @@ def _first_hit(
             f_a, d_a = f_b, d_b
         return None
 
-    state0 = FluidState(traj.q[0], traj.u[0], traj.v[0], hbar)
-    if distance(state0, eqset, hbar) <= tol:
-        return times[0]
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
         if t1 <= t0:
@@ -465,15 +471,15 @@ def verify_C1(
     guess which).  Passing a projected set measures hitting on the
     projection's phase-portrait coordinates only.
     """
+    eqset.check_fits(spec)
     tol = plan.hit_tol if plan.hit_tol is not None else 1e-6 * hbar
     labels, d0s, hits, ratios = [], [], [], []
     violations = []
     for idx, pt in enumerate(plan.points):
         state = FluidState.initial(spec, pt.q, hbar, u=pt.u, v=pt.v)
-        d0 = distance(state, eqset, hbar)
-        hit = _first_hit(
-            integrate(state, spec, plan.time_budget), eqset, hbar, tol
-        )
+        d0 = distance(state, eqset)
+        traj = integrate(state, spec, plan.time_budget)
+        hit = 0.0 if d0 <= tol else _first_hit(traj, eqset, tol)
         labels.append(pt.label)
         d0s.append(d0)
         if hit is None:
@@ -548,6 +554,7 @@ def verify_C2(
     seed: int = 0,
 ) -> C2Report:
     """Sample member states and compare fluid departure rates with R."""
+    eqset.check_fits(spec)
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     R = np.asarray(target_rates, dtype=float)

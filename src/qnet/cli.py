@@ -144,8 +144,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("config has no experiment section")
     plan = cfg.experiment
     if args.seed is not None:
-        plan.base_seed = args.seed
-        plan.seeds = None
+        plan.seeds = tuple(range(args.seed, args.seed + len(plan.seeds)))
     table = experiments.run_sweep(cfg.network, plan, workers=args.workers)
     out = _outdir(args)
     experiments.export_rate_table_csv(table, os.path.join(out, "rates.csv"))

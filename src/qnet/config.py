@@ -16,8 +16,11 @@ holds plain Python values that need no further checks.  The kinds:
 * lists (read as tuples) and mappings of such values;
 * class ids are integers in [0, number of classes);
 * per-class and per-flow lists have one entry per class or flow of the
-  network, which ``load_config`` builds before the run sections, and so
-  does ``verify.set``, whose kinds without a band take no ``a``.
+  network, which ``load_config`` builds before the run sections, and a
+  per-class list is 0 at the network's idle slots; ``verify.set`` fits
+  the network too, and its kinds without a band take no ``a``;
+* ``experiment`` gives its seeds as ``seeds`` or as ``base_seed`` and
+  ``replications``, never both, and no seed twice.
 
 Any other value raises ConfigError naming ``<section>.<field>``; so does
 every network fault that ``build_network`` finds, as ``network.<field>``.
@@ -104,6 +107,20 @@ def _list(item, length=None, into=tuple, per=None):
                 raise ConfigError(f"{where}: expected one entry per {per} ({length}), not {len(value)}")
             raise ConfigError(f"{where}: expected a list" + (f" of {length}" if length and not per else ""))
         return into([item(x, f"{where}[{i}]") for i, x in enumerate(value)])
+    return kind
+
+
+def _per_class(item, net: NetworkSpec):
+    """A list with one entry per class of ``net``, each converted by
+    ``item``, and 0 at the idle slots, which no flow feeds."""
+    entries = _list(item, net.num_classes, per="class")
+
+    def kind(value, where):
+        value = entries(value, where)
+        for k in sorted(net.idle_slots):
+            if value[k] != 0:
+                raise ConfigError(f"{where}[{k}]: expected 0 at an idle slot, not {value[k]!r}")
+        return value
     return kind
 
 
@@ -202,19 +219,25 @@ def _network(node, where: str) -> NetworkSpec:
         raise ConfigError("; ".join(f"{where}.{fault}" for fault in str(exc).split("; "))) from exc
 
 
-# -- run sections: each reads the numbers of classes K and flows F of the network
+# -- run sections: each reads the network ``net``, which its lists and sets must fit
 
 
-def _experiment(node, where: str, K: int, F: int) -> ExperimentPlan:
-    plan = ExperimentPlan(**_section(node, where, {
+def _experiment(node, where: str, net: NetworkSpec) -> ExperimentPlan:
+    fields = _section(node, where, {
         "n_values": (_list(POSITIVE), REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
         "replications": (INTEGER, 10),
         "base_seed": (NONNEGATIVE_INTEGER, 0),
         "seeds": (_list(NONNEGATIVE_INTEGER), None),
         "warmup_frac": (FRACTION, 0.2),
-        "target_rates": (_list(NUMBER, F, per="flow"), None),
-    }))
+        "target_rates": (_list(NUMBER, net.num_flows, per="flow"), None),
+    })
+    base, count = fields.pop("base_seed"), fields.pop("replications")
+    if fields["seeds"] is None:
+        fields["seeds"] = tuple(range(base, base + count))
+    elif {"base_seed", "replications"} & set(node):
+        raise ConfigError(f"{where}: give either seeds or base_seed/replications, not both")
+    plan = ExperimentPlan(**fields)
     try:
         plan.validate()
     except ValueError as exc:
@@ -222,24 +245,24 @@ def _experiment(node, where: str, K: int, F: int) -> ExperimentPlan:
     return plan
 
 
-def _simulate(node, where: str, K: int, F: int) -> dict:
+def _simulate(node, where: str, net: NetworkSpec) -> dict:
     return _section(node, where, {
         "n": (POSITIVE, REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
         "seed": (NONNEGATIVE_INTEGER, 0),
         "warmup_frac": (FRACTION, 0.2),
         "sample_count": (NONNEGATIVE_INTEGER, None),
-        "initial_queues": (_list(NONNEGATIVE_INTEGER, K, per="class"), None),
+        "initial_queues": (_per_class(NONNEGATIVE_INTEGER, net), None),
     })
 
 
-def _fluid(node, where: str, K: int, F: int) -> dict:
+def _fluid(node, where: str, net: NetworkSpec) -> dict:
     return _section(node, where, {
         "hbar": (POSITIVE, REQUIRED),
         "horizon": (POSITIVE, REQUIRED),
-        "initial_q": (_list(NUMBER, K, per="class"), REQUIRED),
-        "initial_u": (_list(NUMBER, F, per="flow"), None),
-        "initial_v": (_list(NUMBER, K, per="class"), None),
+        "initial_q": (_per_class(NUMBER, net), REQUIRED),
+        "initial_u": (_list(NUMBER, net.num_flows, per="flow"), None),
+        "initial_v": (_per_class(NUMBER, net), None),
     })
 
 
@@ -268,24 +291,26 @@ def make_equilibrium_set(node, where: str = "verify.set"):
         raise ConfigError(f"{where}.a: {exc}") from exc
 
 
-def _verify(node, where: str, K: int, F: int) -> dict:
+def _verify(node, where: str, net: NetworkSpec) -> dict:
     verify = _section(node, where, {
         "set": (make_equilibrium_set, REQUIRED),
         "hbar": (POSITIVE, REQUIRED),
-        "target_rates": (_list(NUMBER, F, per="flow"), None),
+        "target_rates": (_list(NUMBER, net.num_flows, per="flow"), None),
         "time_budget": (POSITIVE, None),  # None: 100 * hbar
-        "starts": (_list(_list(NUMBER, K, per="class"), into=list), None),
+        "starts": (_list(_per_class(NUMBER, net), into=list), None),
         "per_piece": (NONNEGATIVE_INTEGER, 12),
     })
-    shape = verify["set"].num_classes, verify["set"].num_flows
-    if shape != (K, F):
-        raise ConfigError(f"{where}.set: the set has (classes, flows) = {shape}, the network {(K, F)}")
+    try:
+        verify["set"].check_fits(net)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.set: {exc}") from exc
     if verify["time_budget"] is None:
         verify["time_budget"] = 100.0 * verify["hbar"]
     return verify
 
 
-def _export(node, where: str, K: int, F: int) -> dict:
+def _export(node, where: str, net: NetworkSpec) -> dict:
+    K = net.num_classes
     class_id = _number(f"a class id in [0, {K})", lambda x: 0 <= x < K and x.is_integer(), int)
     return _section(node, where, {
         "trace_queues": (_list(class_id), ()),
@@ -327,9 +352,8 @@ def load_config(path) -> LoadedConfig:
         "verify": (_mapping, None),
         "export": (_mapping, {}),
     })
-    K, F = cfg["network"].num_classes, cfg["network"].num_flows
     for name, section in [("experiment", _experiment), ("simulate", _simulate),
                           ("fluid", _fluid), ("verify", _verify), ("export", _export)]:
         if cfg[name] is not None:
-            cfg[name] = section(cfg[name], name, K, F)
+            cfg[name] = section(cfg[name], name, cfg["network"])
     return LoadedConfig(**cfg)

@@ -286,6 +286,8 @@ class Simulation:
             # 0 <= x < inf first: int() of inf or nan raises
             if len(init) != K or not all(0 <= x < math.inf and x == int(x) for x in init):
                 raise ValueError("initial_queues must be nonnegative integers, one per class")
+            if any(init[k] for k in spec.idle_slots):
+                raise ValueError(f"initial_queues must be 0 at the idle slots {sorted(spec.idle_slots)}")
             self.q = [int(x) for x in init]
             for k in range(K):
                 if self.q[k] >= self.nh:

@@ -1,5 +1,5 @@
-"""Threshold-scaling sweeps with seeded replications, rate tables, and
-CSV/JSON export.
+"""Threshold-scaling sweeps over distinct seeds, paired across n (a seed
+gets the same streams at every n), rate tables, and CSV/JSON export.
 
 Outputs are byte-stable for a fixed plan: floats are written with
 shortest-roundtrip repr, rows are merged in (n, seed) order regardless of
@@ -39,16 +39,9 @@ __all__ = [
 class ExperimentPlan:
     n_values: tuple
     horizon: float
-    replications: int = 10
-    base_seed: int = 0
-    seeds: Optional[tuple] = None        # explicit seeds override base_seed
+    seeds: tuple
     warmup_frac: float = 0.2
     target_rates: Optional[tuple] = None
-
-    def resolved_seeds(self) -> tuple:
-        if self.seeds is not None:
-            return tuple(int(s) for s in self.seeds)
-        return tuple(self.base_seed + i for i in range(self.replications))
 
     def validate(self) -> None:
         ns = list(self.n_values)
@@ -56,11 +49,13 @@ class ExperimentPlan:
             raise ValueError("n_values must be positive and strictly increasing")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
-        seeds = self.resolved_seeds()
+        seeds = list(self.seeds)
         if not seeds:
-            raise ValueError("plan has no replications")
+            raise ValueError("plan has no seeds")
         if min(seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, not {min(seeds)}")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError(f"seeds must be distinct: {max(seeds, key=seeds.count)} repeats")
 
 
 @dataclass
@@ -122,9 +117,9 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
     for n in plan.n_values:
         des.thresholds(spec, n)
     cells = [
-        (spec, float(n), seed, plan.horizon, plan.warmup_frac)
+        (spec, float(n), int(seed), plan.horizon, plan.warmup_frac)
         for n in plan.n_values
-        for seed in plan.resolved_seeds()
+        for seed in plan.seeds
     ]
     if workers > 1:
         # the pool forks all its workers at the first submit

@@ -114,6 +114,8 @@ class FluidState:
             raise ValueError("hbar must be positive and finite")
         if not all(np.all((x >= 0) & (x < np.inf)) for x in (q, u, v)):  # nan fails too
             raise ValueError("fluid coordinates must be nonnegative and finite")
+        if any(q[k] or v[k] for k in spec.idle_slots):
+            raise ValueError(f"q and v must be 0 at the idle slots {sorted(spec.idle_slots)}")
         return cls(q=q, u=u, v=v, hbar=float(hbar))
 
 

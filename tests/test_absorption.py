@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,54 +109,54 @@ def test_distances_sum_left_to_right():
     assert piece.q_distance([0.1] * 10) == 0.9999999999999999
     eqset = EquilibriumSet(5, 4, (Piece(bounds=((0, 0.0, 0.0),)),))
     state = FluidState(np.array([0.1, 0.0, 0.0, 0.0, 0.0]), np.full(4, 0.1), np.full(5, 0.1), 1.0)
-    assert distance(state, eqset, 1.0) == 0.9999999999999999
+    assert distance(state, eqset) == 0.9999999999999999
 
 
 class TestDistance:
     def test_member_distance_zero(self):
         eq = switch_equilibrium_set(0.5)
-        assert distance(switch_state(0.5, 1.0), eq, 1.0) == 0.0
-        assert distance(switch_state(1.0, 0.3), eq, 1.0) == 0.0
+        assert distance(switch_state(0.5, 1.0), eq) == 0.0
+        assert distance(switch_state(1.0, 0.3), eq) == 0.0
 
     def test_epsilon_above_tilde_set(self):
         eq = switch_tilde_set()
         eps = 0.01
-        assert distance(switch_state(0.5, 1.0 + eps), eq, 1.0) == pytest.approx(eps)
+        assert distance(switch_state(0.5, 1.0 + eps), eq) == pytest.approx(eps)
 
     def test_tandem_point_l1(self):
         eq = tandem_point_set()
         spec = tandem_spec(1.0, 0.8, 0.5)
         st = FluidState.initial(spec, [0.7, 2.4], 1.0)
-        assert distance(st, eq, 1.0) == pytest.approx(0.7 + 1.4)
+        assert distance(st, eq) == pytest.approx(0.7 + 1.4)
 
     def test_residuals_add_to_distance(self):
         eq = tandem_point_set()
         spec = tandem_spec(1.0, 0.8, 0.5)
         st = FluidState.initial(spec, [0.0, 1.0], 1.0, u=[0.25], v=[0.5, 0.0])
-        assert distance(st, eq, 1.0) == pytest.approx(0.75)
+        assert distance(st, eq) == pytest.approx(0.75)
 
     def test_scale_law_exact(self):
         eq = switch_equilibrium_set(0.4)
         for hbar in (0.5, 1.0, 7.0):
             st = switch_state(0.3 * hbar, 1.6 * hbar, hbar=hbar)
             unit = switch_state(0.3, 1.6, hbar=1.0)
-            assert distance(st, eq, hbar) == pytest.approx(
-                hbar * distance(unit, eq, 1.0), rel=1e-15
+            assert distance(st, eq) == pytest.approx(
+                hbar * distance(unit, eq), rel=1e-15
             )
 
     def test_band_membership_examples(self):
         eq = switch_equilibrium_set(0.5)
         # (0.5, 1.0): band interval at x=0.5 is [0.75, 1.25]
-        assert distance(switch_state(0.5, 1.0), eq, 1.0) == 0.0
+        assert distance(switch_state(0.5, 1.0), eq) == 0.0
         # (1.0, 0.3): right edge segment
-        assert distance(switch_state(1.0, 0.3), eq, 1.0) == 0.0
+        assert distance(switch_state(1.0, 0.3), eq) == 0.0
         # (0.2, 0.2): below the band's lower edge 1 - 0.5*0.2 = 0.9
-        assert distance(switch_state(0.2, 0.2), eq, 1.0) > 0.0
+        assert distance(switch_state(0.2, 0.2), eq) > 0.0
 
     def test_band_edge_distance(self):
         eq = switch_equilibrium_set(0.5)
         # straight below the lower edge at x=0.2: deficit to y=0.9
-        d = distance(switch_state(0.2, 0.2), eq, 1.0)
+        d = distance(switch_state(0.2, 0.2), eq)
         assert d == pytest.approx(0.7, abs=1e-12)
 
     def test_metric_projection_bound(self):
@@ -162,7 +165,7 @@ class TestDistance:
         spec = switch_example_spec()
         x = switch_state(2.0, 0.1)
         members = member_states(eq, 1.0, spec, per_piece=500, seed=3)
-        d = distance(x, eq, 1.0)
+        d = distance(x, eq)
         for e in members:
             direct = (
                 np.abs(x.q - e.q).sum()
@@ -172,8 +175,9 @@ class TestDistance:
             assert d <= direct + 1e-12
 
     def test_hbar_must_be_positive(self):
-        with pytest.raises(ValueError):
-            distance(switch_state(0.5, 0.5), switch_equilibrium_set(0.5), 0.0)
+        st = switch_state(0.5, 0.5)
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            distance(FluidState(st.q, st.u, st.v, 0.0), switch_equilibrium_set(0.5))
 
     def test_bad_band_parameter(self):
         for a in (0.0, 1.0, -0.5, 2.0):
@@ -252,6 +256,23 @@ class TestVerifyC1:
         assert set(d) >= {"ratios", "hit_times", "max_ratio", "ok"}
 
 
+@pytest.mark.parametrize(
+    "spec, eqset, shape",
+    [(tandem_spec(1.0, 0.8, 0.5), switch_equilibrium_set(0.5), "(8, 3), the network (2, 1)"),
+     (switch_example_spec(), tandem_point_set(), "(2, 1), the network (8, 3)")],
+    ids=["switch_set_on_tandem", "tandem_set_on_switch"],
+)
+def test_set_must_fit_the_network(spec, eqset, shape):
+    # C1 used to end in an IndexError (switch set) or to report a violation
+    # measured on classes 0-1 (tandem set), and C2 in a message about q and v
+    message = rf"^the set has \(classes, flows\) = {re.escape(shape)}$"
+    plan = SamplePlan(points=[SamplePoint(q=np.zeros(spec.num_classes))], time_budget=5.0)
+    with pytest.raises(ValueError, match=message):
+        verify_C1(spec, eqset, 1.0, plan)
+    with pytest.raises(ValueError, match=message):
+        verify_C2(spec, eqset, 1.0, [0.5] * spec.num_flows)
+
+
 class TestVerifyC2:
     def test_switch_rates_exact(self):
         spec = switch_example_spec()
@@ -292,8 +313,8 @@ class TestProjection:
         eq = switch_equilibrium_set(0.5)
         proj = eq.projected((SWITCH.flow2_ingress, SWITCH.flow2_egress))
         st = switch_state(0.5, 1.0, q1=0.2)  # first flow's queue far off
-        assert distance(st, eq, 1.0) == pytest.approx(0.8)
-        assert distance(st, proj, 1.0) == 0.0
+        assert distance(st, eq) == pytest.approx(0.8)
+        assert distance(st, proj) == 0.0
 
     def test_projection_keeps_scale_law(self):
         proj = switch_equilibrium_set(0.5).projected(
@@ -301,8 +322,8 @@ class TestProjection:
         )
         st = switch_state(2.0, 2.0, hbar=3.0)
         unit = switch_state(2.0 / 3.0, 2.0 / 3.0, hbar=1.0)
-        assert distance(st, proj, 3.0) == pytest.approx(
-            3.0 * distance(unit, proj, 1.0), rel=1e-12
+        assert distance(st, proj) == pytest.approx(
+            3.0 * distance(unit, proj), rel=1e-12
         )
 
     def test_cannot_split_polygon(self):
@@ -321,10 +342,11 @@ def reference_hit(traj, eqset, hbar, tol, grid=401, extra=()):
         if eqset.constrain_residuals:
             u = traj.u[i] + frac * (traj.u[i + 1] - traj.u[i])
             v = traj.v[i] + frac * (traj.v[i + 1] - traj.v[i])
-            d += float(np.sum(u)) + float(np.sum(v))
+            for x in u.tolist() + v.tolist():  # left to right, as distance sums
+                d += x
         return d
 
-    if distance(FluidState(traj.q[0], traj.u[0], traj.v[0], hbar), eqset, hbar) <= tol:
+    if distance(FluidState(traj.q[0], traj.u[0], traj.v[0], hbar), eqset) <= tol:
         return float(traj.times[0])
     fracs = sorted(set([n / (grid - 1) for n in range(grid)] + list(extra)))
     for i in range(len(traj.times) - 1):
@@ -369,10 +391,10 @@ class TestFirstHit:
             for eqset in (proj, full):
                 want = reference_hit(traj, eqset, 1.0, 1e-6)
                 assert want is not None
-                assert _first_hit(traj, eqset, 1.0, 1e-6) == want
+                assert _first_hit(traj, eqset, 1e-6) == want
             for n, piece_set in enumerate(single_pieces(proj)):
                 piece_hit = reference_hit(traj, piece_set, 1.0, 1e-6)
-                assert _first_hit(traj, piece_set, 1.0, 1e-6) == piece_hit
+                assert _first_hit(traj, piece_set, 1e-6) == piece_hit
                 if piece_hit == reference_hit(traj, proj, 1.0, 1e-6):
                     hit_pieces.add(n)
         assert hit_pieces == {0, 1}  # both the band and the edge piece are hit first
@@ -383,7 +405,7 @@ class TestFirstHit:
             traj = integrate(FluidState.initial(spec, q, 1.0), spec, 50.0)
             want = reference_hit(traj, tandem_tilde_set(), 1.0, 1e-6)
             assert want is not None and want > 0.0
-            assert _first_hit(traj, tandem_tilde_set(), 1.0, 1e-6) == want
+            assert _first_hit(traj, tandem_tilde_set(), 1e-6) == want
 
     def test_segment_touching_the_tol_level_set_at_one_point(self):
         # the vertical segment x = tol passes the point (0, 1) at distance
@@ -397,13 +419,33 @@ class TestFirstHit:
         )
         want = reference_hit(traj, tandem_point_set(), 1.0, tol, extra=(0.5,))
         assert want == pytest.approx(1.0, abs=1e-15)  # y rounds to 1 a few ulps early
-        assert _first_hit(traj, tandem_point_set(), 1.0, tol) == want
+        assert _first_hit(traj, tandem_point_set(), tol) == want
         # a hair above that distance, the segment misses the set
-        assert _first_hit(traj, tandem_point_set(), 1.0, tol * (1 - 1e-9)) is None
+        assert _first_hit(traj, tandem_point_set(), tol * (1 - 1e-9)) is None
+
+    def test_residual_start_on_a_full_set(self):
+        # the residual clock and gates of a full set add to the distance
+        # until they run out; no other test starts the hit search with them
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        eqset = tandem_point_set()
+        start = FluidState.initial(spec, [0.7, 2.4], 1.0, u=[0.3], v=[0.1, 0.3])
+        traj = integrate(start, spec, 60.0)
+        want = reference_hit(traj, eqset, 1.0, 1e-6)
+        assert want is not None and want > 0.3
+        assert _first_hit(traj, eqset, 1e-6) == want
+        plan = SamplePlan(points=[SamplePoint(q=start.q, u=start.u, v=start.v)], time_budget=60.0)
+        report = verify_C1(spec, eqset, 1.0, plan)
+        d0 = distance(start, eqset)
+        assert report.initial_distances.tolist() == [d0]
+        assert report.hit_times.tolist() == [want]
+        # at f = 0 the search measures the start exactly as distance does;
+        # numpy's pairwise order sums these residuals to 2.8, one ulp above d0
+        assert _first_hit(traj, eqset, d0) == 0.0
+        assert _first_hit(traj, eqset, math.nextafter(d0, 0.0)) > 0.0
 
     def test_start_inside_the_set(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
         traj = integrate(FluidState.initial(spec, [0.0, 1.0], 1.0), spec, 5.0)
-        assert _first_hit(traj, tandem_point_set(), 1.0, 1e-6) == 0.0
+        assert _first_hit(traj, tandem_point_set(), 1e-6) == 0.0
         traj = integrate(switch_state(0.5, 1.0), switch_example_spec(), 20.0)
-        assert _first_hit(traj, switch_equilibrium_set(0.5), 1.0, 1e-6) == 0.0
+        assert _first_hit(traj, switch_equilibrium_set(0.5), 1e-6) == 0.0

@@ -47,6 +47,8 @@ export:
   fluid_phase: [1, 6]
 """
 
+SWITCH_PRESET = "version: 1\nnetwork: {preset: switch_example}\n"
+
 TANDEM_YAML = """\
 version: 1
 network:
@@ -180,6 +182,15 @@ class TestCli:
         assert main(["sweep", "--config", str(switch_cfg), "--out", str(out2)]) == 0
         assert sha(out1 / "rates.csv") == sha(out2 / "rates.csv")
         assert sha(out1 / "rates.json") == sha(out2 / "rates.json")
+
+    def test_sweep_seed_keeps_the_seed_count(self, tmp_path):
+        # --seed used to replace the seeds by base_seed and the default ten replications
+        p = tmp_path / "sweep.yaml"
+        p.write_text(TANDEM_YAML + "experiment: {n_values: [5], horizon: 50, seeds: [1, 2]}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(p), "--seed", "5", "--out", str(out)]) == 0
+        rows = json.loads((out / "rates.json").read_text())["rows"]
+        assert [r["seed"] for r in rows] == [5, 6]
 
     def test_sweep_cell_fault_exit_2(self, switch_cfg, tmp_path, monkeypatch, capsys):
         import qnet
@@ -437,6 +448,24 @@ class TestCli:
              "verify.set: the set has (classes, flows) = (2, 1), the network (8, 3)"),
             ("verify-c2", "verify: {set: {kind: tandem_point, a: 7}, hbar: 1.0, target_rates: [0.5]}\n",
              "verify.set.a: the tandem_point set has no band"),
+            # seeds given twice over: replications ignored, or one cell run twice
+            ("sweep", "experiment: {n_values: [5], horizon: 50, seeds: [4, 4], replications: 7}\n",
+             "experiment: give either seeds or base_seed/replications, not both"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, seeds: [1, 2], base_seed: 3}\n",
+             "experiment: give either seeds or base_seed/replications, not both"),
+            ("sweep", "experiment: {n_values: [5], horizon: 50, seeds: [4, 4]}\n",
+             "experiment: seeds must be distinct: 4 repeats"),
+            # mass at the switch's idle slots 3 and 5, which no flow feeds
+            ("simulate", SWITCH_PRESET + "simulate: {n: 4, horizon: 50, initial_queues: [0, 0, 0, 3, 0, 0, 0, 0]}\n",
+             "simulate.initial_queues[3]: expected 0 at an idle slot, not 3"),
+            ("fluid", SWITCH_PRESET + "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 0, 0, 0, 0, 2.0, 0, 1]}\n",
+             "fluid.initial_q[5]: expected 0 at an idle slot, not 2.0"),
+            ("fluid", SWITCH_PRESET + "fluid: {hbar: 1.0, horizon: 5, initial_q: [1, 0, 0, 0, 0, 0, 0, 1],"
+             " initial_v: [0, 0, 0, 0.5, 0, 0, 0, 0]}\n",
+             "fluid.initial_v[3]: expected 0 at an idle slot, not 0.5"),
+            ("verify-c1", SWITCH_PRESET + "verify: {set: {kind: switch}, hbar: 1.0,"
+             " starts: [[1, 0.4, 0, 0, 0, 0, 0.7, 1], [1, 0.4, 0, 1, 0, 0, 0.7, 1]]}\n",
+             "verify.starts[1][3]: expected 0 at an idle slot, not 1.0"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
@@ -452,7 +481,9 @@ class TestCli:
              "station_too_large", "path_revisit", "weight_zero", "arrival_rate_zero", "ingress_class",
              "initial_q_length", "initial_v_length", "initial_u_length", "initial_queues_length",
              "experiment_target_rates_length", "verify_target_rates_length", "starts_entry_length",
-             "set_switch_on_tandem", "set_tandem_on_switch", "set_tandem_on_switch_c2", "set_a_without_band"],
+             "set_switch_on_tandem", "set_tandem_on_switch", "set_tandem_on_switch_c2", "set_a_without_band",
+             "seeds_and_replications", "seeds_and_base_seed", "seeds_repeated",
+             "initial_queues_idle_slot", "initial_q_idle_slot", "initial_v_idle_slot", "starts_idle_slot"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError
@@ -545,7 +576,8 @@ def preset_configs(draw):
         "version": 1,
         "network": {"preset": "switch_example" if switch else "tandem", "params": {}},
         "simulate": {},
-        "fluid": {"initial_q": [0.5] * K},
+        # the switch's idle slots 3 and 5 hold no fluid
+        "fluid": {"initial_q": [0.5, 0.5, 0.5, 0, 0.5, 0, 0.5, 0.5] if switch else [0.5] * K},
         "experiment": {"n_values": [2, 4]},
         "verify": {"set": {"kind": "switch" if switch else "tandem_wedge"}, "target_rates": [0.5] * F},
     }

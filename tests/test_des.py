@@ -219,6 +219,14 @@ def test_initial_queues_not_nonnegative_integers_rejected(queues):
         Simulation(tandem_spec(1.0, 0.8, 0.5), 5, 1, initial_queues=queues)
 
 
+def test_initial_queues_at_idle_slot_rejected():
+    # a customer at an idle slot used to end the run in "station 1 idle
+    # while backlogged", which names no field
+    queues = [0, 0, 0, 3, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match=r"initial_queues must be 0 at the idle slots \[3, 5\]"):
+        Simulation(switch_example_spec(), 5, 1, initial_queues=queues)
+
+
 def test_empty_window_rejected():
     spec = tandem_spec(1.0, 0.8, 0.5)
     with pytest.raises(EmptyWindowError):

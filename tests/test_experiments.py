@@ -18,7 +18,7 @@ from qnet.network import switch_example_spec, tandem_spec
 
 
 def small_plan(**kw):
-    defaults = dict(n_values=(5.0, 20.0), horizon=500.0, replications=2, base_seed=7)
+    defaults = dict(n_values=(5.0, 20.0), horizon=500.0, seeds=(7, 8))
     defaults.update(kw)
     return ExperimentPlan(**defaults)
 
@@ -43,7 +43,7 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(warmup_frac=1.0).validate()
 
-    @pytest.mark.parametrize("plan", [{"base_seed": -3}, {"seeds": (1, -2)}])
+    @pytest.mark.parametrize("plan", [{"seeds": (-3, -2)}, {"seeds": (1, -2)}])
     def test_negative_seed_rejected(self, plan):
         with pytest.raises(ValueError, match="seeds must be nonnegative"):
             small_plan(**plan).validate()
@@ -78,7 +78,7 @@ class TestRunSweep:
 
     def test_tandem_rate_approaches_bottleneck(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
-        plan = ExperimentPlan(n_values=(200.0,), horizon=2e4, replications=2, base_seed=1)
+        plan = ExperimentPlan(n_values=(200.0,), horizon=2e4, seeds=(1, 2))
         table = run_sweep(spec, plan)
         for r in table.rows:
             assert r.flow_rates[0] == pytest.approx(0.5, rel=0.03)
@@ -126,7 +126,7 @@ class TestCompare:
     def test_trend_and_values(self):
         spec = switch_example_spec()
         plan = ExperimentPlan(n_values=(5.0, 50.0), horizon=4000.0,
-                              replications=3, base_seed=0)
+                              seeds=(0, 1, 2))
         table = run_sweep(spec, plan)
         report = compare_to_fluid(table, [0.5, 0.5, 0.5])
         assert report.n_values == (5.0, 50.0)
@@ -142,14 +142,14 @@ class TestCompare:
 
     def test_exact_target_gives_zero(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
-        table = run_sweep(spec, small_plan(n_values=(5.0,), replications=1))
+        table = run_sweep(spec, small_plan(n_values=(5.0,), seeds=(7,)))
         observed = table.rows[0].flow_rates
         report = compare_to_fluid(table, observed)
         assert report.mean_deviation[0] == 0.0
 
     def test_wrong_length_target_rejected(self):
         # a two-entry target on the one-flow tandem would broadcast
-        table = run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(n_values=(5.0,), replications=1))
+        table = run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(n_values=(5.0,), seeds=(7,)))
         with pytest.raises(ValueError, match=r"^expected one target rate per flow \(1\), not 2$"):
             compare_to_fluid(table, [0.5, 0.5])
 
@@ -211,7 +211,7 @@ class TestExport:
 
     def test_io_error_carries_path(self, tmp_path):
         spec = tandem_spec(1.0, 0.8, 0.5)
-        table = run_sweep(spec, small_plan(n_values=(5.0,), replications=1))
+        table = run_sweep(spec, small_plan(n_values=(5.0,), seeds=(7,)))
         bad = tmp_path / "missing_dir" / "rates.csv"
         with pytest.raises(OSError, match="rates.csv"):
             export_rate_table_csv(table, bad)

@@ -204,7 +204,7 @@ class TestIntegrate:
         from qnet.absorption import _first_hit, tandem_tilde_set
 
         traj = integrate(FluidState.initial(spec, [1.0, 1.1], 1.0), spec, 50.0)
-        hit = _first_hit(traj, tandem_tilde_set(), 1.0, 1e-6)
+        hit = _first_hit(traj, tandem_tilde_set(), 1e-6)
         assert hit >= 1.0 / 0.5
 
     def test_conservation_at_breakpoints(self):
@@ -347,6 +347,16 @@ def test_initial_clocks_wrong_length_rejected(u, v):
     # v ended in an IndexError inside integrate
     with pytest.raises(ValueError, match="q and v must have one entry per class, u one per flow"):
         FluidState.initial(tandem_spec(1.0, 0.8, 0.5), [0.0, 0.0], 1.0, u=u, v=v)
+
+
+@pytest.mark.parametrize("k, coord", [(SWITCH.idle_a, "q"), (SWITCH.idle_b, "v")])
+def test_initial_mass_at_idle_slot_rejected(k, coord):
+    # fluid at an idle slot used to stay there at every breakpoint
+    x = np.zeros(8)
+    x[k] = 2.0
+    q, v = (x, None) if coord == "q" else (np.zeros(8), x)
+    with pytest.raises(ValueError, match=r"q and v must be 0 at the idle slots \[3, 5\]"):
+        FluidState.initial(switch_example_spec(), q, 1.0, v=v)
 
 
 def test_cross_flow_sliding_coupling():
