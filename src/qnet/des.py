@@ -15,18 +15,30 @@ Scheduling: weighted round robin over a fixed per-station visit cycle
 (w_f visits per cycle per flow), skipping empty queues, non-preemptive,
 head of line only.  The cycle cursor persists across idle periods.
 
-Engine: ``Simulation.run`` is the whole event loop.  It binds the state
-lists, the network tables, ``heappush``/``heappop``, each stream's
-``draw`` and ``check_invariants`` to locals once, then handles arrivals
-and completions inline; the only call of its own is the local ``start``,
-the round-robin pick.  In CPython a local read is an array index, while an
-attribute read or a method call costs a dictionary lookup or a frame, and
-those made up most of an event's time.  The lists are the ``Simulation``'s
-own, mutated in place, so the attributes show the state after each event;
-the clock ``t`` is written when the run ends or raises.
-The callables are bound when ``run`` starts, not at import, so wrappers
-installed on ``RenewalStream``, ``Simulation`` or ``heapq`` beforehand
-see every call.  Stations start serving when ``run`` begins.
+Engine: ``Simulation.run`` checks its arguments, lays out the records
+and calls the event loop of the spec's network structure.
+``_compile_loop`` generates that loop as straight-line code with fixed
+indices, once per structure: it is keyed by the spec's ``routes``,
+``successor``, ``station_of``, ``cycles`` and ``members``, takes 1-4 ms
+and is cached for up to 256 structures.  A binary ``if`` tree on the
+event code leads to one handler per class and per flow, so no event looks
+up a route, a station or a successor; an arrival tests its route's flags
+as one ``or``-chain, a station with one class in its cycle starts service
+inline, and one with more runs one loop over its rotation table.  The
+queues, which are ints, are compared with the integer thresholds
+ceil(n*h) and floor(n*h - gap).  A generic loop over the tables spends
+1.64 reference us per event on the switch at n=100, mostly on table
+lookups, a round-robin call per service start and float compares; the
+compiled one spends 1.07 (``bench/run.py --workload sweep_switch``).  The source grows
+linearly in the classes and flows, not in the cycle lengths, since a
+workload of many structures compiles one loop each.  The loop keeps the
+state lists, ``heapq``'s functions and each stream's ``draw`` in locals;
+the lists are the ``Simulation``'s own, mutated in place, so the
+attributes show the state after each event, and the clock ``t`` is
+written when the run ends or raises.  The callables are bound when
+``run`` starts, not when the loop is compiled, so wrappers installed on
+``RenewalStream``, ``Simulation`` or ``heapq`` beforehand see every call.
+Stations start serving when ``run`` begins.
 
 Invariant checks: ``invariant_checks`` is ``"off"``, ``"sparse"`` (after
 every 1000th event, the default) or ``"every"`` (after every event).
@@ -39,10 +51,10 @@ structure, the spec's ``check_structure``, is read once per spec from
 engine runs on, and compiled into a function of straight-line code with
 fixed indices, once per structure (``_compile_check``, about 1 ms): a
 loop over the structure spent most of a check's time on the loop itself.
-Measured on 2 shared cores, a check costs about 3 us on 2-3 station
-random networks, where an ``"every"`` run takes 2.4 times as long as an
-``"off"`` run, and 6.4 us on the switch (8 classes, 4 stations), where it
-takes 4.0 times as long.
+Measured in process time on 2 shared cores, an ``"every"`` run takes
+3.8 times as long per event as an ``"off"`` run on the 100
+``checked_random`` networks (2.9 against 0.76 us) and 5.6 times on the
+switch at n=100 (4.9 against 0.88 us).
 Any other mode, or sample times that are not a 1-D array within the
 horizon, raise before the single-use ``Simulation`` is spent.
 
@@ -131,9 +143,6 @@ class ScaledPath:
     q: np.ndarray
 
 
-# event kinds: completions fire before arrivals at equal times
-_COMPLETION, _ARRIVAL = 0, 1
-
 # invariant_checks mode -> events between checks (0: never)
 _CHECK_PERIOD = {"off": 0, "sparse": 1000, "every": 1}
 
@@ -169,6 +178,146 @@ def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None)
             backlog += int(qk)
             c = spec.successor[c]
     return int(min(10.0 * expected, sys.maxsize)) + backlog + 1000
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tuple, members: tuple):
+    """The event loop of one network structure, as a function of
+    straight-line code with fixed indices.
+
+    The function is ``loop(sim, horizon, budget, period, check, hi, off,
+    marks, records, order)``.  It starts the stations and runs ``sim``
+    from its calendar to ``horizon``: it raises EventBudgetExceeded after
+    ``budget`` events, calls ``check(t)`` after every ``period``-th event
+    (never if 0), stores (q, D, Lambda) in ``records[order[r]]`` at the
+    first event after ``marks[r]``, and returns the event count and the
+    number of records stored.  An event is ``(t, code)``, ``code`` the
+    class k of a completion or K + f for an arrival of flow f, so
+    completions fire before arrivals at equal times, then by class or flow
+    id.  Each flow always has an arrival on the calendar, so the loop peeks
+    at the heap top without testing for an empty heap, and branches to the
+    event's handler on a binary ``if`` tree over the codes.  An arrival
+    tests its route's flags as one ``or``-chain and reschedules itself
+    with ``heapreplace``.  A station with one class in its cycle starts
+    service inline; one with more runs one loop over its rotation table of
+    (class, next cursor) pairs.  The queues are compared with the integer
+    thresholds ``hi`` (flag on at or above) and ``off`` (flag off at or
+    below).  The source grows linearly in the classes and flows, a cycle's
+    length sizes only its rotation table, and the source is kept as the
+    function's ``source``.
+    """
+    K, F = len(successor), len(routes)
+    namespace = {"heapq": heapq, "EventBudgetExceeded": EventBudgetExceeded,
+                 "InvariantViolation": InvariantViolation}
+    # per station of two or more classes: (class, next cursor) at each cursor
+    for i, cyc in enumerate(cycles):
+        if len(cyc) > 1:
+            namespace[f"R{i}"] = tuple((c, (j + 1) % len(cyc)) for j, c in enumerate(cyc))
+
+    def pick(i, own):
+        # the round robin at station i: serve the first nonempty class at or
+        # after the cursor, or idle and keep the cursor; ``own``: the heap
+        # top is station i's completion, replaced by the new one or popped
+        push = "heapreplace" if own else "heappush"
+        idle = [f"busy_class[{i}] = -1"] + (["heappop(heap)"] if own else []) + ["break"]
+        return [f"j = cur = cursor[{i}]", "while True:", f"    c, j = R{i}[j]", "    if q[c] > 0:",
+                f"        cursor[{i}] = j", f"        busy_class[{i}] = c", f"        service_start[{i}] = t",
+                f"        {push}(heap, (t + ss[c](), c))", "        break", "    if j == cur:",
+                ] + ["        " + x for x in idle]
+
+    def serve(k):
+        # station i of a one-class cycle starts serving class k
+        i = station_of[k]
+        return [f"busy_class[{i}] = {k}", f"service_start[{i}] = t", f"heappush(heap, (t + ss{k}(), {k}))"]
+
+    def enqueue(k):
+        # one job joins class k; an idle station starts serving
+        i = station_of[k]
+        backlog = " + ".join(f"q[{c}]" for c in members[i])
+        return [f"x = q[{k}] + 1", f"q[{k}] = x", f"a[{k}] += 1", "if x >= hi:", f"    flags[{k}] = 1",
+                f"if busy_class[{i}] < 0:", f"    if __debug__ and {backlog} != 1:",
+                f"        raise InvariantViolation({f'station {i} idle while backlogged'!r})",
+                ] + ["    " + x for x in (pick(i, False) if len(cycles[i]) > 1 else serve(k))]
+
+    def handler(code):
+        if code >= K:
+            f = code - K
+            route = routes[f]
+            flagged = " or ".join(f"flags[{k}]" for k in route)
+            return [f"e[{f}] += 1", f"heapreplace(heap, (t + sa{f}(), {code}))", f"if not ({flagged}):",
+                    f"    lam[{f}] += 1"] + ["    " + x for x in enqueue(route[0])]
+        # a departure only clears a flag: at or above ``hi`` it is on already
+        k, i, l = code, station_of[code], successor[code]
+        lines = [f"busy[{k}] += t - service_start[{i}]", f"d[{k}] += 1", f"x = q[{k}] - 1", f"q[{k}] = x",
+                 "if x <= off:", f"    flags[{k}] = 0"]
+        if len(cycles[i]) > 1:
+            lines += pick(i, True)
+        else:
+            lines += ["if x > 0:", f"    service_start[{i}] = t", f"    heapreplace(heap, (t + ss{k}(), {k}))",
+                      "else:", f"    busy_class[{i}] = -1", "    heappop(heap)"]
+        return lines + (enqueue(l) if l >= 0 else [])
+
+    def dispatch(codes, pad):
+        if len(codes) == 1:
+            return [pad + x for x in handler(codes[0])]
+        mid = len(codes) // 2
+        return ([f"{pad}if code < {codes[mid]}:"] + dispatch(codes[:mid], pad + "    ")
+                + [f"{pad}else:"] + dispatch(codes[mid:], pad + "    "))
+
+    codes = sorted(c for cyc in cycles for c in set(cyc)) + list(range(K, K + F))
+    lines = [
+        "def loop(sim, horizon, budget, period, check, hi, off, marks, records, order):",
+        "    q, a, d, lam, e, flags = sim.q, sim.a, sim.d, sim.lam, sim.e, sim.flags",
+        "    busy, busy_class, service_start, cursor = sim.busy, sim.busy_class, sim.service_start, sim.cursor",
+        "    heap = sim.heap",
+        "    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace",
+        f"    {''.join(f'sa{f}, ' for f in range(F))}= [s.draw for s in sim.arr_streams]",
+        "    ss = [s.draw for s in sim.svc_streams]",
+        f"    {''.join(f'ss{k}, ' for k in range(K))}= ss",
+        "    t = 0.0",
+    ]
+    for i, cyc in enumerate(cycles):
+        if len(cyc) > 1:
+            lines += ["    " + x for x in pick(i, False)]
+        elif cyc:
+            lines += [f"    if q[{cyc[0]}] > 0:"] + ["        " + x for x in serve(cyc[0])]
+    lines += [
+        "    r = 0",
+        "    mark = marks[0]",
+        "    stop = min(mark, horizon)",
+        "    limit = budget + 1",
+        "    due = min(period, limit) if period else limit",
+        "    events = 0",
+        "    try:",
+        "        while True:",
+        "            t, code = heap[0]",
+        "            if t > stop:",
+        "                if t > horizon:",
+        "                    break",
+        "                while t > mark:",
+        "                    records[order[r]] = q + d + lam",
+        "                    r += 1",
+        "                    mark = marks[r]",
+        "                stop = min(mark, horizon)",
+    ]
+    lines += dispatch(codes, "            ")
+    lines += [
+        "            events += 1",
+        "            if events == due:",
+        "                if events == limit:",
+        "                    raise EventBudgetExceeded(f'exceeded event budget {budget} at t={t:.6g}')",
+        "                check(t)",
+        "                due = min(events + period, limit)",
+        "    except BaseException:",
+        "        sim.t = t",
+        "        raise",
+        "    return events, r",
+    ]
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, "<event loop>", "exec"), namespace)
+    loop = namespace["loop"]
+    loop.source = source
+    return loop
 
 
 @functools.lru_cache(maxsize=256)
@@ -296,7 +445,7 @@ class Simulation:
 
         # first arrivals; the stations start serving when ``run`` begins
         for f in range(F):
-            heapq.heappush(self.heap, (self.arr_streams[f].draw(), _ARRIVAL, f))
+            heapq.heappush(self.heap, (self.arr_streams[f].draw(), K + f))
 
         # previous values for monotonicity checks
         self._prev_busy = list(self.busy)
@@ -355,128 +504,32 @@ class Simulation:
         order = sorted(range(m + 1), key=rec_times.__getitem__)
         marks = [rec_times[j] for j in order] + [math.inf]
         records = np.empty((m + 1, 2 * K + F), dtype=np.int64)
-        r = 0
-        mark = marks[0]  # the time of the next record
 
         period = _CHECK_PERIOD[invariant_checks]
-        next_check = period if period else -1
         # the default is read through the module global, so a patched one applies
         budget = default_event_budget(spec, horizon, self.q0)
 
-        # state, tables and callables in locals: the loop reads no attribute
-        # and makes no method call of its own.  Bound here, not at import,
-        # so that wrappers installed on the classes or on heapq see each call.
-        q, a, d, lam, e, flags = self.q, self.a, self.d, self.lam, self.e, self.flags
-        busy, busy_class = self.busy, self.busy_class
-        service_start, cursor = self.service_start, self.cursor
-        routes, successor, station_of = spec.routes, spec.successor, spec.station_of
-        cycles, members = spec.cycles, spec.members
-        nh, low = self.nh, self.low
-        heap = self.heap
-        heappush, heappop = heapq.heappush, heapq.heappop
-        arr_draw = [s.draw for s in self.arr_streams]
-        svc_draw = [s.draw for s in self.svc_streams]
-        check = self.check_invariants
-
-        def start(i, t):
-            # weighted round robin: serve the first nonempty class at or after
-            # station i's cursor; if all are empty, idle and keep the cursor
-            cyc = cycles[i]
-            L = len(cyc)
-            cur = cursor[i]
-            for _ in range(L):
-                c = cyc[cur]
-                cur += 1
-                if cur == L:
-                    cur = 0
-                if q[c] > 0:
-                    cursor[i] = cur
-                    busy_class[i] = c
-                    service_start[i] = t
-                    heappush(heap, (t + svc_draw[c](), _COMPLETION, c))
-                    return
-            busy_class[i] = -1
-
-        for i in range(spec.num_stations):
-            start(i, 0.0)
-
-        events = 0
-        t = 0.0
-        try:
-            while heap:
-                ev = heappop(heap)
-                t, kind, idx = ev
-                if t > horizon:
-                    heappush(heap, ev)
-                    break
-                while t > mark:
-                    records[order[r]] = q + d + lam
-                    r += 1
-                    mark = marks[r]
-                if kind == _ARRIVAL:
-                    f = idx
-                    e[f] += 1
-                    heappush(heap, (t + arr_draw[f](), _ARRIVAL, f))
-                    route = routes[f]
-                    for k in route:
-                        if flags[k]:
-                            break  # discarded: some queue of the flow is above threshold
-                    else:
-                        k = route[0]
-                        qk = q[k] + 1
-                        q[k] = qk
-                        a[k] += 1
-                        lam[f] += 1
-                        if qk >= nh:
-                            flags[k] = 1
-                        i = station_of[k]
-                        if busy_class[i] < 0:
-                            if __debug__ and sum(q[c] for c in members[i]) != 1:
-                                raise InvariantViolation(f"station {i} idle while backlogged")
-                            start(i, t)
-                else:
-                    k = idx
-                    i = station_of[k]
-                    busy[k] += t - service_start[i]
-                    d[k] += 1
-                    qk = q[k] - 1
-                    q[k] = qk
-                    if qk >= nh:
-                        flags[k] = 1
-                    elif qk <= low:
-                        flags[k] = 0
-                    l = successor[k]
-                    if l >= 0:
-                        ql = q[l] + 1
-                        q[l] = ql
-                        a[l] += 1
-                        if ql >= nh:
-                            flags[l] = 1
-                        j = station_of[l]
-                        if busy_class[j] < 0:
-                            start(j, t)
-                    start(i, t)
-                events += 1
-                if events > budget:
-                    raise EventBudgetExceeded(f"exceeded event budget {budget} at t={t:.6g}")
-                if events == next_check:
-                    check(t)
-                    next_check += period
-        except BaseException:
-            self.t = t  # the state is that of the event the run stopped in
-            raise
-
+        # the engine compares its int queues with integers: on at ceil(n*h),
+        # off at or below floor(n*h - gap) and below ceil(n*h)
+        hi = math.ceil(self.nh)
+        off = min(math.floor(self.low), hi - 1)
+        loop = _compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
+        # bound here, not at import, so that a wrapper installed on the class
+        # sees each check
+        events, r = loop(self, horizon, budget, period, self.check_invariants, hi, off,
+                         marks, records, order)
         self.t = horizon
         self.event_count = events
+        q, d, lam = self.q, self.d, self.lam
         records[order[r:]] = q + d + lam
         rec_q, rec_d, rec_lam = np.split(records, [K, 2 * K], axis=1)
         warm_d, warm_lam = rec_d[m], rec_lam[m]
 
         # truncate in-progress services at the horizon for T and I
-        busy = busy[:]
-        for i, c in enumerate(busy_class):
+        busy = self.busy[:]
+        for i, c in enumerate(self.busy_class):
             if c >= 0:
-                busy[c] += horizon - service_start[i]
+                busy[c] += horizon - self.service_start[i]
         busy = np.array(busy)
         idle = horizon - spec.constituency.astype(float) @ busy
 
@@ -488,14 +541,14 @@ class Simulation:
             seed=self.seed,
             horizon=horizon,
             warmup_frac=warmup_frac,
-            exogenous=np.array(e),
+            exogenous=np.array(self.e),
             admitted=np.array(lam),
-            arrivals=np.array(a),
+            arrivals=np.array(self.a),
             departures=np.array(d),
             busy_time=busy,
             idle_time=idle,
             q_final=np.array(q),
-            flags_final=np.array(flags),
+            flags_final=np.array(self.flags),
             flow_depart_rates=dep_rates,
             flow_admit_rates=adm_rates,
             window=(t_warm, horizon),

@@ -9,6 +9,7 @@ worker completion order, and wall-clock timings are kept in memory only
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -54,6 +55,10 @@ class ExperimentPlan:
             raise ValueError("plan has no seeds")
         if min(seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, not {min(seeds)}")
+        # run_sweep takes int(seed): 1.2 and 1.7 would both run seed 1
+        fractional = [s for s in seeds if not (s < math.inf and s == int(s))]  # int() of inf or nan raises
+        if fractional:
+            raise ValueError(f"seeds must be integers, not {fractional[0]}")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be distinct: {max(seeds, key=seeds.count)} repeats")
 

@@ -1,10 +1,12 @@
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qnet
+from qnet import des
 from qnet.des import (
     EmptyWindowError,
     EventBudgetExceeded,
@@ -335,14 +337,20 @@ def test_invariants_hold_on_random_networks(case):
 
 
 def test_completion_fires_before_simultaneous_arrival():
-    # both events at t=1.0: the completion must pop first
-    import heapq
-    from qnet.des import _ARRIVAL, _COMPLETION
-
-    heap = []
-    heapq.heappush(heap, (1.0, _ARRIVAL, 0))
-    heapq.heappush(heap, (1.0, _COMPLETION, 3))
-    assert heapq.heappop(heap)[1] == _COMPLETION
+    # arrivals at t = 1, 2, ... and services of exactly 1.0 tie from t = 2 on,
+    # and n*h = 1 holds one job.  The completion fires first and clears the
+    # flag, so every arrival is admitted; had the arrival fired first, it
+    # would find the flag on and every second one would be discarded
+    spec = build_network(
+        [(0,)],
+        arrival=[DistributionSpec.deterministic(1.0)],
+        service=[[DistributionSpec.deterministic(1.0)]],
+        threshold_base=1.0,
+    )
+    trace = run(spec, n=1, seed=0, horizon=10.5, invariant_checks="every")
+    assert trace.exogenous[0] == trace.admitted[0] == 10
+    assert trace.departures[0] == 9 and trace.q_final[0] == 1
+    assert trace.event_count == 19
 
 
 def test_switch_scaled_path_tracks_fluid():
@@ -543,6 +551,43 @@ def test_check_is_compiled_once_per_structure_and_called_per_event(monkeypatch):
     forward = Simulation(build_network([(0, 1)], arrival=[EXP1], service=line), 10, 1)
     backward = Simulation(build_network([(1, 0)], arrival=[EXP1], service=line), 10, 1)
     assert forward._check is not backward._check
+
+
+def test_loop_is_compiled_once_per_structure_and_grows_linearly():
+    def loop(spec):
+        return des._compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
+
+    spec = switch_example_spec()
+    assert loop(dataclasses.replace(spec)) is loop(spec)
+    # a cycle's length is table data, not source: weights 40:1 compile to as
+    # many lines as 1:1; flows on their own stations add lines in proportion
+    station, _ = two_class_station()
+    weighted, _ = two_class_station(weights=(40, 1))
+    assert len(weighted.cycles[0]) == 41
+    assert loop(weighted).source.count("\n") == loop(station).source.count("\n")
+
+    def parallel(m):
+        return build_network([(i,) for i in range(m)], arrival=[EXP1] * m, service=[[EXP1]] * m)
+
+    lines = [loop(parallel(m)).source.count("\n") for m in (4, 8, 16)]
+    assert lines[2] - lines[1] <= 2 * (lines[1] - lines[0]) + 4
+
+
+def test_loop_calls_heapq_as_bound_when_the_run_starts(monkeypatch):
+    # the loop is compiled before heapq is wrapped and still calls the
+    # wrappers: each event takes itself off the heap top exactly once
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    run(spec, 4, 1, 10.0)
+    calls = {"heappush": 0, "heappop": 0, "heapreplace": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(heapq, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(heapq, name, counted)
+    trace = run(spec, 4, 1, 200.0)
+    assert calls["heapreplace"] + calls["heappop"] == trace.event_count > 0
+    assert calls["heappush"] > spec.num_flows
 
 
 def _reference_structure(spec):
@@ -797,3 +842,216 @@ def test_check_modes_and_sampling_leave_the_run_unchanged(monkeypatch):
         assert np.array_equal(sampled.sample_q[-1], sampled.q_final)
         assert np.array_equal(sampled.sample_d[-1], sampled.departures)
         assert np.array_equal(sampled.sample_admitted[-1], sampled.admitted)
+
+
+# -- the compiled event loop against the generic one ---------------------
+
+
+def _reference_run(sim, horizon, budget, period, check, hi, off, marks, records, order):
+    # the event loop before it was compiled: one loop over the spec's index
+    # tables, with a round-robin closure and the float thresholds nh and low
+    # (``hi`` and ``off`` are unused).  It takes the compiled loop's
+    # arguments and returns what the compiled loop returns, so a test can
+    # put it in the compiled loop's place.
+    spec = sim.spec
+    K = spec.num_classes
+    q, a, d, lam, e, flags = sim.q, sim.a, sim.d, sim.lam, sim.e, sim.flags
+    busy, busy_class = sim.busy, sim.busy_class
+    service_start, cursor = sim.service_start, sim.cursor
+    routes, successor, station_of = spec.routes, spec.successor, spec.station_of
+    cycles, members = spec.cycles, spec.members
+    nh, low = sim.nh, sim.low
+    heap = sim.heap
+    heappush, heappop = heapq.heappush, heapq.heappop
+    arr_draw = [s.draw for s in sim.arr_streams]
+    svc_draw = [s.draw for s in sim.svc_streams]
+
+    def start(i, t):
+        # weighted round robin: serve the first nonempty class at or after
+        # station i's cursor; if all are empty, idle and keep the cursor
+        cyc = cycles[i]
+        L = len(cyc)
+        cur = cursor[i]
+        for _ in range(L):
+            c = cyc[cur]
+            cur += 1
+            if cur == L:
+                cur = 0
+            if q[c] > 0:
+                cursor[i] = cur
+                busy_class[i] = c
+                service_start[i] = t
+                heappush(heap, (t + svc_draw[c](), c))
+                return
+        busy_class[i] = -1
+
+    for i in range(spec.num_stations):
+        start(i, 0.0)
+
+    r = 0
+    mark = marks[0]
+    next_check = period if period else -1
+    events = 0
+    t = 0.0
+    try:
+        while heap:
+            ev = heappop(heap)
+            t, code = ev
+            if t > horizon:
+                heappush(heap, ev)
+                break
+            while t > mark:
+                records[order[r]] = q + d + lam
+                r += 1
+                mark = marks[r]
+            if code >= K:
+                f = code - K
+                e[f] += 1
+                heappush(heap, (t + arr_draw[f](), code))
+                route = routes[f]
+                for k in route:
+                    if flags[k]:
+                        break  # discarded: some queue of the flow is above threshold
+                else:
+                    k = route[0]
+                    qk = q[k] + 1
+                    q[k] = qk
+                    a[k] += 1
+                    lam[f] += 1
+                    if qk >= nh:
+                        flags[k] = 1
+                    i = station_of[k]
+                    if busy_class[i] < 0:
+                        if sum(q[c] for c in members[i]) != 1:
+                            raise InvariantViolation(f"station {i} idle while backlogged")
+                        start(i, t)
+            else:
+                k = code
+                i = station_of[k]
+                busy[k] += t - service_start[i]
+                d[k] += 1
+                qk = q[k] - 1
+                q[k] = qk
+                if qk >= nh:
+                    flags[k] = 1
+                elif qk <= low:
+                    flags[k] = 0
+                l = successor[k]
+                if l >= 0:
+                    ql = q[l] + 1
+                    q[l] = ql
+                    a[l] += 1
+                    if ql >= nh:
+                        flags[l] = 1
+                    j = station_of[l]
+                    if busy_class[j] < 0:
+                        start(j, t)
+                start(i, t)
+            events += 1
+            if events > budget:
+                raise EventBudgetExceeded(f"exceeded event budget {budget} at t={t:.6g}")
+            if events == next_check:
+                check(t)
+                next_check += period
+    except BaseException:
+        sim.t = t
+        raise
+    return events, r
+
+
+_LAWS = [
+    DistributionSpec.exponential(1.3),
+    DistributionSpec.pareto_paper(0.9),
+    DistributionSpec.deterministic(0.5),
+    DistributionSpec.deterministic(1.0),
+]
+
+
+@st.composite
+def engine_cases(draw):
+    # weighted cycles, ties between deterministic events, float and
+    # integral n*h with gap 0 or 1, an idle slot, initial backlogs, sample
+    # times and every check mode
+    d = draw(st.integers(1, 3))
+    paths, arrival, service, weights = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(d)))
+        paths.append(tuple(perm[:draw(st.integers(1, d))]))
+        arrival.append(draw(st.sampled_from(_LAWS)))
+        service.append([draw(st.sampled_from(_LAWS)) for _ in paths[-1]])
+        weights.append(draw(st.integers(1, 3)))
+    hops = sum(map(len, paths))
+    idle = {hops: draw(st.integers(0, d - 1))} if draw(st.booleans()) else None
+    spec = build_network(
+        paths, arrival=arrival, service=service, weights=weights,
+        threshold_base=draw(st.one_of(st.sampled_from([1.0, 2.0, 1.5]), st.floats(1.0, 4.0))),
+        hysteresis_gap=draw(st.sampled_from([0.0, 1.0])),
+        num_stations=d, idle_slots=idle,
+    )
+    n = draw(st.integers(1, 6))
+    queues = [0 if idle and k == hops else draw(st.integers(0, 3 * n)) for k in range(spec.num_classes)]
+    horizon = draw(st.floats(5.0, 300.0))
+    times = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.floats(0.0, horizon), st.integers(0, int(horizon)).map(float)), max_size=5)))
+    run_args = dict(warmup_frac=draw(st.sampled_from([0.0, 0.2, 0.5])), sample_times=times,
+                    invariant_checks=draw(st.sampled_from(["every", "every", "sparse", "off"])))
+    budget = draw(st.one_of(st.none(), st.integers(0, 400)))
+    return spec, n, draw(st.integers(0, 2**32 - 1)), queues, horizon, run_args, budget
+
+
+_STATE = ("t", "event_count", "q", "a", "d", "lam", "e", "flags", "busy", "busy_class",
+          "service_start", "cursor", "_prev_busy", "_prev_idle")
+
+
+def _engine_outcome(case, loop, monkeypatch):
+    # the trace or the error of one run, the checks it made, and the state
+    # it left, with the event loop ``loop`` in place of the compiled one
+    spec, n, seed, queues, horizon, run_args, budget = case
+    checks = []
+    check = Simulation.check_invariants
+
+    def recorded(sim, t):
+        checks.append(t)
+        check(sim, t)
+
+    monkeypatch.setattr(Simulation, "check_invariants", recorded)
+    if loop is not None:
+        monkeypatch.setattr(des, "_compile_loop", lambda *structure: loop)
+    if budget is not None:
+        monkeypatch.setattr(des, "default_event_budget", lambda *args: budget)
+    sim = Simulation(spec, n, seed, initial_queues=queues)
+    try:
+        result = sim.run(horizon, **run_args)
+    except EventBudgetExceeded as exc:
+        result = str(exc)
+    state = [repr(getattr(sim, name)) for name in _STATE]
+    state.append(sorted(sim.heap))
+    state.append([s.count for s in sim.arr_streams + sim.svc_streams])
+    return result, checks, state
+
+
+def _trace_bytes(trace):
+    # every field of a SimTrace, arrays by dtype, shape and bytes
+    out = []
+    for field in dataclasses.fields(trace):
+        x = getattr(trace, field.name)
+        out.append((x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else repr(x))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases())
+def test_compiled_loop_matches_the_generic_loop(case):
+    # the same trace or the same budget error at the same t, the same checks
+    # and the same final state, byte for byte
+    with pytest.MonkeyPatch.context() as mp:
+        compiled = _engine_outcome(case, None, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        generic = _engine_outcome(case, _reference_run, mp)
+    result, checks, state = compiled
+    if isinstance(result, str):
+        assert result == generic[0]
+    else:
+        assert _trace_bytes(result) == _trace_bytes(generic[0])
+    assert checks == generic[1]
+    assert state == generic[2]

@@ -48,6 +48,17 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="seeds must be nonnegative"):
             small_plan(**plan).validate()
 
+    @pytest.mark.parametrize("seeds, named", [
+        ((1.2, 1.7), "1.2"), ((3, 2.5), "2.5"), ((np.float64(4.5),), "4.5"), ((1, np.nan), "nan"), ((np.inf,), "inf"),
+    ])
+    def test_non_integral_seed_rejected(self, seeds, named):
+        # int(seed) used to run seed 1 twice for seeds (1.2, 1.7)
+        with pytest.raises(ValueError, match=f"seeds must be integers, not {named}$"):
+            small_plan(seeds=seeds).validate()
+
+    def test_integral_seeds_of_any_type_pass(self):
+        small_plan(seeds=(np.int64(3), np.int32(4), 5.0, np.uint8(6))).validate()
+
     def test_zero_horizon_is_empty_window(self):
         with pytest.raises(EmptyWindowError):
             run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(horizon=0.0))
