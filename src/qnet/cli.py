@@ -48,9 +48,10 @@ def cmd_validate(args) -> int:
 
 def _simulate(cfg, args, sample_count=None):
     """Run the ``simulate`` section: n, horizon, seed (``--seed`` wins),
-    warmup_frac and initial_queues, sampled at sample_count points, or at
-    ``sample_count`` points when the section gives none.  The run has
-    ``des.default_event_budget``; exceeding it exits 2."""
+    warmup_frac and initial_queues, sampled at the section's sample_count
+    points or, when it gives none, at the ``sample_count`` points the
+    caller asks for.  The run has ``des.default_event_budget``; exceeding
+    it exits 2."""
     if cfg.simulate is None:
         raise ConfigError("config has no simulate section")
     sim = cfg.simulate

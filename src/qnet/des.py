@@ -15,30 +15,29 @@ Scheduling: weighted round robin over a fixed per-station visit cycle
 (w_f visits per cycle per flow), skipping empty queues, non-preemptive,
 head of line only.  The cycle cursor persists across idle periods.
 
-Engine: ``Simulation.run`` checks its arguments, lays out the records
-and calls the event loop of the spec's network structure.
-``_compile_loop`` generates that loop as straight-line code with fixed
-indices, once per structure: it is keyed by the spec's ``routes``,
-``successor``, ``station_of``, ``cycles`` and ``members``, takes 1-4 ms
-and is cached for up to 256 structures.  A binary ``if`` tree on the
-event code leads to one handler per class and per flow, so no event looks
-up a route, a station or a successor; an arrival tests its route's flags
-as one ``or``-chain, a station with one class in its cycle starts service
-inline, and one with more runs one loop over its rotation table.  The
-queues, which are ints, are compared with the integer thresholds
-ceil(n*h) and floor(n*h - gap).  A generic loop over the tables spends
-1.64 reference us per event on the switch at n=100, mostly on table
-lookups, a round-robin call per service start and float compares; the
-compiled one spends 1.07 (``bench/run.py --workload sweep_switch``).  The source grows
+Engine: ``Simulation.__init__`` turns (spec, n, seed) into what the
+engine runs: the float and integer thresholds, the streams, the first
+arrivals and the event loop of the spec's network structure.
+``Simulation.run`` checks its own arguments, lays out the records and
+calls that loop.  ``_compile_loop`` generates it as straight-line code
+with fixed indices, once per structure: it is keyed by the spec's
+``routes``, ``successor``, ``station_of``, ``cycles`` and ``members``,
+takes 1-4 ms and is cached for up to 256 structures.  A binary ``if``
+tree on the event code leads to one handler per class and per flow, so
+no event looks up a route, a station or a successor; an arrival tests
+its route's flags as one ``or``-chain, a station with one class in its
+cycle starts service inline, and one with more runs one loop over its
+rotation table.  The queues, which are ints, are compared with the
+integer thresholds ceil(n*h) and floor(n*h - gap).  The source grows
 linearly in the classes and flows, not in the cycle lengths, since a
-workload of many structures compiles one loop each.  The loop keeps the
-state lists, ``heapq``'s functions and each stream's ``draw`` in locals;
-the lists are the ``Simulation``'s own, mutated in place, so the
-attributes show the state after each event, and the clock ``t`` is
-written when the run ends or raises.  The callables are bound when
-``run`` starts, not when the loop is compiled, so wrappers installed on
-``RenewalStream``, ``Simulation`` or ``heapq`` beforehand see every call.
-Stations start serving when ``run`` begins.
+workload of many structures compiles one loop each; it is dropped once
+compiled.  The loop keeps the state lists, ``heapq``'s functions and
+each stream's ``draw`` in locals; the lists are the ``Simulation``'s
+own, mutated in place, so the attributes show the state after each
+event, and the clock ``t`` is written when the run ends or raises.  The
+callables are bound when ``run`` starts, not when the loop is compiled,
+so wrappers installed on ``RenewalStream``, ``Simulation`` or ``heapq``
+beforehand see every call.  Stations start serving when ``run`` begins.
 
 Invariant checks: ``invariant_checks`` is ``"off"``, ``"sparse"`` (after
 every 1000th event, the default) or ``"every"`` (after every event).
@@ -148,13 +147,22 @@ _CHECK_PERIOD = {"off": 0, "sparse": 1000, "every": 1}
 
 
 def thresholds(spec: NetworkSpec, n: float) -> tuple:
-    """Discarding thresholds (n*h, n*h - gap) at scale n.  ValueError if the
-    lower one is negative: a flag could then never switch off again."""
+    """Discarding thresholds at scale n, as ``(nh, low), (hi, off)``.
+
+    The floats nh = n*h and low = n*h - gap are what the invariant check
+    reads.  The integers are what the event loop compares its int queues
+    with: a flag is on at or above hi = ceil(n*h) and off at or below
+    off = floor(n*h - gap), which is below hi.  ValueError if n*h is not
+    finite, or if the lower threshold is negative: a flag could then never
+    switch off again."""
     nh = float(n) * spec.threshold_base
     low = nh - spec.hysteresis_gap
+    if not nh < math.inf:  # nan included
+        raise ValueError(f"threshold n*h = {nh:g} is not finite at n={float(n):g}")
     if low < 0:
         raise ValueError(f"lower threshold n*h - gap = {low:g} is negative at n={float(n):g}")
-    return nh, low
+    hi = math.ceil(nh)
+    return (nh, low), (hi, min(math.floor(low), hi - 1))
 
 
 def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None) -> int:
@@ -180,6 +188,15 @@ def default_event_budget(spec: NetworkSpec, horizon: float, initial_queues=None)
     return int(min(10.0 * expected, sys.maxsize)) + backlog + 1000
 
 
+def _define(lines: list, filename: str, namespace: dict):
+    """The one function that the generated ``lines`` define, compiled with
+    ``namespace`` as its globals.  The text is dropped once compiled."""
+    defined = {}
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), namespace, defined)
+    (function,) = defined.values()
+    return function
+
+
 @functools.lru_cache(maxsize=256)
 def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tuple, members: tuple):
     """The event loop of one network structure, as a function of
@@ -202,9 +219,8 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
     service inline; one with more runs one loop over its rotation table of
     (class, next cursor) pairs.  The queues are compared with the integer
     thresholds ``hi`` (flag on at or above) and ``off`` (flag off at or
-    below).  The source grows linearly in the classes and flows, a cycle's
-    length sizes only its rotation table, and the source is kept as the
-    function's ``source``.
+    below).  The source grows linearly in the classes and flows, and a
+    cycle's length sizes only its rotation table.
     """
     K, F = len(successor), len(routes)
     namespace = {"heapq": heapq, "EventBudgetExceeded": EventBudgetExceeded,
@@ -313,11 +329,7 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         "        raise",
         "    return events, r",
     ]
-    source = "\n".join(lines) + "\n"
-    exec(compile(source, "<event loop>", "exec"), namespace)
-    loop = namespace["loop"]
-    loop.source = source
-    return loop
+    return _define(lines, "<event loop>", namespace)
 
 
 @functools.lru_cache(maxsize=256)
@@ -333,8 +345,8 @@ def _compile_check(feeds: tuple, served: tuple, num_flows: int):
     message.  The function reads every piece of state from ``sim`` on
     each call and stores the busy and idle times it computed for the next
     call's monotonicity checks.  The source holds only integer indices
-    and fixed text and is kept as the function's ``source``.  Compiling
-    takes about a millisecond, so it is done once per structure.
+    and fixed text.  Compiling takes about a millisecond, so it is done
+    once per structure.
     """
     K, F = len(feeds), int(num_flows)
 
@@ -391,12 +403,7 @@ def _compile_check(feeds: tuple, served: tuple, num_flows: int):
         "    sim._prev_busy = b",
         f"    sim._prev_idle = [{', '.join(f'i{i}' for i in stations)}]",
     ]
-    source = "\n".join(lines) + "\n"
-    namespace = {"InvariantViolation": InvariantViolation}
-    exec(compile(source, "<invariant check>", "exec"), namespace)
-    check = namespace["check"]
-    check.source = source
-    return check
+    return _define(lines, "<invariant check>", {"InvariantViolation": InvariantViolation})
 
 
 class Simulation:
@@ -410,11 +417,13 @@ class Simulation:
         self.spec = spec
         self.n = float(n)
         self.seed = int(seed)
-        self.nh, self.low = thresholds(spec, n)
+        (self.nh, self.low), (self.hi, self.off) = thresholds(spec, n)
 
         K, F, d = spec.num_classes, spec.num_flows, spec.num_stations
         self.arr_streams, self.svc_streams = make_streams(spec, seed)
+        # both are read through the module globals, so a patched one applies
         self._check = _compile_check(*spec.check_structure, F)
+        self._loop = _compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
 
         self.t = 0.0
         self.q = [0] * K
@@ -439,7 +448,7 @@ class Simulation:
                 raise ValueError(f"initial_queues must be 0 at the idle slots {sorted(spec.idle_slots)}")
             self.q = [int(x) for x in init]
             for k in range(K):
-                if self.q[k] >= self.nh:
+                if self.q[k] >= self.hi:
                     self.flags[k] = 1
         self.q0 = list(self.q)
 
@@ -508,16 +517,10 @@ class Simulation:
         period = _CHECK_PERIOD[invariant_checks]
         # the default is read through the module global, so a patched one applies
         budget = default_event_budget(spec, horizon, self.q0)
-
-        # the engine compares its int queues with integers: on at ceil(n*h),
-        # off at or below floor(n*h - gap) and below ceil(n*h)
-        hi = math.ceil(self.nh)
-        off = min(math.floor(self.low), hi - 1)
-        loop = _compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
         # bound here, not at import, so that a wrapper installed on the class
         # sees each check
-        events, r = loop(self, horizon, budget, period, self.check_invariants, hi, off,
-                         marks, records, order)
+        events, r = self._loop(self, horizon, budget, period, self.check_invariants, self.hi, self.off,
+                               marks, records, order)
         self.t = horizon
         self.event_count = events
         q, d, lam = self.q, self.d, self.lam
@@ -560,32 +563,15 @@ class Simulation:
         )
 
 
-def run(
-    spec: NetworkSpec,
-    n: float,
-    seed: int,
-    horizon: float,
-    *,
-    warmup_frac: float = 0.2,
-    initial_queues=None,
-    sample_times=None,
-    invariant_checks: str = "sparse",
-) -> SimTrace:
-    """Simulate one replication to ``horizon`` and return its trace.  The
-    run has ``default_event_budget``."""
-    sim = Simulation(spec, n, seed, initial_queues=initial_queues)
-    return sim.run(
-        horizon,
-        warmup_frac=warmup_frac,
-        sample_times=sample_times,
-        invariant_checks=invariant_checks,
-    )
+def run(spec: NetworkSpec, n: float, seed: int, horizon: float, *, initial_queues=None, **options) -> SimTrace:
+    """Simulate one replication to ``horizon`` and return its trace:
+    ``options`` (``warmup_frac``, ``sample_times``, ``invariant_checks``)
+    go to ``Simulation.run``.  The run has ``default_event_budget``."""
+    return Simulation(spec, n, seed, initial_queues=initial_queues).run(horizon, **options)
 
 
 def scaled_trajectory(trace: SimTrace, n: float) -> ScaledPath:
     """Fluid-scale path t -> Q(n t)/n from a trace sampled on a grid."""
     if trace.sample_times is None:
         raise SimulationError("trace was not sampled; rerun with sample_times")
-    if trace.sample_times[-1] > trace.horizon + 1e-9:
-        raise SimulationError("insufficient horizon for the requested scaled window")
     return ScaledPath(times=trace.sample_times / n, q=trace.sample_q / n)

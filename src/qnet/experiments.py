@@ -46,8 +46,8 @@ class ExperimentPlan:
 
     def validate(self) -> None:
         ns = list(self.n_values)
-        if not ns or any(n <= 0 for n in ns) or sorted(ns) != ns or len(set(ns)) != len(ns):
-            raise ValueError("n_values must be positive and strictly increasing")
+        if not ns or not all(0 < n < math.inf for n in ns) or sorted(ns) != ns or len(set(ns)) != len(ns):
+            raise ValueError("n_values must be positive, finite and strictly increasing")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
         seeds = list(self.seeds)
@@ -111,10 +111,10 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
     is recorded on its row and the other cells still run: a budget error
     by its message, any other exception as ``"TypeName: message"``, and a
     cell whose worker process died as ``"BrokenProcessPool: message"``.  A
-    scale n whose lower threshold n*h - gap is negative raises ValueError
-    before any cell runs.  Results from up to ``workers`` processes, never
-    more than there are cells, are merged in (n, seed) order, so the table
-    is the same for any worker count.
+    scale n whose n*h is not finite, or whose lower threshold n*h - gap
+    is negative, raises ValueError before any cell runs.  Results from up
+    to ``workers`` processes, never more than there are cells, are merged
+    in (n, seed) order, so the table is the same for any worker count.
     """
     plan.validate()
     if not 0 < plan.horizon < np.inf:

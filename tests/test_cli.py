@@ -532,6 +532,20 @@ class TestCli:
         )
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("verb, section", [
+        ("simulate", "simulate: {n: 1.0e308, horizon: 100}\n"),
+        ("sweep", "experiment: {n_values: [5, 1.0e308], horizon: 100, seeds: [1, 2]}\n"),
+    ], ids=["simulate", "sweep"])
+    def test_threshold_not_finite_exit_1(self, tmp_path, capsys, verb, section):
+        # n*h = 1e308 * 10 overflows: simulate used to end in an OverflowError
+        # traceback, and sweep to exit 2 with one OverflowError row per cell
+        p = tmp_path / "inf.yaml"
+        p.write_text("version: 1\nnetwork: {preset: switch_example, threshold_base: 10}\n" + section)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: threshold n*h = inf is not finite at n=1e+308\n"
+        assert not out.exists()
+
     def test_missing_section_exit_1(self, tmp_path):
         p = tmp_path / "min.yaml"
         p.write_text(TANDEM_YAML)

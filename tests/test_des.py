@@ -101,6 +101,22 @@ def test_gap_above_threshold_rejected():
         Simulation(tandem_with_gap(20.0), n=10, seed=0)
 
 
+def test_threshold_not_finite_rejected():
+    # n*h = 1e308 * 10 overflows to inf: run used to raise OverflowError from
+    # ceil(inf) after the Simulation was already spent
+    with pytest.raises(ValueError, match=r"^threshold n\*h = inf is not finite at n=1e\+308$"):
+        Simulation(switch_example_spec(10.0), 1e308, 1)
+
+
+def test_thresholds_as_floats_and_integers():
+    # the check reads the floats, the event loop the integers: a flag is on
+    # at or above ceil(n*h) and off at or below floor(n*h - gap), below ceil(n*h)
+    assert des.thresholds(tandem_with_gap(1.0), 2.5) == ((2.5, 1.5), (3, 1))
+    assert des.thresholds(tandem_with_gap(0.0), 3) == ((3.0, 3.0), (3, 2))
+    sim = Simulation(tandem_with_gap(1.0), 2.5, 0, initial_queues=[3, 2])
+    assert (sim.nh, sim.low, sim.hi, sim.off) == (2.5, 1.5, 3, 1) and sim.flags == [1, 0]
+
+
 def test_gap_equal_to_threshold_runs():
     # lower threshold exactly 0: the flag clears once the queue empties
     trace = run(tandem_with_gap(10.0), n=10, seed=0, horizon=2000.0)
@@ -266,6 +282,13 @@ def test_scaled_trajectory_zero_queues():
     times = np.linspace(0.0, 10.0, 11)
     trace = run(spec, 10, seed=0, horizon=10.0, sample_times=times)
     assert not scaled_trajectory(trace, 10).q.any()
+
+
+def test_scaled_trajectory_of_an_empty_grid_is_empty():
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    trace = run(spec, 10, seed=0, horizon=100.0, sample_times=[])
+    path = scaled_trajectory(trace, 3)
+    assert path.times.shape == (0,) and path.q.shape == (0, spec.num_classes)
 
 
 def test_scaled_trajectory_requires_samples():
@@ -560,17 +583,23 @@ def test_loop_is_compiled_once_per_structure_and_grows_linearly():
     spec = switch_example_spec()
     assert loop(dataclasses.replace(spec)) is loop(spec)
     # a cycle's length is table data, not source: weights 40:1 compile to as
-    # many lines as 1:1; flows on their own stations add lines in proportion
+    # many bytecode bytes as 1:1; flows on their own stations add bytecode in
+    # proportion
+    def size(net):
+        return len(loop(net).__code__.co_code)
+
     station, _ = two_class_station()
     weighted, _ = two_class_station(weights=(40, 1))
     assert len(weighted.cycles[0]) == 41
-    assert loop(weighted).source.count("\n") == loop(station).source.count("\n")
+    assert size(weighted) == size(station)
 
     def parallel(m):
         return build_network([(i,) for i in range(m)], arrival=[EXP1] * m, service=[[EXP1]] * m)
 
-    lines = [loop(parallel(m)).source.count("\n") for m in (4, 8, 16)]
-    assert lines[2] - lines[1] <= 2 * (lines[1] - lines[0]) + 4
+    sizes = [size(parallel(m)) for m in (4, 8, 16)]
+    assert sizes[2] - sizes[1] <= 2 * (sizes[1] - sizes[0]) + 32
+    # the generated text is dropped once compiled
+    assert not hasattr(loop(spec), "source") and not hasattr(Simulation(spec, 10, 1)._check, "source")
 
 
 def test_loop_calls_heapq_as_bound_when_the_run_starts(monkeypatch):

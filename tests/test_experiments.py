@@ -39,6 +39,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(n_values=(5.0, 5.0)).validate()
 
+    @pytest.mark.parametrize("n_values", [(np.nan,), (5.0, np.inf), (np.inf,)], ids=["nan", "5-inf", "inf"])
+    def test_n_not_finite_rejected(self, n_values):
+        # (nan,) used to pass, and every cell then failed on its own
+        with pytest.raises(ValueError, match="n_values must be positive, finite and strictly increasing"):
+            small_plan(n_values=n_values).validate()
+
     def test_bad_warmup_rejected(self):
         with pytest.raises(ValueError):
             small_plan(warmup_frac=1.0).validate()
@@ -106,6 +112,14 @@ class TestRunSweep:
         monkeypatch.setattr(qnet.des, "run", lambda *a, **kw: cells.append(a))
         with pytest.raises(ValueError, match="lower threshold"):
             run_sweep(spec, small_plan(n_values=(5.0, 20.0)))
+        assert cells == []
+
+    def test_threshold_not_finite_rejected_before_any_cell(self, monkeypatch):
+        # n*h = 1e308 * 10 overflows: every cell used to fail with OverflowError
+        cells = []
+        monkeypatch.setattr(qnet.des, "run", lambda *a, **kw: cells.append(a))
+        with pytest.raises(ValueError, match="n\\*h = inf is not finite"):
+            run_sweep(switch_example_spec(10.0), small_plan(n_values=(5.0, 1e308)))
         assert cells == []
 
     def test_unexpected_cell_error_recorded_on_its_row(self, monkeypatch):
