@@ -7,9 +7,9 @@ it has none).  ``_section`` rejects unknown and missing fields, converts
 every value by its kind and fills in the defaults, so a ``LoadedConfig``
 holds plain Python values that need no further checks.  The kinds:
 
-* a number is a finite int or float, or a string that reads as one (YAML
-  1.1 reads ``1e4`` as a string), never a bool; some fields must also be
-  positive, nonnegative or a fraction in [0, 1);
+* a number is a finite int or float, never a bool or a string (the file
+  is read with YAML 1.2 floats, so ``1e4`` and ``1.0e308`` are floats);
+  some fields must also be positive, nonnegative or a fraction in [0, 1);
 * an integer is a finite integral number: ``2`` and ``2.0`` read as 2;
   seeds, ``sample_count``, ``per_piece`` and the entries of
   ``initial_queues`` must also be nonnegative;
@@ -33,6 +33,7 @@ integers or "p/q" strings.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,8 +79,8 @@ def _number(name: str, fits=lambda x: True, convert=float):
     describes the kind in the error."""
     def kind(value, where):
         try:
-            x = None if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError, OverflowError):
+            x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+        except OverflowError:
             x = None
         if x is None:
             raise ConfigError(f"{where}: expected a number")
@@ -324,6 +325,18 @@ def _version(value, where: str) -> int:
     return value
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1, plus the 1.2 floats whose exponent has no sign or whose
+    mantissa has no point (``1e4``, ``1.0e308``), which 1.1 reads as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 @dataclass
 class LoadedConfig:
     version: int
@@ -338,7 +351,7 @@ class LoadedConfig:
 def load_config(path) -> LoadedConfig:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -5,6 +5,11 @@ Outputs are byte-stable for a fixed plan: floats are written with
 shortest-roundtrip repr, rows are merged in (n, seed) order regardless of
 worker completion order, and wall-clock timings are kept in memory only
 (never serialized), so identical plans hash identically.
+
+JSON files take their keys from the result objects: ``rates.json`` is
+the ``RateTable`` and ``RateRow`` fields, plus ``comparison`` (the
+``ConvergenceReport`` fields) given target rates, and ``trace.json`` the
+``SimTrace`` fields in ``TRACE_JSON_FIELDS``; a new field needs no other edit.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -145,19 +150,10 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
 @dataclass
 class ConvergenceReport:
     n_values: tuple
-    mean_deviation: tuple       # per n: mean over seeds of max_f |rate - R_f|
+    mean_deviation: tuple       # per n: mean over seeds of max_f |rate - R_f|, None if every cell failed
     min_deviation: tuple
     max_deviation: tuple
-    nonincreasing: Optional[bool]   # None when fewer than two n values
-
-    def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "mean_deviation": list(self.mean_deviation),
-            "min_deviation": list(self.min_deviation),
-            "max_deviation": list(self.max_deviation),
-            "nonincreasing": self.nonincreasing,
-        }
+    nonincreasing: Optional[bool]   # None when fewer than two n values, False when some n has no rates
 
 
 def compare_to_fluid(table: RateTable, target_rates) -> ConvergenceReport:
@@ -171,25 +167,19 @@ def compare_to_fluid(table: RateTable, target_rates) -> ConvergenceReport:
         got = len(R) if R.ndim == 1 else f"shape {R.shape}"
         raise ValueError(f"expected one target rate per flow ({table.num_flows}), not {got}")
     ns = sorted({r.n for r in table.rows})
-    means, mins, maxs = [], [], []
-    for n in ns:
-        rates = table.rates_for(n)
-        if len(rates) == 0:
-            means.append(float("nan")); mins.append(float("nan")); maxs.append(float("nan"))
-            continue
-        devs = np.max(np.abs(rates - R), axis=1)
-        means.append(float(devs.mean()))
-        mins.append(float(devs.min()))
-        maxs.append(float(devs.max()))
-    trend = None
-    if len(ns) >= 2:
-        trend = all(b <= a + 1e-15 for a, b in zip(means, means[1:]))
+    devs = [np.max(np.abs(table.rates_for(n).reshape(-1, len(R)) - R), axis=1) for n in ns]
+
+    def per_n(stat):  # None at an n whose cells all failed
+        return tuple(float(stat(d)) if len(d) else None for d in devs)
+
+    means = per_n(np.mean)
+    steady = None not in means and all(b <= a + 1e-15 for a, b in zip(means, means[1:]))
     return ConvergenceReport(
         n_values=tuple(ns),
-        mean_deviation=tuple(means),
-        min_deviation=tuple(mins),
-        max_deviation=tuple(maxs),
-        nonincreasing=trend,
+        mean_deviation=means,
+        min_deviation=per_n(np.min),
+        max_deviation=per_n(np.max),
+        nonincreasing=steady if len(ns) >= 2 else None,
     )
 
 
@@ -218,9 +208,15 @@ def write_csv(path, header, rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
+def _plain(x):
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def write_json(path, payload) -> None:
-    """Indent 2, sorted keys, final newline."""
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Indent 2, sorted keys, final newline; numpy arrays as lists."""
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
 
 
 def export_trace_csv(trace: des.SimTrace, path) -> None:
@@ -246,20 +242,12 @@ def export_trace_csv(trace: des.SimTrace, path) -> None:
     write_csv(path, header, rows)
 
 
+TRACE_JSON_FIELDS = ("n", "seed", "horizon", "window", "event_count", "flow_depart_rates",
+                     "flow_admit_rates", "exogenous", "admitted", "departures")
+
+
 def export_trace_json(trace: des.SimTrace, path) -> None:
-    summary = {
-        "n": trace.n,
-        "seed": trace.seed,
-        "horizon": trace.horizon,
-        "window": list(trace.window),
-        "event_count": trace.event_count,
-        "flow_depart_rates": [float(x) for x in trace.flow_depart_rates],
-        "flow_admit_rates": [float(x) for x in trace.flow_admit_rates],
-        "exogenous": [int(x) for x in trace.exogenous],
-        "admitted": [int(x) for x in trace.admitted],
-        "departures": [int(x) for x in trace.departures],
-    }
-    write_json(path, summary)
+    write_json(path, {name: getattr(trace, name) for name in TRACE_JSON_FIELDS})
 
 
 def export_trajectory_csv(traj, path) -> None:
@@ -295,20 +283,7 @@ def export_rate_table_csv(table: RateTable, path) -> None:
 
 
 def export_rate_table_json(table: RateTable, path, *, target_rates=None) -> None:
-    payload = {
-        "num_flows": table.num_flows,
-        "rows": [
-            {
-                "n": r.n,
-                "seed": r.seed,
-                "flow_rates": list(r.flow_rates),
-                "admit_rates": list(r.admit_rates),
-                "event_count": r.event_count,
-                "error": r.error,
-            }
-            for r in table.rows
-        ],
-    }
+    payload = asdict(table)
     if target_rates is not None:
-        payload["comparison"] = compare_to_fluid(table, target_rates).to_dict()
+        payload["comparison"] = asdict(compare_to_fluid(table, target_rates))
     write_json(path, payload)

@@ -125,6 +125,15 @@ class TestConfig:
         (k,) = load_config(p).export["trace_queues"]
         assert k == 1 and type(k) is int
 
+    def test_exponent_floats_load(self, tmp_path):
+        # YAML 1.1 reads 1e4 and 1.0e308 as strings; the config reads them as 1.2 floats
+        p = tmp_path / "tandem.yaml"
+        p.write_text(TANDEM_YAML + "experiment: {n_values: [1e4, 1.0e308], horizon: 1.5e+3,"
+                     " seeds: [1], target_rates: [-2E-3]}\n")
+        plan = load_config(p).experiment
+        assert plan.n_values == (1e4, 1e308) and plan.horizon == 1500.0
+        assert plan.target_rates == (-0.002,)
+
     def test_readme_example_loads(self, tmp_path):
         # the example names every field, so renaming one fails here
         text = README.read_text().split("## Configuration", 1)[1]
@@ -466,6 +475,24 @@ class TestCli:
             ("verify-c1", SWITCH_PRESET + "verify: {set: {kind: switch}, hbar: 1.0,"
              " starts: [[1, 0.4, 0, 0, 0, 0, 0.7, 1], [1, 0.4, 0, 1, 0, 0, 0.7, 1]]}\n",
              "verify.starts[1][3]: expected 0 at an idle slot, not 1.0"),
+            # a quoted number is a string, whatever it reads as
+            ("simulate", 'simulate: {n: "5", horizon: 50}\n', "simulate.n: expected a number"),
+            ("simulate", "simulate: {n: 4, horizon: '1e4'}\n", "simulate.horizon: expected a number"),
+            # a verb whose section is missing, or lacks what the verb needs
+            ("simulate", "", "config has no simulate section"),
+            ("fluid", "", "config has no fluid section"),
+            ("verify-c1", "", "config has no verify section"),
+            ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0}\n",
+             "verify: c1 needs a starts list (initial q vectors)"),
+            ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0}\n", "verify: c2 needs target_rates"),
+            ("export", "", "export: nothing to export (no simulate or fluid section)"),
+            # the shape of the document and of its sections
+            ("validate", "version 1\n", "config: expected a mapping"),
+            ("simulate", "simulate: {horizon: 50}\n", "simulate: missing fields ['n']"),
+            ("validate", TANDEM_YAML.replace("{exponential: 1.0}", "{exponential: 1.0, deterministic: 1.0}"),
+             "network.flows[0].arrival: distribution must be a one-key mapping"),
+            ("validate", TANDEM_YAML.replace("weight: 1", "weight: 1.5"),
+             "network.flows[0].weight: weight must be an integer or 'p/q' string"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
              "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
@@ -483,7 +510,10 @@ class TestCli:
              "experiment_target_rates_length", "verify_target_rates_length", "starts_entry_length",
              "set_switch_on_tandem", "set_tandem_on_switch", "set_tandem_on_switch_c2", "set_a_without_band",
              "seeds_and_replications", "seeds_and_base_seed", "seeds_repeated",
-             "initial_queues_idle_slot", "initial_q_idle_slot", "initial_v_idle_slot", "starts_idle_slot"],
+             "initial_queues_idle_slot", "initial_q_idle_slot", "initial_v_idle_slot", "starts_idle_slot",
+             "n_quoted", "horizon_quoted_exponent", "no_simulate_section", "no_fluid_section",
+             "no_verify_section", "c1_without_starts", "c2_without_target_rates", "export_nothing",
+             "document_not_mapping", "simulate_missing_n", "distribution_two_keys", "weight_float"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
         # each of these used to end in an AttributeError or TypeError
@@ -544,6 +574,17 @@ class TestCli:
         out = tmp_path / "out"
         assert main([verb, "--config", str(p), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: threshold n*h = inf is not finite at n=1e+308\n"
+        assert not out.exists()
+
+    def test_unreadable_or_malformed_config_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.yaml"
+        assert main(["simulate", "--config", str(missing), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("version: 1\nnetwork: [\n")
+        assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: malformed YAML: ")
         assert not out.exists()
 
     def test_missing_section_exit_1(self, tmp_path):

@@ -245,6 +245,13 @@ def test_initial_queues_at_idle_slot_rejected():
         Simulation(switch_example_spec(), 5, 1, initial_queues=queues)
 
 
+def test_simulation_is_single_use():
+    sim = Simulation(tandem_spec(1.0, 0.8, 0.5), 10, seed=0)
+    sim.run(50.0)
+    with pytest.raises(qnet.des.SimulationError, match="^a Simulation is single-use; build a new one$"):
+        sim.run(50.0)
+
+
 def test_empty_window_rejected():
     spec = tandem_spec(1.0, 0.8, 0.5)
     with pytest.raises(EmptyWindowError):

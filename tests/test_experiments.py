@@ -206,6 +206,25 @@ class TestExport:
         assert "comparison" in doc
         assert "wall" not in path.read_text()  # timings never serialized
 
+    def test_rate_table_json_strict_with_failed_n(self, tmp_path):
+        # every cell at n=10 failed: its deviations used to be written as bare NaN
+        import json
+        from qnet.experiments import RateRow, RateTable
+
+        table = RateTable(num_flows=1, rows=[
+            RateRow(n=5.0, seed=0, flow_rates=(0.4,), admit_rates=(0.6,), event_count=9),
+            RateRow(n=10.0, seed=0, flow_rates=(), admit_rates=(), event_count=0, error="boom"),
+        ])
+        path = tmp_path / "rates.json"
+        export_rate_table_json(table, path, target_rates=[0.5])
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        comparison = json.loads(path.read_text(), parse_constant=reject)["comparison"]
+        assert comparison["mean_deviation"] == [pytest.approx(0.1), None]
+        assert comparison["max_deviation"][1] is None and comparison["nonincreasing"] is False
+
     def test_empty_table_header_only(self, tmp_path):
         from qnet.experiments import RateTable
 

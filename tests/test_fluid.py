@@ -176,6 +176,13 @@ class TestIntegrate:
         traj = integrate(FluidState.initial(spec, [0.4, 0.2], 1.0), spec, 0.0)
         assert len(traj.times) == 1
 
+    @pytest.mark.parametrize("t", [-0.5, 5.5])
+    def test_state_at_outside_horizon_rejected(self, t):
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        traj = integrate(FluidState.initial(spec, [0.4, 0.2], 1.0), spec, 5.0)
+        with pytest.raises(ValueError, match="^t outside the integrated horizon$"):
+            traj.state_at(t)
+
     def test_tandem_absorbed_at_zero_hbar(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
         traj = integrate(FluidState.initial(spec, [2.5, 0.7], 1.0), spec, 50.0)
