@@ -32,25 +32,29 @@ The water-filling reads the spec's float tables ``w``, ``mu`` and
 ``w_mu``.
 
 As the rates are constant within a region, ``solve_rates`` solves each
-region once per spec: it classifies the state once, on Python floats,
-keys the rates by the tuple of the region's masks in the spec's
-``_rates_memo`` and answers later states of the region with the same
-read-only ``RateVector``.  On the switch member states a miss takes 4.05
-roots and 9.05 allocations on average, about 180 us on two shared cores,
-as long as a solve without the memo, and a hit about 4.7 us, mostly the
-masks.
-``integrate`` runs its breakpoint loop on lists of floats, numpy only
-building the state handed to ``solve_rates`` and the columns: about 76 us
-per C1 start on the switch (4.2 breakpoints).  It appends one row per
+region once per spec: it keys the rates by the tuple of the region's
+masks in the spec's ``_rates_memo`` and answers later states of the
+region with the same read-only ``RateVector``, which it finds by a key
+of C-level passes over the state, without the masks.  On the switch
+member states a miss takes 4.05 roots and 9.05 allocations on average,
+about 180 us on two shared cores, as long as a solve without the memo,
+and a hit about 3.5 us.
+``integrate`` runs its breakpoint loop on lists of floats, reading each
+regime's rates from the tuples its ``RateVector`` carries; numpy only
+builds the state handed to ``solve_rates`` and the columns: about 99 us
+per C1 start on the switch (4.9 rows).  It appends one row per
 breakpoint (time, q, u, v, the rates solved there, the cumulative flows)
 and one for a stationary state's hold to the horizon; ``FluidTrajectory``
 holds their columns.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from itertools import chain
+from math import inf, nextafter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .network import NetworkSpec, _read_only
 __all__ = [
     "FluidState",
     "RateVector",
+    "RateTuples",
     "FluidTrajectory",
     "FluidRateError",
     "ZenoError",
@@ -105,30 +110,51 @@ class FluidState:
 
     @classmethod
     def initial(cls, spec: NetworkSpec, q, hbar: float, u=None, v=None) -> "FluidState":
-        q = np.asarray(q, dtype=float).copy()
-        u = np.zeros(spec.num_flows) if u is None else np.asarray(u, dtype=float).copy()
-        v = np.zeros(spec.num_classes) if v is None else np.asarray(v, dtype=float).copy()
+        q = np.array(q, dtype=float)
+        u = np.zeros(spec.num_flows) if u is None else np.array(u, dtype=float)
+        v = np.zeros(spec.num_classes) if v is None else np.array(v, dtype=float)
         if (q.shape, u.shape, v.shape) != ((spec.num_classes,), (spec.num_flows,), (spec.num_classes,)):
             raise ValueError("q and v must have one entry per class, u one per flow")
         if not 0 < hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
-        if not all(np.all((x >= 0) & (x < np.inf)) for x in (q, u, v)):  # nan fails too
+        # checked on lists: a numpy reduction per array costs more at these sizes
+        qs, vs = q.tolist(), v.tolist()
+        if not all(0.0 <= x < np.inf for x in qs + u.tolist() + vs):  # nan fails too
             raise ValueError("fluid coordinates must be nonnegative and finite")
-        if any(q[k] or v[k] for k in spec.idle_slots):
+        if any(qs[k] or vs[k] for k in spec.idle_slots):
             raise ValueError(f"q and v must be 0 at the idle slots {sorted(spec.idle_slots)}")
         return cls(q=q, u=u, v=v, hbar=float(hbar))
+
+
+class RateTuples(NamedTuple):
+    """The rates of a ``RateVector`` as tuples of floats."""
+    admit: tuple
+    depart: tuple
+    busy: tuple
+    idle: tuple
+    arrival: tuple
+    q_dot: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class RateVector:
     """The rates of one regime, in read-only arrays: ``solve_rates``
-    returns the same object for every state of the regime."""
+    returns the same object for every state of the regime.  ``floats``
+    holds the same rates as ``RateTuples``, built once per regime for
+    callers that compute on Python floats, and ``moving`` the classes
+    whose ``q_dot`` is not 0."""
     admit: np.ndarray     # per flow, in [0, alpha_f]
     depart: np.ndarray    # per class
     busy: np.ndarray      # per class, server time fraction in [0, 1]
     idle: np.ndarray      # per station, 1 - sum of busy fractions
     arrival: np.ndarray   # per class inflow: routed departures + admissions
     q_dot: np.ndarray     # per class, arrival - depart, 0 below _RATE_EPS
+    flow_depart: np.ndarray  # per flow, the departures of its egress class
+
+    def __post_init__(self):
+        floats = RateTuples(*(tuple(getattr(self, name).tolist()) for name in RateTuples._fields))
+        object.__setattr__(self, "floats", floats)
+        object.__setattr__(self, "moving", tuple(k for k, r in enumerate(floats.q_dot) if r))
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +410,52 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     it holds one entry per regime the spec has been solved in, and every
     state of the regime gets that entry's read-only ``RateVector``.  A
     fault is raised again on every call and never stored.
+
+    A hit is found without the masks, by a key of C-level passes in
+    ``spec._rates_index``: each queue's band from one ``bisect_right``
+    over the band edges (0 empty, 1 interior, 2 at the threshold, 3
+    above), and which gates and clocks still run.  The masks are built
+    from the key on a miss.  At hbar <= 2e-10 the empty and threshold
+    bands touch or overlap, so a queue can be both and ``_classify``'s
+    masks are looked up directly; a key of two passes per queue would
+    serve every hbar, but a hit then costs about a sixth more.  A nan
+    coordinate, which ``FluidState.initial`` rejects, keys as above the
+    threshold or as a stopped clock or gate.
     """
-    atol, empty, at_thr, above = _classify(state.q.tolist(), state.hbar)
-    v = state.v.tolist()
-    key = (
-        tuple([not e or x > atol for e, x in zip(empty, v)]),
-        tuple([x <= atol for x in v]),
-        tuple([x > atol for x in state.u.tolist()]),
-        tuple(above),
-        tuple(at_thr),
-    )
-    rv = spec._rates_memo.get(key)
+    q, hbar = state.q.tolist(), state.hbar
+    atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
+    lo = hbar - atol
+    key = None
+    if atol < lo:
+        band = partial(bisect_right, (nextafter(atol, inf), lo, hbar + atol))
+        running = atol.__lt__
+        bands, gated = tuple(map(band, q)), tuple(map(running, state.v.tolist()))
+        key = (bands, gated, tuple(map(running, state.u.tolist())))
+        rv = spec._rates_index.get(key)
+        if rv is not None:
+            return rv
+        masks = (
+            tuple([b > 0 or g for b, g in zip(bands, gated)]),
+            tuple([not g for g in gated]),
+            key[2],
+            tuple([b == 3 for b in bands]),
+            tuple([b == 2 for b in bands]),
+        )
+    else:
+        atol, empty, at_thr, above = _classify(q, hbar)
+        v = state.v.tolist()
+        masks = (
+            tuple([not e or x > atol for e, x in zip(empty, v)]),
+            tuple([x <= atol for x in v]),
+            tuple([x > atol for x in state.u.tolist()]),
+            tuple(above),
+            tuple(at_thr),
+        )
+    rv = spec._rates_memo.get(masks)
     if rv is None:
-        rv = spec._rates_memo[key] = _solve_regime(spec, *key)
+        rv = spec._rates_memo[masks] = _solve_regime(spec, *masks)
+    if key is not None:
+        spec._rates_index[key] = rv
     return rv
 
 
@@ -454,16 +513,20 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVe
         idle.append(0.0 if abs(x) < 1e-12 else x)
     if any(x < 0.0 for x in idle):
         raise FluidRateError("station busy fractions exceed capacity")
+    flow_depart = _read_only([depart[k] for k in spec.egress])
     arrival, depart = _read_only(inflow), _read_only(depart)
     q_dot = arrival - depart
     q_dot[np.abs(q_dot) < _RATE_EPS] = 0.0
     q_dot.flags.writeable = False
-    return RateVector(_read_only(admit), depart, _read_only(busy), _read_only(idle), arrival, q_dot)
+    return RateVector(
+        _read_only(admit), depart, _read_only(busy), _read_only(idle), arrival, q_dot, flow_depart
+    )
 
 
 def departure_rates_at(state: FluidState, spec: NetworkSpec) -> np.ndarray:
-    """Per-flow departure rates: those of the egress classes."""
-    return solve_rates(state, spec).depart[spec.egress]
+    """Per-flow departure rates: those of the egress classes, in the
+    regime's read-only array."""
+    return solve_rates(state, spec).flow_depart
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +610,14 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     t = 0.0
     while True:
         rv = solve_rates(FluidState(np.array(q), np.array(u), np.array(v), hbar), spec)
-        rates = (rv.admit, rv.depart, rv.busy, rv.idle)
+        admit, depart, busy, idle, arrival, qdot = rv.floats
+        rates = (admit, depart, busy, idle)
         rows.append((t, q, u, v, *rates, *cum))
-        qdot, busy = rv.q_dot.tolist(), rv.busy.tolist()
 
         # the boundary each moving coordinate reaches next; solve_rates has
         # classified the state, so only the moving queues are tested here
         candidates = []
-        for k in range(K):
+        for k in rv.moving:
             x, r = q[k], qdot[k]
             if r < 0.0 and x > atol:
                 candidates.append(x / -r)
@@ -566,13 +629,13 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
         gated = [k for k in range(K) if v[k] > atol]
         candidates += waiting + [v[k] / busy[k] for k in gated if busy[k] > _RATE_EPS]
 
-        stationary = not (any(qdot) or waiting or gated)
+        stationary = not (rv.moving or waiting or gated)
         if stationary and absorbed_at is None:
             absorbed_at = t
         remaining = horizon - t
         if remaining <= 0:
             break
-        flows = (rv.arrival.tolist(), rv.depart.tolist(), rv.admit.tolist())
+        flows = (arrival, depart, admit)
         if stationary:
             # hold the state to the horizon in one segment
             cum = tuple([c + r * remaining for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
@@ -584,11 +647,10 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
         # advance one segment; snap coordinates that landed on a boundary,
         # within the same tolerance that classifies them (u and v run down
         # to 0, so a value below the tolerance, negative or not, becomes 0)
-        q = [x + r * dt for x, r in zip(q, qdot)]
-        q = [0.0 if abs(x) < atol else x for x in q]
+        q = [0.0 if abs(y := x + r * dt) < atol else y for x, r in zip(q, qdot)]
         q = [hbar if abs(x - hbar) < atol else x for x in q]
-        u = [0.0 if x < atol else x for x in (y - dt for y in u)]
-        v = [0.0 if x < atol else x for x in (y - b * dt for y, b in zip(v, busy))]
+        u = [0.0 if (y := x - dt) < atol else y for x in u]
+        v = [0.0 if (y := x - b * dt) < atol else y for x, b in zip(v, busy)]
         cum = tuple([c + r * dt for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
         t = t + dt
 
@@ -602,5 +664,12 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
                     f"{_ZENO_WINDOW} breakpoints within {span:.3e} time units at t={t:.6g}"
                 )
 
-    columns = (np.array(column) for column in zip(*rows))
-    return FluidTrajectory(hbar, *columns, absorbed_at=absorbed_at)
+    # each column of lists of floats in one pass, its shape known: np.array
+    # would discover it from the nested lists first
+    times, *columns = zip(*rows)
+    n = len(times)
+    columns = [
+        np.fromiter(chain.from_iterable(column), float, n * len(column[0])).reshape(n, len(column[0]))
+        for column in columns
+    ]
+    return FluidTrajectory(hbar, np.array(times), *columns, absorbed_at=absorbed_at)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qnet.absorption import (
     verify_C1,
     verify_C2,
     _first_hit,
+    _kinks,
     _polygon_dist,
     _segment_dist,
 )
@@ -249,6 +251,16 @@ class TestVerifyC1:
         assert report.hit_times[0] == 0.0
         assert np.isnan(report.ratios[0])  # no ratio for on-set starts
 
+    @pytest.mark.parametrize("hit_tol", [-1e-6, math.nan, math.inf])
+    def test_hit_tol_not_nonnegative_and_finite_rejected(self, hit_tol):
+        # a negative or nan tolerance used to report every start as not
+        # absorbed within the budget
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        plan = SamplePlan(points=[SamplePoint(q=np.array([0.0, 1.0]))], time_budget=5.0)
+        with pytest.raises(ValueError, match="^hit_tol must be nonnegative and finite"):
+            verify_C1(spec, tandem_point_set(), 1.0, replace(plan, hit_tol=hit_tol))
+        assert verify_C1(spec, tandem_point_set(), 1.0, replace(plan, hit_tol=0.0)).hit_times[0] == 0.0
+
     def test_report_serializes(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
         plan = SamplePlan(points=[SamplePoint(q=np.array([2.0, 0.0]))], time_budget=30.0)
@@ -378,6 +390,73 @@ def single_pieces(eqset):
         EquilibriumSet(eqset.num_classes, eqset.num_flows, (p,), eqset.constrain_residuals)
         for p in eqset.pieces
     ]
+
+
+_PAIR = (SWITCH.flow2_ingress, SWITCH.flow2_egress)
+HIT_SETS = [
+    switch_equilibrium_set(0.5), switch_tilde_set(),
+    switch_equilibrium_set(0.3).projected(_PAIR), switch_tilde_set().projected(_PAIR),
+    tandem_point_set(), tandem_tilde_set(), tandem_wedge_set(0.5),
+    tandem_tilde_set().projected((1,)),
+]
+
+
+def reference_kinks(piece, x0, dx):
+    """The closure form of ``_kinks`` that the inline one replaced, kept as
+    its oracle: one crossing per bound level, vertex coordinate and edge
+    line, each skipped at slope 0."""
+    fracs = []
+
+    def crossing(start, slope, level):
+        if slope != 0.0:
+            f = (level - start) / slope
+            if 0.0 < f < 1.0:
+                fracs.append(f)
+
+    for k, lo, hi in piece.bounds:
+        crossing(x0[k], dx[k], lo)
+        crossing(x0[k], dx[k], hi)
+    if piece.poly_coords is not None:
+        i, j = piece.poly_coords
+        verts = piece.poly_vertices
+        for n in range(len(verts)):
+            (px, py), (rx, ry) = verts[n], verts[(n + 1) % len(verts)]
+            crossing(x0[i], dx[i], px)
+            crossing(x0[j], dx[j], py)
+            ex, ey = rx - px, ry - py
+            crossing(ex * (x0[j] - py) - ey * (x0[i] - px), ex * dx[j] - ey * dx[i], 0.0)
+    return sorted(set(fracs))
+
+
+@st.composite
+def segments_on_sets(draw):
+    """A set of HIT_SETS, a segment between two queue vectors near it, a
+    threshold and a fraction along the segment."""
+    eqset = draw(st.sampled_from(HIT_SETS))
+    hbar = draw(st.sampled_from([1.0, 0.37, 25.0]))
+    coord = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-0.5, 3.0)
+    ends = [[hbar * draw(coord) for _ in range(eqset.num_classes)] for _ in range(2)]
+    return eqset, hbar, ends, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments_on_sets())
+def test_hit_search_rows_measure_the_full_row(case):
+    # _first_hit interpolates each piece's row on just the coordinates the
+    # piece reads, each by the expression of the full row: the distance and
+    # the kinks equal those of the full unit row bit for bit, and the
+    # kinks those of the reference form
+    eqset, hbar, (base, end), f = case
+    step = [b - a for a, b in zip(base, end)]
+    x0, dx = [a / hbar for a in base], [s / hbar for s in step]
+    for piece in eqset.pieces:
+        coords, unit = piece._compact
+        full = piece.q_distance([(a + f * s) / hbar for a, s in zip(base, step)])
+        part = unit.q_distance([(base[k] + f * (end[k] - base[k])) / hbar for k in coords])
+        assert part.hex() == full.hex()
+        kinks = reference_kinks(piece, x0, dx)
+        assert _kinks(piece, x0, dx) == kinks
+        assert _kinks(unit, [x0[k] for k in coords], [dx[k] for k in coords]) == kinks
 
 
 class TestFirstHit:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -568,6 +569,56 @@ class TestRateMemo:
         assert again is rv
         assert {name: getattr(again, name).tolist() for name in want} == want
         assert again.admit.tolist() == [pytest.approx(0.5, abs=1e-12)]
+        # the same rates as tuples of floats, built once for the regime
+        for name, values in rv.floats._asdict().items():
+            assert values == tuple(want[name])
+            with pytest.raises(TypeError):
+                values[0] = 7.0
+        with pytest.raises(AttributeError):
+            rv.floats.admit = (7.0,)
+        for name in ("floats", "moving"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rv, name, ())
+
+    def test_band_key_at_every_band_edge(self):
+        # queues at and one ulp around each edge of the bands, gates and
+        # clocks at and around the tolerance, at thresholds on both sides
+        # of 1 and at 1e-10 and 2e-10, where the empty and threshold bands
+        # overlap and touch: every state gets the one memo entry of its
+        # _classify masks, on one spec for all thresholds, and that entry
+        # equals a solve of the masks on a new spec bit for bit
+        from qnet import fluid
+
+        def masks_of(state):
+            atol, empty, at_thr, above = _classify(state.q.tolist(), state.hbar)
+            v = state.v.tolist()
+            return (
+                tuple(not e or x > atol for e, x in zip(empty, v)),
+                tuple(x <= atol for x in v),
+                tuple(x > atol for x in state.u.tolist()),
+                tuple(above),
+                tuple(at_thr),
+            )
+
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        entries = {}
+        for hbar in (1.0, 1e-3, 1e6, 1e-10, 2e-10):
+            atol = 1e-10 * max(1.0, hbar)
+            edges = (0.0, atol, math.nextafter(atol, math.inf), hbar - atol, hbar, hbar + atol)
+            around = [y for x in edges for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+            queues = {x.hex(): x for x in around + [-0.0]}.values()
+            clocks = (0.0, atol, math.nextafter(atol, math.inf))
+            for q0, q1, v0, v1, u0 in itertools.product(queues, queues, clocks, clocks, clocks):
+                state = FluidState(np.array([q0, q1]), np.array([u0]), np.array([v0, v1]), hbar)
+                rv = solve_rates(state, spec)
+                assert entries.setdefault(masks_of(state), rv) is rv
+        assert spec._rates_memo == entries
+        for masks, rv in entries.items():
+            fresh = fluid._solve_regime(dataclasses.replace(spec), *masks)
+            for name in fluid.RateTuples._fields + ("flow_depart",):
+                assert getattr(rv, name).tobytes() == getattr(fresh, name).tobytes()
+            assert rv.floats == fresh.floats
+            assert rv.moving == tuple(np.flatnonzero(rv.q_dot).tolist())
 
     def test_verify_C2_memoizes_one_entry_per_regime(self):
         from qnet.absorption import member_states, switch_equilibrium_set, verify_C2
