@@ -395,25 +395,26 @@ def _kinks(piece: Piece, x0: list, dx: list) -> list:
     the polygon pair crossing a vertex coordinate or an edge's supporting
     line.  Between consecutive kinks the distance is linear in f."""
     fracs = []
+
+    def crossing(start, slope, level):
+        if slope != 0.0:
+            f = (level - start) / slope
+            if 0.0 < f < 1.0:
+                fracs.append(f)
+
     for k, lo, hi in piece.bounds:
-        x, s = x0[k], dx[k]
-        if s != 0.0:
-            for f in ((lo - x) / s, (hi - x) / s):
-                if 0.0 < f < 1.0:
-                    fracs.append(f)
+        crossing(x0[k], dx[k], lo)
+        crossing(x0[k], dx[k], hi)
     if piece.poly_coords is not None:
         i, j = piece.poly_coords
-        xi, xj, si, sj = x0[i], x0[j], dx[i], dx[j]
-        for px, py, ex, ey in piece._edges:
-            # the pair crossing the vertex coordinates, and the side of the
-            # edge's supporting line, linear in f and zero at the kink; a
-            # slope of 0 never crosses and gives 2.0, outside (0, 1)
-            side = ex * sj - ey * si
-            for f in ((px - xi) / si if si != 0.0 else 2.0,
-                      (py - xj) / sj if sj != 0.0 else 2.0,
-                      (0.0 - (ex * (xj - py) - ey * (xi - px))) / side if side != 0.0 else 2.0):
-                if 0.0 < f < 1.0:
-                    fracs.append(f)
+        verts = piece.poly_vertices
+        for n in range(len(verts)):
+            (px, py), (rx, ry) = verts[n], verts[(n + 1) % len(verts)]
+            crossing(x0[i], dx[i], px)
+            crossing(x0[j], dx[j], py)
+            # side of the edge's supporting line: linear in f, zero at the kink
+            ex, ey = rx - px, ry - py
+            crossing(ex * (x0[j] - py) - ey * (x0[i] - px), ex * dx[j] - ey * dx[i], 0.0)
     return sorted(set(fracs))
 
 

@@ -38,7 +38,7 @@ region with the same read-only ``RateVector``, which it finds by a key
 of C-level passes over the state, without the masks.  On the switch
 member states a miss takes 4.05 roots and 9.05 allocations on average,
 about 180 us on two shared cores, as long as a solve without the memo,
-and a hit about 3.5 us.
+and a hit about a quarter less than with the masks as its key.
 ``integrate`` runs its breakpoint loop on lists of floats, reading each
 regime's rates from the tuples its ``RateVector`` carries; numpy only
 builds the state handed to ``solve_rates`` and the columns: about 99 us
@@ -50,11 +50,10 @@ holds their columns.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from math import inf, nextafter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,7 +62,6 @@ from .network import NetworkSpec, _read_only
 __all__ = [
     "FluidState",
     "RateVector",
-    "RateTuples",
     "FluidTrajectory",
     "FluidRateError",
     "ZenoError",
@@ -126,23 +124,14 @@ class FluidState:
         return cls(q=q, u=u, v=v, hbar=float(hbar))
 
 
-class RateTuples(NamedTuple):
-    """The rates of a ``RateVector`` as tuples of floats."""
-    admit: tuple
-    depart: tuple
-    busy: tuple
-    idle: tuple
-    arrival: tuple
-    q_dot: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class RateVector:
     """The rates of one regime, in read-only arrays: ``solve_rates``
     returns the same object for every state of the regime.  ``floats``
-    holds the same rates as ``RateTuples``, built once per regime for
-    callers that compute on Python floats, and ``moving`` the classes
-    whose ``q_dot`` is not 0."""
+    holds admit, depart, busy, idle, arrival and q_dot as tuples of
+    floats, in that order, built once per regime for callers that
+    compute on Python floats, and ``moving`` the classes whose ``q_dot``
+    is not 0."""
     admit: np.ndarray     # per flow, in [0, alpha_f]
     depart: np.ndarray    # per class
     busy: np.ndarray      # per class, server time fraction in [0, 1]
@@ -150,11 +139,16 @@ class RateVector:
     arrival: np.ndarray   # per class inflow: routed departures + admissions
     q_dot: np.ndarray     # per class, arrival - depart, 0 below _RATE_EPS
     flow_depart: np.ndarray  # per flow, the departures of its egress class
+    floats: tuple = field(init=False, repr=False, compare=False)
+    moving: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        floats = RateTuples(*(tuple(getattr(self, name).tolist()) for name in RateTuples._fields))
+        floats = tuple(
+            tuple(rates.tolist())
+            for rates in (self.admit, self.depart, self.busy, self.idle, self.arrival, self.q_dot)
+        )
         object.__setattr__(self, "floats", floats)
-        object.__setattr__(self, "moving", tuple(k for k, r in enumerate(floats.q_dot) if r))
+        object.__setattr__(self, "moving", tuple(k for k, r in enumerate(floats[5]) if r))
 
 
 # ---------------------------------------------------------------------------
@@ -412,49 +406,36 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     fault is raised again on every call and never stored.
 
     A hit is found without the masks, by a key of C-level passes in
-    ``spec._rates_index``: each queue's band from one ``bisect_right``
-    over the band edges (0 empty, 1 interior, 2 at the threshold, 3
-    above), and which gates and clocks still run.  The masks are built
-    from the key on a miss.  At hbar <= 2e-10 the empty and threshold
-    bands touch or overlap, so a queue can be both and ``_classify``'s
-    masks are looked up directly; a key of two passes per queue would
-    serve every hbar, but a hit then costs about a sixth more.  A nan
-    coordinate, which ``FluidState.initial`` rejects, keys as above the
-    threshold or as a stopped clock or gate.
+    ``spec._rates_index``: which queues, gates and clocks exceed the
+    tolerance, and each queue's level from one ``bisect_right`` over
+    (hbar - atol, hbar + atol) (0 below, 1 at the threshold, 2 above).
+    It gives ``_classify``'s masks at every hbar, also where the empty
+    and threshold bands overlap; the masks are built from it on a miss.
+    A nan coordinate, which ``FluidState.initial`` rejects, keys as an
+    empty queue above the threshold, or as a stopped clock or gate.
     """
-    q, hbar = state.q.tolist(), state.hbar
-    atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
-    lo = hbar - atol
-    key = None
-    if atol < lo:
-        band = partial(bisect_right, (nextafter(atol, inf), lo, hbar + atol))
-        running = atol.__lt__
-        bands, gated = tuple(map(band, q)), tuple(map(running, state.v.tolist()))
-        key = (bands, gated, tuple(map(running, state.u.tolist())))
-        rv = spec._rates_index.get(key)
-        if rv is not None:
-            return rv
-        masks = (
-            tuple([b > 0 or g for b, g in zip(bands, gated)]),
-            tuple([not g for g in gated]),
-            key[2],
-            tuple([b == 3 for b in bands]),
-            tuple([b == 2 for b in bands]),
-        )
-    else:
-        atol, empty, at_thr, above = _classify(q, hbar)
-        v = state.v.tolist()
-        masks = (
-            tuple([not e or x > atol for e, x in zip(empty, v)]),
-            tuple([x <= atol for x in v]),
-            tuple([x > atol for x in state.u.tolist()]),
-            tuple(above),
-            tuple(at_thr),
-        )
-    rv = spec._rates_memo.get(masks)
+    atol = 1e-10 * max(1.0, state.hbar)   # the tolerance of _classify
+    running = atol.__lt__
+    q = state.q.tolist()
+    key = (
+        tuple(map(running, q)),
+        tuple(map(partial(bisect_right, (state.hbar - atol, state.hbar + atol)), q)),
+        tuple(map(running, state.v.tolist())),
+        tuple(map(running, state.u.tolist())),
+    )
+    rv = spec._rates_index.get(key)
     if rv is None:
-        rv = spec._rates_memo[masks] = _solve_regime(spec, *masks)
-    if key is not None:
+        nonempty, levels, gated, waiting = key
+        masks = (
+            tuple([n or g for n, g in zip(nonempty, gated)]),
+            tuple([not g for g in gated]),
+            waiting,
+            tuple([b == 2 for b in levels]),
+            tuple([b == 1 for b in levels]),
+        )
+        rv = spec._rates_memo.get(masks)
+        if rv is None:
+            rv = spec._rates_memo[masks] = _solve_regime(spec, *masks)
         spec._rates_index[key] = rv
     return rv
 

@@ -401,33 +401,6 @@ HIT_SETS = [
 ]
 
 
-def reference_kinks(piece, x0, dx):
-    """The closure form of ``_kinks`` that the inline one replaced, kept as
-    its oracle: one crossing per bound level, vertex coordinate and edge
-    line, each skipped at slope 0."""
-    fracs = []
-
-    def crossing(start, slope, level):
-        if slope != 0.0:
-            f = (level - start) / slope
-            if 0.0 < f < 1.0:
-                fracs.append(f)
-
-    for k, lo, hi in piece.bounds:
-        crossing(x0[k], dx[k], lo)
-        crossing(x0[k], dx[k], hi)
-    if piece.poly_coords is not None:
-        i, j = piece.poly_coords
-        verts = piece.poly_vertices
-        for n in range(len(verts)):
-            (px, py), (rx, ry) = verts[n], verts[(n + 1) % len(verts)]
-            crossing(x0[i], dx[i], px)
-            crossing(x0[j], dx[j], py)
-            ex, ey = rx - px, ry - py
-            crossing(ex * (x0[j] - py) - ey * (x0[i] - px), ex * dx[j] - ey * dx[i], 0.0)
-    return sorted(set(fracs))
-
-
 @st.composite
 def segments_on_sets(draw):
     """A set of HIT_SETS, a segment between two queue vectors near it, a
@@ -444,8 +417,7 @@ def segments_on_sets(draw):
 def test_hit_search_rows_measure_the_full_row(case):
     # _first_hit interpolates each piece's row on just the coordinates the
     # piece reads, each by the expression of the full row: the distance and
-    # the kinks equal those of the full unit row bit for bit, and the
-    # kinks those of the reference form
+    # the kinks equal those of the full unit row bit for bit
     eqset, hbar, (base, end), f = case
     step = [b - a for a, b in zip(base, end)]
     x0, dx = [a / hbar for a in base], [s / hbar for s in step]
@@ -454,9 +426,7 @@ def test_hit_search_rows_measure_the_full_row(case):
         full = piece.q_distance([(a + f * s) / hbar for a, s in zip(base, step)])
         part = unit.q_distance([(base[k] + f * (end[k] - base[k])) / hbar for k in coords])
         assert part.hex() == full.hex()
-        kinks = reference_kinks(piece, x0, dx)
-        assert _kinks(piece, x0, dx) == kinks
-        assert _kinks(unit, [x0[k] for k in coords], [dx[k] for k in coords]) == kinks
+        assert _kinks(unit, [x0[k] for k in coords], [dx[k] for k in coords]) == _kinks(piece, x0, dx)
 
 
 class TestFirstHit:

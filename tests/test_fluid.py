@@ -559,7 +559,7 @@ class TestRateMemo:
         spec = tandem_spec(1.0, 0.8, 0.5)
         state = FluidState.initial(spec, [0.0, 1.0], 1.0)
         rv = solve_rates(state, spec)
-        want = {f.name: getattr(rv, f.name).tolist() for f in dataclasses.fields(rv)}
+        want = {f.name: getattr(rv, f.name).tolist() for f in dataclasses.fields(rv) if f.init}
         for name in want:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(rv, name)[0] = 7.0
@@ -570,12 +570,14 @@ class TestRateMemo:
         assert {name: getattr(again, name).tolist() for name in want} == want
         assert again.admit.tolist() == [pytest.approx(0.5, abs=1e-12)]
         # the same rates as tuples of floats, built once for the regime
-        for name, values in rv.floats._asdict().items():
+        names = ("admit", "depart", "busy", "idle", "arrival", "q_dot")
+        assert len(rv.floats) == len(names)
+        for name, values in zip(names, rv.floats):
             assert values == tuple(want[name])
             with pytest.raises(TypeError):
                 values[0] = 7.0
-        with pytest.raises(AttributeError):
-            rv.floats.admit = (7.0,)
+        with pytest.raises(TypeError):
+            rv.floats[0] = (7.0,)
         for name in ("floats", "moving"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rv, name, ())
@@ -615,7 +617,7 @@ class TestRateMemo:
         assert spec._rates_memo == entries
         for masks, rv in entries.items():
             fresh = fluid._solve_regime(dataclasses.replace(spec), *masks)
-            for name in fluid.RateTuples._fields + ("flow_depart",):
+            for name in ("admit", "depart", "busy", "idle", "arrival", "q_dot", "flow_depart"):
                 assert getattr(rv, name).tobytes() == getattr(fresh, name).tobytes()
             assert rv.floats == fresh.floats
             assert rv.moving == tuple(np.flatnonzero(rv.q_dot).tolist())
