@@ -96,7 +96,7 @@ def cmd_fluid(args) -> int:
     experiments.export_trajectory_csv(traj, os.path.join(out, "fluid.csv"))
     flow_rates = fluid.departure_rates_at(traj.state_at(traj.horizon), cfg.network)
     print(
-        f"integrated {len(traj.times)} breakpoints to t={traj.horizon}; "
+        f"integrated {len(traj.rows)} breakpoints to t={traj.horizon}; "
         f"absorbed_at={traj.absorbed_at}; final flow rates "
         + " ".join(repr(float(x)) for x in flow_rates)
     )
@@ -191,7 +191,7 @@ def cmd_export(args) -> int:
         pair = cfg.export["fluid_phase"]
         if pair:
             i, j = pair
-            rows = [[t, traj.q[b][i], traj.q[b][j]] for b, t in enumerate(traj.times)]
+            rows = [[t, q[i], q[j]] for t, q, *_ in traj.rows]
             experiments.write_csv(path("phase.csv"), ["time", f"q{i}", f"q{j}"], rows)
         experiments.export_trajectory_csv(traj, path("fluid.csv"))
     for p in wrote:

@@ -253,17 +253,14 @@ def export_trace_json(trace: des.SimTrace, path) -> None:
 def export_trajectory_csv(traj, path) -> None:
     """Fluid trajectory breakpoints: time, per-class fluid queue contents,
     then the segment rates (per-flow admission, per-class departure)."""
-    K = traj.q.shape[1]
-    F = traj.u.shape[1]
+    _, q, u, *_ = traj.rows[0]
     header = (
         ["time"]
-        + [f"q{k}" for k in range(K)]
-        + [f"admit_rate{f}" for f in range(F)]
-        + [f"depart_rate{k}" for k in range(K)]
+        + [f"q{k}" for k in range(len(q))]
+        + [f"admit_rate{f}" for f in range(len(u))]
+        + [f"depart_rate{k}" for k in range(len(q))]
     )
-    rows = []
-    for i in range(len(traj.times)):
-        rows.append([traj.times[i], *traj.q[i], *traj.admit[i], *traj.depart[i]])
+    rows = [[t, *q, *admit, *depart] for t, q, _, _, admit, depart, *_ in traj.rows]
     write_csv(path, header, rows)
 
 

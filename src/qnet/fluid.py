@@ -41,11 +41,12 @@ about 180 us on two shared cores, as long as a solve without the memo,
 and a hit about a quarter less than with the masks as its key.
 ``integrate`` runs its breakpoint loop on lists of floats, reading each
 regime's rates from the tuples its ``RateVector`` carries; numpy only
-builds the state handed to ``solve_rates`` and the columns: about 99 us
-per C1 start on the switch (4.9 rows).  It appends one row per
+builds the state handed to ``solve_rates``.  It appends one row per
 breakpoint (time, q, u, v, the rates solved there, the cumulative flows)
-and one for a stationary state's hold to the horizon; ``FluidTrajectory``
-holds their columns.
+and one for a stationary state's hold to the horizon, and
+``FluidTrajectory`` keeps those rows: each column is built from them the
+first time it is read, so ``verify_C1``, whose hit search reads the rows,
+builds none.  A C1 start on the switch (4.9 rows) takes about 57 us here.
 """
 from __future__ import annotations
 
@@ -63,6 +64,7 @@ __all__ = [
     "FluidState",
     "RateVector",
     "FluidTrajectory",
+    "TRAJECTORY_COLUMNS",
     "FluidRateError",
     "ZenoError",
     "solve_rates",
@@ -514,43 +516,84 @@ def departure_rates_at(state: FluidState, spec: NetworkSpec) -> np.ndarray:
 # trajectory integration
 
 
-@dataclass
+TRAJECTORY_COLUMNS = (
+    "times", "q", "u", "v", "admit", "depart", "busy", "idle",
+    "cum_arrival", "cum_depart", "cum_admit",
+)
+
+
+class _Column:
+    """One column of ``FluidTrajectory``: a read-only array built from the
+    rows on first read and kept in the instance, so later reads are plain
+    attribute reads."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.index = name, TRAJECTORY_COLUMNS.index(name)
+
+    def __get__(self, traj, owner=None):
+        if traj is None:
+            return self
+        n = self.index
+        if n == 0:
+            column = np.array([row[0] for row in traj.rows])
+        else:
+            # the lists of floats in one pass, the shape known: np.array
+            # would discover it from the nested lists first
+            width = len(traj.rows[0][n])
+            column = np.fromiter(
+                chain.from_iterable(row[n] for row in traj.rows), float, len(traj.rows) * width
+            ).reshape(len(traj.rows), width)
+        column.flags.writeable = False
+        traj.__dict__[self.name] = column
+        return column
+
+
+@dataclass(frozen=True)
 class FluidTrajectory:
     """Piecewise-linear fluid path with its breakpoints.
 
-    Row i holds breakpoint i: the state at ``times[i]``, the rates solved
-    there, constant on the segment starting there, and the cumulative
-    flows.  ``absorbed_at`` is the first breakpoint at which the state was
+    Row i of ``rows`` holds breakpoint i: its time, the state there (q, u,
+    v), the rates solved there, constant on the segment starting there
+    (admit, depart, busy, idle), and the cumulative flows (cum_arrival,
+    cum_depart, cum_admit), in the order of ``TRAJECTORY_COLUMNS``; the
+    state, rates and flows are lists or tuples of floats.  Each column
+    is a read-only array, ``times`` of shape (rows,) and the others (rows,
+    width), built from the rows the first time it is read: the hit search
+    of ``verify_C1`` reads the rows and builds none.  The rows are the
+    record the columns are built from, and are not to be modified.
+    ``absorbed_at`` is the first breakpoint at which the state was
     stationary with no pending clock or gate events (the trajectory then
     stays there for all later times).
     """
 
     hbar: float
-    times: np.ndarray
-    q: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    admit: np.ndarray
-    depart: np.ndarray
-    busy: np.ndarray
-    idle: np.ndarray
-    cum_arrival: np.ndarray
-    cum_depart: np.ndarray
-    cum_admit: np.ndarray
+    rows: tuple
     absorbed_at: Optional[float] = None
+
+    times = _Column()
+    q = _Column()
+    u = _Column()
+    v = _Column()
+    admit = _Column()
+    depart = _Column()
+    busy = _Column()
+    idle = _Column()
+    cum_arrival = _Column()
+    cum_depart = _Column()
+    cum_admit = _Column()
 
     @property
     def horizon(self) -> float:
-        return float(self.times[-1])
+        return float(self.rows[-1][0])
 
     def state_at(self, t: float) -> FluidState:
         if not 0.0 <= t <= self.horizon + 1e-12:
             raise ValueError("t outside the integrated horizon")
-        if len(self.times) == 1 or t >= self.horizon:
-            i = len(self.times) - 1
+        if len(self.rows) == 1 or t >= self.horizon:
+            i = len(self.rows) - 1
             return FluidState(self.q[i].copy(), self.u[i].copy(), self.v[i].copy(), self.hbar)
         i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.times) - 2)
+        i = min(max(i, 0), len(self.rows) - 2)
         dt = t - self.times[i]
         span = self.times[i + 1] - self.times[i]
         frac = 0.0 if span == 0 else dt / span
@@ -575,6 +618,7 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     """
     if not 0 <= horizon < np.inf:
         raise ValueError("horizon must be nonnegative and finite")
+    horizon = float(horizon)  # the time of the last row, whose entries are floats
     hbar = state0.hbar
     atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
     lo, hi = hbar - atol, hbar + atol
@@ -582,8 +626,8 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     q, u, v = (np.asarray(x, dtype=float).tolist() for x in (state0.q, state0.u, state0.v))
     K, F = len(q), len(u)
 
-    # one row per breakpoint, in the order of FluidTrajectory's fields: its
-    # time, state, the rates solved there and the cumulative flows
+    # one row per breakpoint, in the order of TRAJECTORY_COLUMNS: its time,
+    # state, the rates solved there and the cumulative flows
     rows = []
     cum = ([0.0] * K, [0.0] * K, [0.0] * F)  # arrivals, departures, admissions
     absorbed_at = None
@@ -645,12 +689,4 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
                     f"{_ZENO_WINDOW} breakpoints within {span:.3e} time units at t={t:.6g}"
                 )
 
-    # each column of lists of floats in one pass, its shape known: np.array
-    # would discover it from the nested lists first
-    times, *columns = zip(*rows)
-    n = len(times)
-    columns = [
-        np.fromiter(chain.from_iterable(column), float, n * len(column[0])).reshape(n, len(column[0]))
-        for column in columns
-    ]
-    return FluidTrajectory(hbar, np.array(times), *columns, absorbed_at=absorbed_at)
+    return FluidTrajectory(hbar, tuple(rows), absorbed_at)

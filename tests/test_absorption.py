@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -22,6 +23,7 @@ from qnet.absorption import (
     verify_C2,
     _first_hit,
     _kinks,
+    _piece_hit,
     _polygon_dist,
     _segment_dist,
 )
@@ -429,6 +431,151 @@ def test_hit_search_rows_measure_the_full_row(case):
         assert _kinks(unit, [x0[k] for k in coords], [dx[k] for k in coords]) == _kinks(piece, x0, dx)
 
 
+def unpruned_hit(traj, eqset, tol):
+    """_first_hit without its pruning: every piece is searched on every
+    segment."""
+    rows = traj.rows
+    for (t0, q0, u0, v0, *_), (t1, q1, u1, v1, *_) in zip(rows, rows[1:]):
+        if t1 <= t0:
+            continue
+        r0, r1 = (u0 + v0, u1 + v1) if eqset.constrain_residuals else ((), ())
+        hits = [
+            t0 + f * (t1 - t0)
+            for f in (_piece_hit(p, traj.hbar, tol, q0, q1, r0, r1) for p in eqset.pieces)
+            if f is not None
+        ]
+        if hits:
+            return min(hits)
+    return None
+
+
+def trajectory_of(hbar, times, qs, us, vs):
+    """A trajectory of the given breakpoint times and states; the hit
+    search reads no rate or flow, so those are left empty."""
+    return FluidTrajectory(hbar, tuple((t, q, u, v, *[[]] * 7) for t, q, u, v in zip(times, qs, us, vs)))
+
+
+@st.composite
+def trajectories_near_and_far(draw):
+    """A set of HIT_SETS, a threshold, a tolerance and a trajectory of one
+    or two segments.  Each breakpoint starts from a point of a piece (its
+    centroid, with a polygon pair on a vertex), times hbar.  Some of its
+    coordinates then move to a level of the bundled sets, near the set or
+    up to 1e6 hbar away, and one may move by tol and a few ulps, just
+    inside or outside the set's tol level set.  A breakpoint may repeat
+    the one before it.  The residuals are mostly 0."""
+    eqset = draw(st.sampled_from(HIT_SETS))
+    hbar = draw(st.sampled_from([1e-3, 1.0, 1e3, 0.37, 25.0]))
+    tol = hbar * draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+    K, F = eqset.num_classes, eqset.num_flows
+    coord = st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(-0.5, 3.0) | st.floats(-1e6, 1e6)
+    residual = st.just(0.0) | st.floats(0.0, 2.0)
+    times = draw(st.sampled_from([[0.0, 1.0], [0.0, 1.0, 2.5], [0.0, 1.0, 1.0, 3.0]]))
+    qs, us, vs = [], [], []
+    for _ in times:
+        if qs and draw(st.booleans()):
+            # a segment that holds its state, as a stationary one does
+            qs.append(qs[-1])
+            us.append(us[-1])
+            vs.append(vs[-1])
+            continue
+        piece = draw(st.sampled_from(eqset.pieces))
+        x = piece.centroid_q(K).tolist()
+        if piece.poly_coords is not None:
+            for k, c in zip(piece.poly_coords, draw(st.sampled_from(piece.poly_vertices))):
+                x[k] = c
+        for k in draw(st.lists(st.integers(0, K - 1), max_size=K)):
+            x[k] = draw(coord)
+        x = [hbar * c for c in x]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, K - 1))
+            x[k] += draw(st.sampled_from([tol, -tol]))
+            for _ in range(draw(st.integers(0, 3))):
+                x[k] = math.nextafter(x[k], draw(st.sampled_from([-math.inf, math.inf])))
+        qs.append(x)
+        us.append([draw(residual) for _ in range(F)])
+        vs.append([draw(residual) for _ in range(K)])
+    return eqset, tol, trajectory_of(hbar, times, qs, us, vs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectories_near_and_far())
+def test_pruned_hit_search_equals_the_full_search(case):
+    # a piece out of reach of a segment is skipped, and it never held the
+    # first hit: the search gives the time of the search over every piece
+    eqset, tol, traj = case
+    assert _first_hit(traj, eqset, tol) == unpruned_hit(traj, eqset, tol)
+
+
+_ORIGIN = EquilibriumSet(2, 1, (Piece(((0, 0.0, 0.0), (1, 0.0, 0.0))),))
+
+
+@pytest.mark.parametrize("eqset", HIT_SETS + [_ORIGIN], ids=range(len(HIT_SETS) + 1))
+def test_pruning_keeps_hits_that_rounding_reaches(eqset):
+    # a held point tol plus a few ulps outside a face of a piece's box can
+    # measure <= tol once rounded, also where its unit coordinates
+    # underflow: the pruning's slack must keep that piece in reach
+    K, nudges = eqset.num_classes, range(-4, 5)
+    for piece, hbar, tol_unit in itertools.product(eqset.pieces, [1e-3, 1.0, 1e3, 25.0, 7.1], [0.0, 1e-6, 1e-3]):
+        tol = tol_unit * hbar
+        point = piece.centroid_q(K).tolist()
+        faces = [(k, lo, hi) for k, lo, hi in piece.bounds]
+        if piece.poly_coords is not None:
+            vertex = piece.poly_vertices[0]
+            point[piece.poly_coords[0]], point[piece.poly_coords[1]] = vertex
+            faces += [(k, c, c) for k, c in zip(piece.poly_coords, vertex)]
+        for (k, lo, hi), (level, side), n in itertools.product(faces, [(0, -1.0), (1, 1.0)], nudges):
+            q = [hbar * x for x in point]
+            q[k] = hbar * (lo, hi)[level] + side * tol
+            for _ in range(abs(n)):
+                q[k] = math.nextafter(q[k], math.copysign(math.inf, n))
+            traj = trajectory_of(hbar, [0.0, 1.0], [q, q], [[0.0] * eqset.num_flows] * 2, [[0.0] * K] * 2)
+            assert _first_hit(traj, eqset, tol) == unpruned_hit(traj, eqset, tol)
+
+
+def test_pruning_slack_covers_the_box_magnitude():
+    # tol is the distance measured from a point near 0 to a point set 1e6
+    # hbar away, where the gap of the boxes can round a few ulps of 1e6
+    # hbar above it: only a slack scaled by the box's magnitude covers it
+    far = EquilibriumSet(2, 1, (Piece(((0, 1e6, 1e6), (1, 0.0, 0.0))),), constrain_residuals=False)
+    hbar = 0.37
+    for n in range(1, 30):
+        q = [0.1 * n * hbar, 0.0]
+        tol = distance(FluidState(np.array(q), np.zeros(1), np.zeros(2), hbar), far)
+        traj = trajectory_of(hbar, [0.0, 1.0], [q, q], [[0.0]] * 2, [[0.0, 0.0]] * 2)
+        assert _first_hit(traj, far, tol) == unpruned_hit(traj, far, tol) == 0.0
+
+
+def test_hit_search_skips_pieces_out_of_reach(monkeypatch):
+    # a segment far from every piece searches none; one through the band
+    # searches the band alone, as it stays 1 hbar left of the edge piece
+    from qnet import absorption
+
+    searched = []
+
+    def counted(piece, *args):
+        searched.append(piece)
+        return piece_hit(piece, *args)
+
+    piece_hit = absorption._piece_hit
+    monkeypatch.setattr(absorption, "_piece_hit", counted)
+    proj = switch_equilibrium_set(0.5).projected(_PAIR)
+    K = proj.num_classes
+
+    def row(x, y):
+        q = [0.0] * K
+        q[_PAIR[0]], q[_PAIR[1]] = x, y
+        return q
+
+    far = trajectory_of(2.0, [0.0, 1.0], [row(5.0, 0.0), row(4.0, 6.0)], [[]] * 2, [[]] * 2)
+    assert _first_hit(far, proj, 1e-6) is None and searched == []
+    near = trajectory_of(2.0, [0.0, 1.0], [row(0.2, 4.0), row(1.0, 2.0)], [[]] * 2, [[]] * 2)
+    hit = _first_hit(near, proj, 1e-6)
+    assert hit == pytest.approx(0.6875, abs=1e-6)  # where y = 1.5 - x/2 in unit coordinates
+    assert searched == [proj.pieces[0]]
+    assert unpruned_hit(near, proj, 1e-6) == hit
+
+
 class TestFirstHit:
     def test_switch_band_and_edge_pieces(self):
         spec = switch_example_spec()
@@ -460,12 +607,7 @@ class TestFirstHit:
         # the vertical segment x = tol passes the point (0, 1) at distance
         # exactly tol at its midpoint and farther everywhere else
         tol = 1e-6
-        traj = FluidTrajectory(
-            hbar=1.0, times=np.array([0.0, 2.0]),
-            q=np.array([[tol, 1.5], [tol, 0.5]]), u=np.zeros((2, 1)), v=np.zeros((2, 2)),
-            admit=None, depart=None, busy=None, idle=None,
-            cum_arrival=None, cum_depart=None, cum_admit=None,
-        )
+        traj = trajectory_of(1.0, [0.0, 2.0], [[tol, 1.5], [tol, 0.5]], [[0.0]] * 2, [[0.0, 0.0]] * 2)
         want = reference_hit(traj, tandem_point_set(), 1.0, tol, extra=(0.5,))
         assert want == pytest.approx(1.0, abs=1e-15)  # y rounds to 1 a few ulps early
         assert _first_hit(traj, tandem_point_set(), tol) == want

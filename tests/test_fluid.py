@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import qnet
 from qnet.distributions import DistributionSpec
-from qnet.fluid import FluidState, _classify, integrate, solve_rates
+from qnet.fluid import TRAJECTORY_COLUMNS, FluidState, _classify, integrate, solve_rates
 from qnet.network import SWITCH, build_network, switch_example_spec, tandem_spec
 
 EXP = DistributionSpec.exponential
@@ -498,6 +498,37 @@ def test_rate_invariants_on_random_networks(case):
     traj = integrate(state, spec, horizon)
     assert (traj.q >= -1e-9).all()
     assert conservation_residual(spec, traj) <= 1e-9
+
+
+def eager_columns(rows):
+    """The columns as integrate once built them from its rows, all at its
+    end: the times by np.array, the rest by one np.fromiter each."""
+    times, *columns = zip(*rows)
+    n = len(times)
+    return [np.array(times)] + [
+        np.fromiter(itertools.chain.from_iterable(column), float, n * len(column[0])).reshape(n, len(column[0]))
+        for column in columns
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(fluid_cases())
+def test_trajectory_columns_match_the_eager_build(case):
+    # each column is built from the rows on its first read, equal bit for
+    # bit to the eager build, read-only, and built once
+    spec, state, horizon = case
+    traj = integrate(state, spec, horizon)
+    assert len(TRAJECTORY_COLUMNS) == len(traj.rows[0])
+    for name, want in zip(TRAJECTORY_COLUMNS, eager_columns(traj.rows)):
+        column = getattr(traj, name)
+        assert (column.dtype, column.shape) == (want.dtype, want.shape)
+        assert column.tobytes() == want.tobytes()
+        assert getattr(traj, name) is column
+        with pytest.raises(ValueError, match="read-only"):
+            column[-1] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(traj, name, want)
+    assert traj.horizon == traj.times[-1]
 
 
 @settings(max_examples=40, deadline=None)

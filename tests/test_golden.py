@@ -20,8 +20,7 @@ from qnet.absorption import (
 )
 from qnet.cli import main
 from qnet.experiments import export_trajectory_csv
-from qnet.fluid import FluidState, integrate
-from qnet.fluid import FluidTrajectory
+from qnet.fluid import TRAJECTORY_COLUMNS, FluidState, integrate
 from qnet.network import SWITCH, switch_example_spec
 from test_acceptance import _random_spec
 
@@ -117,7 +116,6 @@ def random_trajectories(tmp_path) -> bytes:
     # 20 random networks, each from the empty state, from a seeded q and u,
     # and from a seeded q with one residual gate per station
     rng = np.random.default_rng(31)
-    columns = [f for f in FluidTrajectory.__dataclass_fields__ if f not in ("hbar", "absorbed_at")]
     blob = []
     for _ in range(20):
         spec = _random_spec(rng)
@@ -133,7 +131,7 @@ def random_trajectories(tmp_path) -> bytes:
         ]
         for q, u, v0 in starts:
             traj = integrate(FluidState.initial(spec, q, 1.0, u=u, v=v0), spec, 40.0)
-            blob += [np.ascontiguousarray(getattr(traj, name)).tobytes() for name in columns]
+            blob += [np.ascontiguousarray(getattr(traj, name)).tobytes() for name in TRAJECTORY_COLUMNS]
             absorbed = np.nan if traj.absorbed_at is None else traj.absorbed_at
             blob.append(np.float64(absorbed).tobytes())
     return b"".join(blob)
