@@ -93,12 +93,6 @@ def _nearest_edge(x: float, y: float, edges: tuple) -> float:
     return best
 
 
-def _segment_dist(x: float, y: float, p: tuple, r: tuple) -> float:
-    """L1 distance from the point (x, y) to the segment p + t*(r - p), t in
-    [0, 1], p and r pairs of floats."""
-    return _nearest_edge(x, y, ((p[0], p[1], r[0] - p[0], r[1] - p[1]),))
-
-
 def _polygon_edges(verts: tuple) -> tuple:
     """The edges ``(p0, p1, d0, d1)`` of a polygon given by its vertices."""
     return tuple((p[0], p[1], r[0] - p[0], r[1] - p[1]) for p, r in zip(verts, verts[1:] + verts[:1]))
@@ -111,12 +105,6 @@ def _edges_dist(x: float, y: float, edges: tuple) -> float:
         if d0 * (y - p1) - d1 * (x - p0) < 0.0:
             return _nearest_edge(x, y, edges)
     return 0.0
-
-
-def _polygon_dist(x: float, y: float, verts: tuple) -> float:
-    """L1 distance from the point (x, y) to a convex polygon given by CCW
-    vertices, pairs of floats."""
-    return _edges_dist(x, y, _polygon_edges(verts))
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ class Piece:
             hi = verts.max(axis=0)
             for _ in range(1000):
                 p = lo + rng.random(2) * (hi - lo)
-                if _polygon_dist(p[0], p[1], self.poly_vertices) == 0.0:
+                if _edges_dist(p[0], p[1], self._edges) == 0.0:
                     break
             else:
                 p = verts.mean(axis=0)

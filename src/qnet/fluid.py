@@ -32,16 +32,13 @@ The water-filling reads the spec's float tables ``w``, ``mu`` and
 ``w_mu``.
 
 As the rates are constant within a region, ``solve_rates`` solves each
-region once per spec: it keys the rates by the tuple of the region's
-masks in the spec's ``_rates_memo`` and answers later states of the
-region with the same read-only ``RateVector``, which it finds by a key
-of C-level passes over the state, without the masks.  On the switch
-member states a miss takes 4.05 roots and 9.05 allocations on average,
-about 180 us on two shared cores, as long as a solve without the memo,
-and a hit about a quarter less than with the masks as its key.
-``integrate`` runs its breakpoint loop on lists of floats, reading each
-regime's rates from the tuples its ``RateVector`` carries; numpy only
-builds the state handed to ``solve_rates``.  It appends one row per
+region once per spec and answers every later state of the region with
+the same ``RateVector``, found in the spec's ``_rates_memo`` by a key of
+C-level passes over the state.  Its rates are tuples of floats, the form
+``integrate`` computes on.  On the switch member states a miss takes
+4.05 roots and 9.05 allocations on average, about 180 us on two shared
+cores.  ``integrate`` runs its breakpoint loop on lists of floats; numpy
+only builds the state handed to ``solve_rates``.  It appends one row per
 breakpoint (time, q, u, v, the rates solved there, the cumulative flows)
 and one for a stationary state's hold to the horizon, and
 ``FluidTrajectory`` keeps those rows: each column is built from them the
@@ -58,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import NetworkSpec, _read_only
+from .network import NetworkSpec
 
 __all__ = [
     "FluidState",
@@ -128,29 +125,20 @@ class FluidState:
 
 @dataclass(frozen=True, eq=False)
 class RateVector:
-    """The rates of one regime, in read-only arrays: ``solve_rates``
-    returns the same object for every state of the regime.  ``floats``
-    holds admit, depart, busy, idle, arrival and q_dot as tuples of
-    floats, in that order, built once per regime for callers that
-    compute on Python floats, and ``moving`` the classes whose ``q_dot``
-    is not 0."""
-    admit: np.ndarray     # per flow, in [0, alpha_f]
-    depart: np.ndarray    # per class
-    busy: np.ndarray      # per class, server time fraction in [0, 1]
-    idle: np.ndarray      # per station, 1 - sum of busy fractions
-    arrival: np.ndarray   # per class inflow: routed departures + admissions
-    q_dot: np.ndarray     # per class, arrival - depart, 0 below _RATE_EPS
-    flow_depart: np.ndarray  # per flow, the departures of its egress class
-    floats: tuple = field(init=False, repr=False, compare=False)
+    """The rates of one regime, as tuples of floats: ``solve_rates``
+    returns the same object for every state of the regime.  ``moving``
+    holds the classes whose ``q_dot`` is not 0."""
+    admit: tuple        # per flow, in [0, alpha_f]
+    depart: tuple       # per class
+    busy: tuple         # per class, server time fraction in [0, 1]
+    idle: tuple         # per station, 1 - sum of busy fractions
+    arrival: tuple      # per class inflow: routed departures + admissions
+    q_dot: tuple        # per class, arrival - depart, 0 below _RATE_EPS
+    flow_depart: tuple  # per flow, the departures of its egress class
     moving: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        floats = tuple(
-            tuple(rates.tolist())
-            for rates in (self.admit, self.depart, self.busy, self.idle, self.arrival, self.q_dot)
-        )
-        object.__setattr__(self, "floats", floats)
-        object.__setattr__(self, "moving", tuple(k for k, r in enumerate(floats[5]) if r))
+        object.__setattr__(self, "moving", tuple(k for k, r in enumerate(self.q_dot) if r))
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +390,20 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     The rates read the state only through its regime: the masks of the
     backlogged classes, the open service gates, the waiting arrival
     clocks and the queues above and at the threshold.  Each spec memoizes
-    the rates by those masks in ``spec._rates_memo``, with no size limit:
-    it holds one entry per regime the spec has been solved in, and every
-    state of the regime gets that entry's read-only ``RateVector``.  A
-    fault is raised again on every call and never stored.
-
-    A hit is found without the masks, by a key of C-level passes in
-    ``spec._rates_index``: which queues, gates and clocks exceed the
+    them in ``spec._rates_memo``, with no size limit, keyed by C-level
+    passes over the state: which queues, gates and clocks exceed the
     tolerance, and each queue's level from one ``bisect_right`` over
     (hbar - atol, hbar + atol) (0 below, 1 at the threshold, 2 above).
-    It gives ``_classify``'s masks at every hbar, also where the empty
-    and threshold bands overlap; the masks are built from it on a miss.
-    A nan coordinate, which ``FluidState.initial`` rejects, keys as an
-    empty queue above the threshold, or as a stopped clock or gate.
+    The key gives ``_classify``'s masks at every hbar, also where the
+    empty and threshold bands overlap.  States of one regime can differ
+    in the key only where a gate is closed, which makes its class
+    backlogged whether its queue is empty or not, so a miss first looks
+    up the regime's own key, with gated classes counted as nonempty, and
+    solves only if that is missing too; the entry is stored under both
+    keys, and every state of the regime gets its ``RateVector``.  A fault
+    is raised again on every call and never stored.  A nan coordinate,
+    which ``FluidState.initial`` rejects, keys as an empty queue above
+    the threshold, or as a stopped clock or gate.
     """
     atol = 1e-10 * max(1.0, state.hbar)   # the tolerance of _classify
     running = atol.__lt__
@@ -425,20 +414,19 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
         tuple(map(running, state.v.tolist())),
         tuple(map(running, state.u.tolist())),
     )
-    rv = spec._rates_index.get(key)
+    memo = spec._rates_memo
+    rv = memo.get(key)
     if rv is None:
         nonempty, levels, gated, waiting = key
-        masks = (
-            tuple([n or g for n, g in zip(nonempty, gated)]),
-            tuple([not g for g in gated]),
-            waiting,
-            tuple([b == 2 for b in levels]),
-            tuple([b == 1 for b in levels]),
-        )
-        rv = spec._rates_memo.get(masks)
+        backlogged = tuple([n or g for n, g in zip(nonempty, gated)])
+        regime = (backlogged, levels, gated, waiting)
+        rv = memo.get(regime)
         if rv is None:
-            rv = spec._rates_memo[masks] = _solve_regime(spec, *masks)
-        spec._rates_index[key] = rv
+            rv = _solve_regime(
+                spec, backlogged, tuple([not g for g in gated]), waiting,
+                tuple([b == 2 for b in levels]), tuple([b == 1 for b in levels]),
+            )
+        memo[key] = memo[regime] = rv
     return rv
 
 
@@ -496,19 +484,16 @@ def _solve_regime(spec, backlogged, gate_open, waiting, above, at_thr) -> RateVe
         idle.append(0.0 if abs(x) < 1e-12 else x)
     if any(x < 0.0 for x in idle):
         raise FluidRateError("station busy fractions exceed capacity")
-    flow_depart = _read_only([depart[k] for k in spec.egress])
-    arrival, depart = _read_only(inflow), _read_only(depart)
-    q_dot = arrival - depart
-    q_dot[np.abs(q_dot) < _RATE_EPS] = 0.0
-    q_dot.flags.writeable = False
+    q_dot = tuple([0.0 if abs(x := a - d) < _RATE_EPS else x for a, d in zip(inflow, depart)])
     return RateVector(
-        _read_only(admit), depart, _read_only(busy), _read_only(idle), arrival, q_dot, flow_depart
+        tuple(admit), tuple(depart), tuple(busy), tuple(idle), tuple(inflow), q_dot,
+        tuple([depart[k] for k in spec.egress]),
     )
 
 
-def departure_rates_at(state: FluidState, spec: NetworkSpec) -> np.ndarray:
-    """Per-flow departure rates: those of the egress classes, in the
-    regime's read-only array."""
+def departure_rates_at(state: FluidState, spec: NetworkSpec) -> tuple:
+    """Per-flow departure rates: those of the egress classes, the regime's
+    ``flow_depart``."""
     return solve_rates(state, spec).flow_depart
 
 
@@ -635,7 +620,7 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     t = 0.0
     while True:
         rv = solve_rates(FluidState(np.array(q), np.array(u), np.array(v), hbar), spec)
-        admit, depart, busy, idle, arrival, qdot = rv.floats
+        admit, depart, busy, idle, qdot = rv.admit, rv.depart, rv.busy, rv.idle, rv.q_dot
         rates = (admit, depart, busy, idle)
         rows.append((t, q, u, v, *rates, *cum))
 
@@ -660,7 +645,7 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
         remaining = horizon - t
         if remaining <= 0:
             break
-        flows = (arrival, depart, admit)
+        flows = (rv.arrival, depart, admit)
         if stationary:
             # hold the state to the horizon in one segment
             cum = tuple([c + r * remaining for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
@@ -677,7 +662,7 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
         u = [0.0 if (y := x - dt) < atol else y for x in u]
         v = [0.0 if (y := x - b * dt) < atol else y for x, b in zip(v, busy)]
         cum = tuple([c + r * dt for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
-        t = t + dt
+        t = horizon if dt == remaining else t + dt  # t + remaining can round past it
 
         # the breakpoint at t is the (len(rows) + 1)-th
         if len(rows) >= _MAX_BREAKPOINTS:

@@ -77,11 +77,10 @@ class NetworkSpec:
     # routed into it, the flow entering at it or -1), per station the
     # classes it serves
     check_structure: tuple = field(init=False, repr=False)
-    # fluid.solve_rates memo: regime masks -> RateVector, one entry per regime
-    # solved on this spec, and the one-pass keys of the states seen -> the same
-    # RateVector; both empty for a new spec, and dataclasses.replace too
+    # fluid.solve_rates memo: the key of each state seen and of each regime
+    # solved on this spec -> the regime's RateVector, one per regime; empty
+    # for a new spec, and dataclasses.replace too
     _rates_memo: dict = field(init=False, repr=False, compare=False)
-    _rates_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = self.num_classes
@@ -128,7 +127,6 @@ class NetworkSpec:
         for name, table in tables.items():
             object.__setattr__(self, name, table)
         object.__setattr__(self, "_rates_memo", {})
-        object.__setattr__(self, "_rates_index", {})
 
     # -- views of the tables -------------------------------------------
     def flow_classes(self, f: int) -> tuple:

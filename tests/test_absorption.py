@@ -21,11 +21,12 @@ from qnet.absorption import (
     tandem_wedge_set,
     verify_C1,
     verify_C2,
+    _edges_dist,
     _first_hit,
     _kinks,
+    _nearest_edge,
     _piece_hit,
-    _polygon_dist,
-    _segment_dist,
+    _polygon_edges,
 )
 from qnet.fluid import FluidState, FluidTrajectory, integrate
 from qnet.network import SWITCH, switch_example_spec, tandem_spec
@@ -41,8 +42,9 @@ def switch_state(q2, q7, hbar=1.0, q1=None, q8=None):
 
 
 def numpy_segment_dist(x, p, r):
-    """The numpy form of ``_segment_dist`` that the float one replaced, kept
-    as its oracle: x, p and r are arrays of two floats."""
+    """The numpy form of the L1 distance from x to the segment p + t*(r - p),
+    t in [0, 1], kept as the oracle of ``_nearest_edge``: x, p and r are
+    arrays of two floats."""
     d = r - p
     a = x - p
     cands = [0.0, 1.0]
@@ -58,7 +60,8 @@ def numpy_segment_dist(x, p, r):
 
 
 def numpy_polygon_dist(x, verts):
-    """The numpy form of ``_polygon_dist``, kept as its oracle."""
+    """The numpy form of the L1 distance from x to a convex polygon given by
+    CCW vertices, kept as the oracle of ``_edges_dist``."""
     m = len(verts)
     inside = True
     for i in range(m):
@@ -97,10 +100,11 @@ def band_points(draw):
 def test_float_distances_equal_the_numpy_oracle(case):
     verts, (x, y) = case
     xy, arr = np.array([x, y]), np.asarray(verts)
-    assert _polygon_dist(x, y, verts) == numpy_polygon_dist(xy, arr)
+    assert _edges_dist(x, y, _polygon_edges(verts)) == numpy_polygon_dist(xy, arr)
     for n in range(4):
         p, r = verts[n], verts[(n + 1) % 4]
-        assert _segment_dist(x, y, p, r) == numpy_segment_dist(xy, arr[n], arr[(n + 1) % 4])
+        edge = (p[0], p[1], r[0] - p[0], r[1] - p[1])
+        assert _nearest_edge(x, y, (edge,)) == numpy_segment_dist(xy, arr[n], arr[(n + 1) % 4])
     piece = Piece(bounds=((2, 0.0, 0.0),), poly_coords=(0, 1), poly_vertices=verts)
     assert piece.q_distance([x, y, 0.25]) == float(sum([0.25, numpy_polygon_dist(xy, arr)]))
 

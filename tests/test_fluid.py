@@ -68,8 +68,8 @@ class TestSolveRates:
         )
         st = FluidState.initial(spec, [0.5, 0.5], 10.0, v=[0.75, 0.0])
         rv = solve_rates(st, spec)
-        assert rv.busy.tolist() == [1.0, 0.0]
-        assert rv.depart.tolist() == [0.0, 0.0]
+        assert list(rv.busy) == [1.0, 0.0]
+        assert list(rv.depart) == [0.0, 0.0]
         assert rv.idle[0] == 0.0
         traj = integrate(st, spec, 2.0)
         assert traj.times[1] == pytest.approx(0.75, abs=1e-12)
@@ -124,7 +124,7 @@ class TestSolveRates:
         spec = switch_example_spec()
         rv = solve_rates(settled_switch_state(1.0, 1.0), spec)
         assert rv.admit == pytest.approx([0.5, 0.5, 0.5], abs=1e-12)
-        assert not rv.q_dot.any()
+        assert not any(rv.q_dot)
 
     def test_work_conservation_of_rates(self):
         spec = switch_example_spec()
@@ -157,7 +157,7 @@ class TestSolveRates:
         spec = tandem_spec(0.3, 0.8, 0.5)
         rv = solve_rates(FluidState.initial(spec, [0.0, 0.0], 1.0), spec)
         assert rv.depart == pytest.approx([0.3, 0.3], abs=1e-12)
-        assert not rv.q_dot.any()
+        assert not any(rv.q_dot)
 
     def test_weighted_shares(self):
         spec = build_network(
@@ -176,6 +176,17 @@ class TestIntegrate:
         spec = tandem_spec(1.0, 0.8, 0.5)
         traj = integrate(FluidState.initial(spec, [0.4, 0.2], 1.0), spec, 0.0)
         assert len(traj.times) == 1
+
+    def test_unabsorbed_path_ends_at_the_horizon(self):
+        # from this start t + (horizon - t) at the last step rounds one ulp
+        # above the horizon, to 2.3765734499186957
+        spec = switch_example_spec()
+        q = (0, 0.05333451823564195, 0, 0, 0, 0, 2.714192914760785, 0)
+        horizon = 2.3765734499186952
+        traj = integrate(FluidState.initial(spec, q, 1.0), spec, horizon)
+        assert traj.absorbed_at is None
+        assert traj.rows[-1][0] == traj.horizon == horizon
+        assert traj.state_at(horizon).q.tolist() == traj.q[-1].tolist()
 
     @pytest.mark.parametrize("t", [-0.5, 5.5])
     def test_state_at_outside_horizon_rejected(self, t):
@@ -257,7 +268,7 @@ class TestIntegrate:
                 assert np.array_equal(getattr(traj, name), [rates] * len(times)), name
             for name, rates in [("cum_arrival", rv.arrival), ("cum_depart", rv.depart),
                                 ("cum_admit", rv.admit)]:
-                assert np.array_equal(getattr(traj, name), [rates * t for t in times]), name
+                assert np.array_equal(getattr(traj, name), [np.asarray(rates) * t for t in times]), name
             assert np.array_equal(traj.q, [start.q] * len(times))
 
     def test_absorbing_state_stays(self):
@@ -300,8 +311,8 @@ class TestDepartureRates:
         spec = switch_example_spec()
         assert spec.egress.tolist() == [SWITCH.flow1_egress, SWITCH.flow2_egress, SWITCH.flow3_egress]
         for state in (settled_switch_state(0.5, 1.0), FluidState.initial(spec, [0.4, 2.0] + [0.0] * 6, 1.0)):
-            want = solve_rates(state, spec).depart[spec.egress]
-            assert qnet.departure_rates_at(state, spec).tolist() == want.tolist()
+            want = np.asarray(solve_rates(state, spec).depart)[spec.egress]
+            assert list(qnet.departure_rates_at(state, spec)) == want.tolist()
 
     def test_all_idle_network(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
@@ -391,7 +402,7 @@ def test_cross_flow_sliding_coupling():
     spec2 = make(0.3)
     rv2 = solve_rates(FluidState.initial(spec2, [1.0, 1.0, 0.0], 1.0), spec2)
     assert rv2.admit == pytest.approx([0.7, 0.3], abs=1e-12)
-    assert not rv2.q_dot.any()
+    assert not any(rv2.q_dot)
 
 
 def test_weighted_shares_end_to_end():
@@ -409,7 +420,7 @@ def test_weighted_shares_end_to_end():
     )
     rv = solve_rates(FluidState.initial(spec, [1.0, 1.0], 1.0), spec)
     assert rv.admit == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
-    assert not rv.q_dot.any()
+    assert not any(rv.q_dot)
     traj = integrate(FluidState.initial(spec, [0.0, 0.0], 1.0), spec, 30.0)
     assert traj.absorbed_at == pytest.approx(3.0, abs=1e-9)
     assert traj.q[-1] == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -478,8 +489,9 @@ def test_rate_invariants_on_random_networks(case):
     spec, state, horizon = case
     rv = solve_rates(state, spec)
     alpha = spec.arrival_rates
-    assert (rv.admit >= -1e-12).all() and (rv.admit <= alpha + 1e-12).all()
-    assert (rv.idle >= -1e-12).all() and (rv.depart >= -1e-12).all()
+    admit, idle, depart = np.asarray(rv.admit), np.asarray(rv.idle), np.asarray(rv.depart)
+    assert (admit >= -1e-12).all() and (admit <= alpha + 1e-12).all()
+    assert (idle >= -1e-12).all() and (depart >= -1e-12).all()
     w = spec.class_weights()
     for i in range(spec.num_stations):
         members = [k for k in spec.station_classes(i) if k not in spec.idle_slots]
@@ -496,6 +508,7 @@ def test_rate_invariants_on_random_networks(case):
             assert rv.depart[k] == 0.0
     # integrate and check conservation at every breakpoint
     traj = integrate(state, spec, horizon)
+    assert traj.horizon == float(horizon)
     assert (traj.q >= -1e-9).all()
     assert conservation_residual(spec, traj) <= 1e-9
 
@@ -535,8 +548,8 @@ def test_trajectory_columns_match_the_eager_build(case):
 @given(fluid_cases())
 def test_memo_hits_match_solves_on_a_new_spec(case):
     # integrate leaves the regimes along the path in the memo, so every
-    # breakpoint state is then a hit; each hit gives the arrays of a solve
-    # on a new spec, whose memo starts empty, bit for bit
+    # breakpoint state is then a hit; each hit gives the rates of a solve
+    # on a new spec, whose memo starts empty, bit for bit, as Python floats
     from qnet import fluid
 
     spec, state, horizon = case
@@ -559,8 +572,9 @@ def test_memo_hits_match_solves_on_a_new_spec(case):
         new = dataclasses.replace(spec)
         assert not new._rates_memo
         fresh = solve_rates(st_, new)
-        for name in ("admit", "depart", "busy", "idle", "arrival", "q_dot"):
-            assert getattr(hit, name).tobytes() == getattr(fresh, name).tobytes()
+        for name in ("admit", "depart", "busy", "idle", "arrival", "q_dot", "flow_depart"):
+            assert np.array(getattr(hit, name)).tobytes() == np.array(getattr(fresh, name)).tobytes()
+            assert all(type(x) is float for x in getattr(hit, name))
 
 
 class TestRateMemo:
@@ -581,37 +595,34 @@ class TestRateMemo:
         a = solve_rates(FluidState.initial(spec, [0.3, 1.0], 1.0, u=[0.2], v=[0.0, 0.4]), spec)
         b = solve_rates(FluidState.initial(spec, [2.0, 2.5], 2.5, u=[0.9], v=[0.0, 1.3]), spec)
         assert len(misses) == 1 and len(spec._rates_memo) == 1 and a is b
-        assert a.admit.tolist() == b.admit.tolist() == [0.0]
-        assert a.depart.tolist() == b.depart.tolist() == [0.8, 0.0]
+        assert list(a.admit) == list(b.admit) == [0.0]
+        assert list(a.depart) == list(b.depart) == [0.8, 0.0]
+        # an empty queue behind a closed gate is backlogged as a nonempty
+        # one is: the two states differ in their key, not in their regime
+        c = solve_rates(FluidState.initial(spec, [0.3, 0.0], 1.0, u=[0.2], v=[0.0, 0.4]), spec)
+        d = solve_rates(FluidState.initial(spec, [0.3, 0.5], 1.0, u=[0.2], v=[0.0, 0.4]), spec)
+        assert len(misses) == 2 and c is d and c is not a
+        assert len(spec._rates_memo) == 3
 
     def test_returned_arrays_do_not_reach_the_memo(self):
-        # the memo's RateVector is returned as it is, so a write to any of
-        # its arrays raises rather than changing later answers
+        # the memo's RateVector is returned as it is, and its rates are
+        # tuples, so a write to any of them raises rather than changing
+        # later answers
         spec = tandem_spec(1.0, 0.8, 0.5)
         state = FluidState.initial(spec, [0.0, 1.0], 1.0)
         rv = solve_rates(state, spec)
-        want = {f.name: getattr(rv, f.name).tolist() for f in dataclasses.fields(rv) if f.init}
+        want = {f.name: list(getattr(rv, f.name)) for f in dataclasses.fields(rv) if f.init}
         for name in want:
-            with pytest.raises(ValueError, match="read-only"):
+            with pytest.raises(TypeError):
                 getattr(rv, name)[0] = 7.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             rv.admit = np.zeros(1)
         again = solve_rates(state, spec)
         assert again is rv
-        assert {name: getattr(again, name).tolist() for name in want} == want
-        assert again.admit.tolist() == [pytest.approx(0.5, abs=1e-12)]
-        # the same rates as tuples of floats, built once for the regime
-        names = ("admit", "depart", "busy", "idle", "arrival", "q_dot")
-        assert len(rv.floats) == len(names)
-        for name, values in zip(names, rv.floats):
-            assert values == tuple(want[name])
-            with pytest.raises(TypeError):
-                values[0] = 7.0
-        with pytest.raises(TypeError):
-            rv.floats[0] = (7.0,)
-        for name in ("floats", "moving"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(rv, name, ())
+        assert {name: list(getattr(again, name)) for name in want} == want
+        assert list(again.admit) == [pytest.approx(0.5, abs=1e-12)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rv, "moving", ())
 
     def test_band_key_at_every_band_edge(self):
         # queues at and one ulp around each edge of the bands, gates and
@@ -645,12 +656,12 @@ class TestRateMemo:
                 state = FluidState(np.array([q0, q1]), np.array([u0]), np.array([v0, v1]), hbar)
                 rv = solve_rates(state, spec)
                 assert entries.setdefault(masks_of(state), rv) is rv
-        assert spec._rates_memo == entries
+        distinct = {id(rv) for rv in spec._rates_memo.values()}
+        assert sorted(distinct) == sorted(id(rv) for rv in entries.values())
         for masks, rv in entries.items():
             fresh = fluid._solve_regime(dataclasses.replace(spec), *masks)
             for name in ("admit", "depart", "busy", "idle", "arrival", "q_dot", "flow_depart"):
-                assert getattr(rv, name).tobytes() == getattr(fresh, name).tobytes()
-            assert rv.floats == fresh.floats
+                assert np.array(getattr(rv, name)).tobytes() == np.array(getattr(fresh, name)).tobytes()
             assert rv.moving == tuple(np.flatnonzero(rv.q_dot).tolist())
 
     def test_verify_C2_memoizes_one_entry_per_regime(self):
@@ -794,7 +805,7 @@ class TestSlidingRoot:
         # and the root is the end of that stretch
         rv = solve_rates(FluidState.initial(spec, [1.0, 1.0], 1.0), spec)
         assert rv.admit[0] == pytest.approx(0.5, abs=1e-12)
-        assert not rv.q_dot.any()
+        assert not any(rv.q_dot)
 
     def test_last_zero_on_piecewise_linear_functions(self):
         # the certificate of a point is the index of its piece; at a kink
@@ -843,12 +854,12 @@ class TestSlidingRoot:
         monkeypatch.setattr(fluid, "_allocate", counted)
         spec = switch_example_spec()
         rv = solve_rates(settled_switch_state(1.0, 1.0), spec)
-        assert rv.admit.tolist() == [0.5, 0.5, 0.5]
+        assert list(rv.admit) == [0.5, 0.5, 0.5]
         assert len(calls) <= 25
         calls.clear()
         tandem = tandem_spec(0.9, 0.5, 0.5)
         rv = solve_rates(FluidState.initial(tandem, [1.0, 1.0], 1.0), tandem)
-        assert rv.admit.tolist() == [0.5]
+        assert list(rv.admit) == [0.5]
         assert len(calls) <= 25
         for st_ in member_states(switch_equilibrium_set(0.5), 1.0, spec, per_piece=20, seed=4):
             calls.clear()
@@ -885,7 +896,7 @@ class TestSlidingRoot:
         spec = tandem_spec(1.0, 0.8, 0.5)
         rv = solve_rates(FluidState.initial(spec, [0.0, 1.0], 1.0, v=[0.0, 0.5]), spec)
         assert rv.admit[0] == 0.0
-        assert not rv.q_dot.any()
+        assert not any(rv.q_dot)
 
 
 def piecewise_linear(xs, ys, side):
@@ -1037,7 +1048,7 @@ def reference_solve_rates(state, spec):
 
 
 def assert_solve_matches_reference(state, spec):
-    """solve_rates gives the reference's arrays bit for bit, or the same
+    """solve_rates gives the reference's rates bit for bit, or the same
     FluidRateError."""
     from qnet.fluid import FluidRateError
 
@@ -1049,7 +1060,7 @@ def assert_solve_matches_reference(state, spec):
         return
     rv = solve_rates(state, spec)
     have = [rv.admit, rv.depart, rv.busy, rv.idle, rv.arrival]
-    assert [a.tobytes() for a in have] == [b.tobytes() for b in want]
+    assert [np.array(a).tobytes() for a in have] == [b.tobytes() for b in want]
 
 
 def test_skipped_roots_match_full_passes_on_switch_member_states():
@@ -1074,7 +1085,7 @@ def test_root_solved_again_after_another_flow_moved():
         weights=[1, 1, 3],
     )
     state = FluidState.initial(spec, [1.0, 0.0, 2.0, 1.0], 1.0)
-    assert solve_rates(state, spec).admit.tolist() == [0.75, 0.25, 0.0]
+    assert list(solve_rates(state, spec).admit) == [0.75, 0.25, 0.0]
     assert_solve_matches_reference(state, spec)
 
 
