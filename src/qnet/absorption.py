@@ -234,10 +234,11 @@ class EquilibriumSet:
 
 def distance(state: FluidState, eqset: EquilibriumSet) -> float:
     """Exact L1 distance from ``state`` to the set scaled by ``state.hbar``
-    (the norm all absorption-time bounds are stated in)."""
+    (the norm all absorption-time bounds are stated in).  Raises
+    ValueError unless ``state.hbar`` is positive and finite."""
     hbar = state.hbar
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError("hbar must be positive and finite")
     d = hbar * eqset.q_distance([x / hbar for x in state.q.tolist()])
     if eqset.constrain_residuals:
         for x in state.u.tolist() + state.v.tolist():  # left to right, as in q_distance

@@ -260,7 +260,7 @@ def export_trajectory_csv(traj, path) -> None:
         + [f"admit_rate{f}" for f in range(len(u))]
         + [f"depart_rate{k}" for k in range(len(q))]
     )
-    rows = [[t, *q, *admit, *depart] for t, q, _, _, admit, depart, *_ in traj.rows]
+    rows = [[t, *q, *rv.admit, *rv.depart] for t, q, _, _, rv, _ in traj.rows]
     write_csv(path, header, rows)
 
 

@@ -39,11 +39,12 @@ C-level passes over the state.  Its rates are tuples of floats, the form
 4.05 roots and 9.05 allocations on average, about 180 us on two shared
 cores.  ``integrate`` runs its breakpoint loop on lists of floats; numpy
 only builds the state handed to ``solve_rates``.  It appends one row per
-breakpoint (time, q, u, v, the rates solved there, the cumulative flows)
-and one for a stationary state's hold to the horizon, and
-``FluidTrajectory`` keeps those rows: each column is built from them the
-first time it is read, so ``verify_C1``, whose hit search reads the rows,
-builds none.  A C1 start on the switch (4.9 rows) takes about 57 us here.
+breakpoint, ``(t, q, u, v, rates, step)``, and one for a stationary
+state's hold to the horizon; once every arrival clock and service gate
+has run out it no longer scans or snaps u and v.  ``FluidTrajectory``
+builds each column from the rows on first read, so ``verify_C1``, whose
+hit search reads t, q, u and v, builds none.  A C1 start on the switch
+(4.9 rows) takes about 39 us here.
 """
 from __future__ import annotations
 
@@ -403,14 +404,18 @@ def solve_rates(state: FluidState, spec: NetworkSpec) -> RateVector:
     keys, and every state of the regime gets its ``RateVector``.  A fault
     is raised again on every call and never stored.  A nan coordinate,
     which ``FluidState.initial`` rejects, keys as an empty queue above
-    the threshold, or as a stopped clock or gate.
+    the threshold, or as a stopped clock or gate.  Raises ValueError
+    unless ``state.hbar`` is positive and finite.
     """
-    atol = 1e-10 * max(1.0, state.hbar)   # the tolerance of _classify
+    hbar = state.hbar
+    if not 0.0 < hbar < np.inf:
+        raise ValueError("hbar must be positive and finite")
+    atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
     running = atol.__lt__
     q = state.q.tolist()
     key = (
         tuple(map(running, q)),
-        tuple(map(partial(bisect_right, (state.hbar - atol, state.hbar + atol)), q)),
+        tuple(map(partial(bisect_right, (hbar - atol, hbar + atol)), q)),
         tuple(map(running, state.v.tolist())),
         tuple(map(running, state.u.tolist())),
     )
@@ -518,34 +523,56 @@ class _Column:
     def __get__(self, traj, owner=None):
         if traj is None:
             return self
-        n = self.index
+        rows, n = traj.rows, self.index
         if n == 0:
-            column = np.array([row[0] for row in traj.rows])
+            column = np.array([row[0] for row in rows])
         else:
+            if n < 4:   # q, u or v
+                entries = [row[n] for row in rows]
+            else:       # a RateVector field, or the flows accrued at one
+                field = self.name.removeprefix("cum_")
+                if field == self.name:
+                    entries = [getattr(row[4], field) for row in rows]
+                else:
+                    entries = _accrued(rows, field)
             # the lists of floats in one pass, the shape known: np.array
             # would discover it from the nested lists first
-            width = len(traj.rows[0][n])
+            width = len(entries[0])
             column = np.fromiter(
-                chain.from_iterable(row[n] for row in traj.rows), float, len(traj.rows) * width
-            ).reshape(len(traj.rows), width)
+                chain.from_iterable(entries), float, len(rows) * width
+            ).reshape(len(rows), width)
         column.flags.writeable = False
         traj.__dict__[self.name] = column
         return column
+
+
+def _accrued(rows: tuple, field: str) -> list:
+    """The flows accrued at the rates ``field`` of each row's RateVector:
+    0 at the first row, then the previous row's plus its rates times its
+    step, left to right as ``integrate`` advances."""
+    c = [0.0] * len(getattr(rows[0][4], field))
+    out = [c]
+    for row in rows[:-1]:
+        c = [x + r * row[5] for x, r in zip(c, getattr(row[4], field))]
+        out.append(c)
+    return out
 
 
 @dataclass(frozen=True)
 class FluidTrajectory:
     """Piecewise-linear fluid path with its breakpoints.
 
-    Row i of ``rows`` holds breakpoint i: its time, the state there (q, u,
-    v), the rates solved there, constant on the segment starting there
-    (admit, depart, busy, idle), and the cumulative flows (cum_arrival,
-    cum_depart, cum_admit), in the order of ``TRAJECTORY_COLUMNS``; the
-    state, rates and flows are lists or tuples of floats.  Each column
-    is a read-only array, ``times`` of shape (rows,) and the others (rows,
-    width), built from the rows the first time it is read: the hit search
-    of ``verify_C1`` reads the rows and builds none.  The rows are the
-    record the columns are built from, and are not to be modified.
+    Row i of ``rows`` is ``(t, q, u, v, rates, step)``: breakpoint i's
+    time, its state (lists of floats; rows may share u and v), the
+    ``RateVector`` that ``solve_rates`` returned there, constant on the
+    segment starting there, and that segment's length (0.0 on the last
+    row).  Each column of ``TRAJECTORY_COLUMNS`` is a read-only array,
+    ``times`` of shape (rows,) and the others (rows, width), built on its
+    first read: admit, depart, busy and idle from the RateVectors, and
+    the cumulative flows from 0 by adding each row's ``arrival``,
+    ``depart`` or ``admit`` times its step, left to right.  The hit
+    search of ``verify_C1`` reads the rows and builds none.  The rows are
+    the record the columns are built from, and are not to be modified.
     ``absorbed_at`` is the first breakpoint at which the state was
     stationary with no pending clock or gate events (the trajectory then
     stays there for all later times).
@@ -599,30 +626,33 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
     threshold (from either side), an arrival clock running out, or a
     service gate opening.  Rates are re-solved at every breakpoint.  Once
     the state is stationary with no pending events it is absorbing and the
-    trajectory is extended to the horizon in one segment.
+    trajectory is extended to the horizon in one segment.  Raises
+    ValueError unless ``state0.hbar`` is positive and finite.
     """
     if not 0 <= horizon < np.inf:
         raise ValueError("horizon must be nonnegative and finite")
-    horizon = float(horizon)  # the time of the last row, whose entries are floats
     hbar = state0.hbar
+    if not 0.0 < hbar < np.inf:
+        raise ValueError("hbar must be positive and finite")
+    horizon = float(horizon)  # the time of the last row, whose entries are floats
     atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
     lo, hi = hbar - atol, hbar + atol
 
     q, u, v = (np.asarray(x, dtype=float).tolist() for x in (state0.q, state0.u, state0.v))
-    K, F = len(q), len(u)
+    K = len(q)
+    spent = False   # every arrival clock and service gate has run out
 
-    # one row per breakpoint, in the order of TRAJECTORY_COLUMNS: its time,
-    # state, the rates solved there and the cumulative flows
-    rows = []
-    cum = ([0.0] * K, [0.0] * K, [0.0] * F)  # arrivals, departures, admissions
+    rows = []   # (t, q, u, v, rates, step) per breakpoint
     absorbed_at = None
 
     t = 0.0
     while True:
-        rv = solve_rates(FluidState(np.array(q), np.array(u), np.array(v), hbar), spec)
-        admit, depart, busy, idle, qdot = rv.admit, rv.depart, rv.busy, rv.idle, rv.q_dot
-        rates = (admit, depart, busy, idle)
-        rows.append((t, q, u, v, *rates, *cum))
+        if not spent:
+            uv = (np.array(u), np.array(v))
+            waiting = [x for x in u if x > atol]
+            gated = [k for k in range(K) if v[k] > atol]
+        rv = solve_rates(FluidState(np.array(q), *uv, hbar), spec)
+        qdot, busy = rv.q_dot, rv.busy
 
         # the boundary each moving coordinate reaches next; solve_rates has
         # classified the state, so only the moving queues are tested here
@@ -635,8 +665,6 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
                     candidates.append((x - hbar) / -r)
             elif r > 0.0 and x < lo:
                 candidates.append((hbar - x) / r)
-        waiting = [x for x in u if x > atol]
-        gated = [k for k in range(K) if v[k] > atol]
         candidates += waiting + [v[k] / busy[k] for k in gated if busy[k] > _RATE_EPS]
 
         stationary = not (rv.moving or waiting or gated)
@@ -644,24 +672,31 @@ def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTra
             absorbed_at = t
         remaining = horizon - t
         if remaining <= 0:
+            rows.append((t, q, u, v, rv, 0.0))
             break
-        flows = (rv.arrival, depart, admit)
         if stationary:
             # hold the state to the horizon in one segment
-            cum = tuple([c + r * remaining for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
-            rows.append((horizon, q, u, v, *rates, *cum))
+            rows.append((t, q, u, v, rv, remaining))
+            rows.append((horizon, q, u, v, rv, 0.0))
             break
         candidates.append(remaining)
         dt = min(candidates)
+        rows.append((t, q, u, v, rv, dt))
 
         # advance one segment; snap coordinates that landed on a boundary,
-        # within the same tolerance that classifies them (u and v run down
-        # to 0, so a value below the tolerance, negative or not, becomes 0)
-        q = [0.0 if abs(y := x + r * dt) < atol else y for x, r in zip(q, qdot)]
-        q = [hbar if abs(x - hbar) < atol else x for x in q]
-        u = [0.0 if (y := x - dt) < atol else y for x in u]
-        v = [0.0 if (y := x - b * dt) < atol else y for x, b in zip(v, busy)]
-        cum = tuple([c + r * dt for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
+        # within the same tolerance that classifies them: a queue to 0 and
+        # then to hbar, and u and v, which run down to 0, to 0 from below
+        # the tolerance, negative or not
+        q = [hbar if abs((y := 0.0 if abs(y := x + r * dt) < atol else y) - hbar) < atol else y
+             for x, r in zip(q, qdot)]
+        if not spent:
+            u = [0.0 if (y := x - dt) < atol else y for x in u]
+            v = [0.0 if (y := x - b * dt) < atol else y for x, b in zip(v, busy)]
+            # once the snap leaves every entry at 0.0, the later rows share
+            # these lists and the states handed to solve_rates their arrays
+            spent = not (any(u) or any(v))
+            if spent:
+                uv, waiting, gated = (np.array(u), np.array(v)), [], []
         t = horizon if dt == remaining else t + dt  # t + remaining can round past it
 
         # the breakpoint at t is the (len(rows) + 1)-th

@@ -187,6 +187,13 @@ class TestDistance:
         with pytest.raises(ValueError, match="hbar must be positive"):
             distance(FluidState(st.q, st.u, st.v, 0.0), switch_equilibrium_set(0.5))
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+    def test_hbar_not_positive_and_finite_rejected(self, hbar):
+        # hbar nan used to measure nan, and hbar inf inf
+        st = switch_state(0.5, 0.5)
+        with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+            distance(FluidState(st.q, st.u, st.v, hbar), switch_equilibrium_set(0.5))
+
     def test_bad_band_parameter(self):
         for a in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
@@ -455,8 +462,8 @@ def unpruned_hit(traj, eqset, tol):
 
 def trajectory_of(hbar, times, qs, us, vs):
     """A trajectory of the given breakpoint times and states; the hit
-    search reads no rate or flow, so those are left empty."""
-    return FluidTrajectory(hbar, tuple((t, q, u, v, *[[]] * 7) for t, q, u, v in zip(times, qs, us, vs)))
+    search reads no rates or steps, so those are left None."""
+    return FluidTrajectory(hbar, tuple((t, q, u, v, None, None) for t, q, u, v in zip(times, qs, us, vs)))
 
 
 @st.composite

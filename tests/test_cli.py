@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -142,6 +144,34 @@ class TestConfig:
         cfg = load_config(p)
         assert str(validate(cfg.network)) == "valid"
         assert cfg.simulate["sample_count"] == 200 and cfg.verify["time_budget"] == 100.0
+
+    def test_readme_library_sketch_runs(self):
+        # the sketch runs as written, and every line whose comment is a
+        # value (offered_load, the row's RateVector, C2's max_deviation)
+        # gives that value, so a change to the row layout or a return
+        # value that leaves the sketch stale fails here
+        text = README.read_text().split("## Library sketch", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        ns = {}
+        exec(block, ns)
+        checked = []
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            try:
+                want = ast.literal_eval(comment.split(":", 1)[0].strip())
+            except (ValueError, SyntaxError):
+                continue
+            got = eval(code, ns)
+            if isinstance(want, bool):
+                assert got is want, line
+            else:
+                assert list(np.atleast_1d(got)) == pytest.approx(list(np.atleast_1d(want)), abs=1e-12), line
+            checked.append(code.strip())
+        assert checked == [
+            "qnet.offered_load(spec)",
+            "rates is rv",
+            "qnet.verify_C2(spec, eqset, 1.0, [0.5, 0.5, 0.5]).max_deviation",
+        ]
 
     def test_set_construction(self):
         assert len(make_equilibrium_set({"kind": "switch", "a": 0.5}).pieces) == 2

@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qnet
 from qnet.distributions import DistributionSpec
@@ -345,6 +346,24 @@ def test_initial_hbar_not_positive_and_finite_rejected(hbar):
         FluidState.initial(tandem_spec(1.0, 0.8, 0.5), [0.5, 0.5], hbar)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+def test_solve_rates_hbar_not_positive_and_finite_rejected(hbar):
+    # a state built directly used to get rates at hbar 0, -1 and nan: here
+    # no admission, every queue taken as above the threshold
+    state = settled_switch_state(0.5, 0.5)
+    with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+        solve_rates(FluidState(state.q, state.u, state.v, hbar), switch_example_spec())
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+def test_integrate_hbar_not_positive_and_finite_rejected(hbar):
+    # a state built directly at hbar 0 used to drain every queue, absorbed
+    # at t = 2 in 5 rows
+    state = settled_switch_state(0.5, 0.5)
+    with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+        integrate(FluidState(state.q, state.u, state.v, hbar), switch_example_spec(), 10.0)
+
+
 @pytest.mark.parametrize(
     "q, u, v",
     [([np.nan, 0.0], None, None), ([np.inf, 0.0], None, None),
@@ -513,6 +532,88 @@ def test_rate_invariants_on_random_networks(case):
     assert conservation_residual(spec, traj) <= 1e-9
 
 
+def reference_integrate(state0, spec, horizon):
+    """integrate as it was when each row also held the rates solved there
+    and the cumulative flows: its loop, verbatim, returning those rows (in
+    the order of TRAJECTORY_COLUMNS) and absorbed_at."""
+    from qnet.fluid import _MAX_BREAKPOINTS, _RATE_EPS, _ZENO_WINDOW, ZenoError
+
+    if not 0 <= horizon < np.inf:
+        raise ValueError("horizon must be nonnegative and finite")
+    horizon = float(horizon)  # the time of the last row, whose entries are floats
+    hbar = state0.hbar
+    atol = 1e-10 * max(1.0, hbar)   # the tolerance of _classify
+    lo, hi = hbar - atol, hbar + atol
+
+    q, u, v = (np.asarray(x, dtype=float).tolist() for x in (state0.q, state0.u, state0.v))
+    K, F = len(q), len(u)
+
+    # one row per breakpoint, in the order of TRAJECTORY_COLUMNS: its time,
+    # state, the rates solved there and the cumulative flows
+    rows = []
+    cum = ([0.0] * K, [0.0] * K, [0.0] * F)  # arrivals, departures, admissions
+    absorbed_at = None
+
+    t = 0.0
+    while True:
+        rv = solve_rates(FluidState(np.array(q), np.array(u), np.array(v), hbar), spec)
+        admit, depart, busy, idle, qdot = rv.admit, rv.depart, rv.busy, rv.idle, rv.q_dot
+        rates = (admit, depart, busy, idle)
+        rows.append((t, q, u, v, *rates, *cum))
+
+        # the boundary each moving coordinate reaches next; solve_rates has
+        # classified the state, so only the moving queues are tested here
+        candidates = []
+        for k in rv.moving:
+            x, r = q[k], qdot[k]
+            if r < 0.0 and x > atol:
+                candidates.append(x / -r)
+                if x >= hi:
+                    candidates.append((x - hbar) / -r)
+            elif r > 0.0 and x < lo:
+                candidates.append((hbar - x) / r)
+        waiting = [x for x in u if x > atol]
+        gated = [k for k in range(K) if v[k] > atol]
+        candidates += waiting + [v[k] / busy[k] for k in gated if busy[k] > _RATE_EPS]
+
+        stationary = not (rv.moving or waiting or gated)
+        if stationary and absorbed_at is None:
+            absorbed_at = t
+        remaining = horizon - t
+        if remaining <= 0:
+            break
+        flows = (rv.arrival, depart, admit)
+        if stationary:
+            # hold the state to the horizon in one segment
+            cum = tuple([c + r * remaining for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
+            rows.append((horizon, q, u, v, *rates, *cum))
+            break
+        candidates.append(remaining)
+        dt = min(candidates)
+
+        # advance one segment; snap coordinates that landed on a boundary,
+        # within the same tolerance that classifies them (u and v run down
+        # to 0, so a value below the tolerance, negative or not, becomes 0)
+        q = [0.0 if abs(y := x + r * dt) < atol else y for x, r in zip(q, qdot)]
+        q = [hbar if abs(x - hbar) < atol else x for x in q]
+        u = [0.0 if (y := x - dt) < atol else y for x in u]
+        v = [0.0 if (y := x - b * dt) < atol else y for x, b in zip(v, busy)]
+        cum = tuple([c + r * dt for c, r in zip(cs, rs)] for cs, rs in zip(cum, flows))
+        t = horizon if dt == remaining else t + dt  # t + remaining can round past it
+
+        # the breakpoint at t is the (len(rows) + 1)-th
+        if len(rows) >= _MAX_BREAKPOINTS:
+            raise ZenoError(f"more than {_MAX_BREAKPOINTS} breakpoints before t={t:.6g}")
+        if len(rows) >= _ZENO_WINDOW:
+            span = t - rows[1 - _ZENO_WINDOW][0]
+            if span < 1e-12 * max(1.0, horizon):
+                raise ZenoError(
+                    f"{_ZENO_WINDOW} breakpoints within {span:.3e} time units at t={t:.6g}"
+                )
+
+    return tuple(rows), absorbed_at
+
+
 def eager_columns(rows):
     """The columns as integrate once built them from its rows, all at its
     end: the times by np.array, the rest by one np.fromiter each."""
@@ -524,24 +625,61 @@ def eager_columns(rows):
     ]
 
 
-@settings(max_examples=40, deadline=None)
-@given(fluid_cases())
+@st.composite
+def column_cases(draw):
+    """A case of fluid_cases, its zeros maybe signed -0.0, and maybe
+    rescaled to hbar 1e-10 or 2e-10, where a queue of at most 1e-10 is
+    both empty and at the threshold."""
+    spec, state, horizon = draw(fluid_cases())
+    q, u, v, hbar = state.q, state.u, state.v, state.hbar
+    scale = draw(st.sampled_from([None, 1e-10, 2e-10]))
+    if scale is not None:
+        q, hbar = q / hbar * scale, scale
+    if draw(st.booleans()):
+        q, u, v = (np.where(x == 0.0, -0.0, x) for x in (q, u, v))
+    return spec, FluidState.initial(spec, q, hbar, u=u, v=v), horizon
+
+
+def tandem_case(q, u, v, hbar=1.0):
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    return spec, FluidState.initial(spec, q, hbar, u=u, v=v), 20.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_cases())
+@example(tandem_case([2.0, 0.5], [0.7], [0.3, 0.0]))     # v runs out first
+@example(tandem_case([2.0, 0.5], [0.3], [0.7, 0.0]))     # u runs out first
+@example(tandem_case([0.0, -0.0], [-0.0], [0.0, -0.0]))  # signed zeros
+@example(tandem_case([-0.0, 0.5], [1.5], [-0.0, 0.4]))
+@example(tandem_case([2e-10, 0.0], [0.7], [0.3, 0.0], hbar=1e-10))
+@example(tandem_case([1e-10, 3e-10], [0.0], [0.2, 0.0], hbar=2e-10))
 def test_trajectory_columns_match_the_eager_build(case):
     # each column is built from the rows on its first read, equal bit for
-    # bit to the eager build, read-only, and built once
+    # bit to the columns of the reference loop's rows, read-only, and built
+    # once; each row holds the memo's RateVector and the step advanced
     spec, state, horizon = case
+    try:
+        want_rows, want_absorbed = reference_integrate(state, spec, horizon)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            integrate(state, spec, horizon)
+        return
     traj = integrate(state, spec, horizon)
-    assert len(TRAJECTORY_COLUMNS) == len(traj.rows[0])
-    for name, want in zip(TRAJECTORY_COLUMNS, eager_columns(traj.rows)):
+    assert traj.absorbed_at == want_absorbed
+    assert len(traj.rows) == len(want_rows)
+    for name, want in zip(TRAJECTORY_COLUMNS, eager_columns(want_rows)):
         column = getattr(traj, name)
-        assert (column.dtype, column.shape) == (want.dtype, want.shape)
-        assert column.tobytes() == want.tobytes()
+        assert (column.dtype, column.shape) == (want.dtype, want.shape), name
+        assert column.tobytes() == want.tobytes(), name
         assert getattr(traj, name) is column
         with pytest.raises(ValueError, match="read-only"):
             column[-1] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(traj, name, want)
     assert traj.horizon == traj.times[-1]
+    for t, q, u, v, rates, step in traj.rows:
+        assert rates is solve_rates(FluidState(np.array(q), np.array(u), np.array(v), traj.hbar), spec)
+    assert traj.rows[-1][5] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
