@@ -17,7 +17,10 @@ head of line only.  The cycle cursor persists across idle periods.
 
 Engine: ``Simulation.__init__`` turns (spec, n, seed) into what the
 engine runs: the float and integer thresholds, the streams, the first
-arrivals and the event loop of the spec's network structure.
+arrivals and the event loop of the spec's network structure.  The
+streams read the seed's interval tapes (``distributions.Tape``): a
+caller that runs one seed at several n passes the same ``tapes`` to
+each run, which then computes only the intervals no earlier run drew.
 ``Simulation.run`` checks its own arguments, lays out the records and
 calls that loop.  ``_compile_loop`` generates it as straight-line code
 with fixed indices, once per structure: it is keyed by the spec's
@@ -407,9 +410,16 @@ def _compile_check(feeds: tuple, served: tuple, num_flows: int):
 
 
 class Simulation:
-    """One seeded replication.  State is exposed for white-box tests."""
+    """One seeded replication.  State is exposed for white-box tests.
 
-    def __init__(self, spec: NetworkSpec, n: float, seed: int, *, initial_queues=None):
+    The streams read ``tapes``, the ``distributions.SeedTapes`` of this
+    seed for the spec's laws (ValueError for any other), so that runs of
+    one seed at several n compute its intervals once; without them the run
+    builds private tapes of its seed, which keep no interval.  Either way
+    the run draws the same intervals.
+    """
+
+    def __init__(self, spec: NetworkSpec, n: float, seed: int, *, initial_queues=None, tapes=None):
         if not 0 < n < math.inf:
             raise ValueError("threshold scale n must be positive and finite")
         if not (0 <= seed < math.inf and seed == int(seed)):
@@ -420,7 +430,7 @@ class Simulation:
         (self.nh, self.low), (self.hi, self.off) = thresholds(spec, n)
 
         K, F, d = spec.num_classes, spec.num_flows, spec.num_stations
-        self.arr_streams, self.svc_streams = make_streams(spec, seed)
+        self.arr_streams, self.svc_streams = make_streams(spec, self.seed, tapes)
         # both are read through the module globals, so a patched one applies
         self._check = _compile_check(*spec.check_structure, F)
         self._loop = _compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
@@ -563,11 +573,13 @@ class Simulation:
         )
 
 
-def run(spec: NetworkSpec, n: float, seed: int, horizon: float, *, initial_queues=None, **options) -> SimTrace:
+def run(spec: NetworkSpec, n: float, seed: int, horizon: float, *, initial_queues=None, tapes=None,
+        **options) -> SimTrace:
     """Simulate one replication to ``horizon`` and return its trace:
     ``options`` (``warmup_frac``, ``sample_times``, ``invariant_checks``)
-    go to ``Simulation.run``.  The run has ``default_event_budget``."""
-    return Simulation(spec, n, seed, initial_queues=initial_queues).run(horizon, **options)
+    go to ``Simulation.run``.  The run has ``default_event_budget`` and
+    reads its intervals from ``tapes`` (see ``Simulation``)."""
+    return Simulation(spec, n, seed, initial_queues=initial_queues, tapes=tapes).run(horizon, **options)
 
 
 def scaled_trajectory(trace: SimTrace, n: float) -> ScaledPath:

@@ -6,9 +6,12 @@ reproducible from a master seed.  ``DistributionSpec.quantiles(us)`` holds
 the one scalar formula per law (``-log1p(-u)/rate``, ``((1-u)^-1/2 - 1)/rate``,
 the point mass, ``inf`` at rate 0) as a list comprehension over Python
 floats; ``quantile(u)`` is its range check plus ``quantiles([u])[0]``.
-Renewal streams take their uniforms from the generator in small blocks and
-turn each block into intervals with one ``quantiles`` call; that changes no
-sample (see ``RenewalStream``).
+A ``Tape`` turns its generator's uniforms into intervals a block at a time,
+with one ``quantiles`` call per block, and a ``RenewalStream`` reads the
+intervals of one tape in order; that changes no sample (see ``Tape``).
+A seed draws the same intervals at every threshold scale n, so the cells
+of a sweep that share a seed share its ``SeedTapes``: the first cell
+computes the intervals and the others read them.
 """
 from __future__ import annotations
 
@@ -111,63 +114,125 @@ class DistributionSpec:
         return [((1.0 - u) ** -0.5 - 1.0) / p for u in us]
 
 
-# uniforms a RenewalStream takes from its generator at a time
+# uniforms a Tape takes from its generator at a time
 _BUFFER = 128
+
+
+class Tape:
+    """The intervals of one renewal stream, computed once for all readers.
+
+    Block i of a tape is ``dist.quantiles(rng.random(_BUFFER).tolist())``
+    on the i-th block of ``_BUFFER`` uniforms of ``rng``.  For numpy's
+    generators a block holds the same uniforms, in the same order, as that
+    many scalar ``rng.random()`` calls, and ``quantiles`` applies the
+    scalar formula to each (a numpy log1p or power may differ in the last
+    bit), so the intervals of a tape equal ``dist.quantile(rng.random())``
+    draw for draw.  ``blocks`` holds the blocks computed so far, as the
+    lists ``quantiles`` returns: about 32 bytes per interval, held as long
+    as the tape is.  A tape built with ``keep=False`` holds none and serves
+    a single reader, which gets each block as it is computed.
+    """
+
+    __slots__ = ("dist", "rng", "keep", "blocks")
+
+    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, *, keep: bool = True):
+        self.dist = dist
+        self.rng = rng
+        self.keep = keep
+        self.blocks = []
+
+    def block(self, i: int) -> list:
+        """Block i, computed from the generator if no reader has asked for
+        it yet.  Readers ask for 0, 1, 2, ... in turn, so i is never past
+        the end of ``blocks``."""
+        blocks = self.blocks
+        if i < len(blocks):
+            return blocks[i]
+        block = self.dist.quantiles(self.rng.random(_BUFFER).tolist())
+        if self.keep:
+            blocks.append(block)
+        return block
 
 
 class RenewalStream:
     """A seeded renewal process: i.i.d. intervals from one distribution.
 
-    The simulation engine owns the calendar; the stream owns sampling
-    state and the cumulative draw count.  Uniforms come from the generator
-    in blocks of ``_BUFFER`` (``rng.random(_BUFFER)``), which for numpy's
-    generators yields the same values, in the same order, as that many
-    scalar ``rng.random()`` calls.  Each block becomes intervals through
-    one ``dist.quantiles`` call, whose per-value formula is the scalar one
-    (a numpy log1p or power may differ in the last bit), so the intervals
-    equal ``dist.quantile(rng.random())`` draw for draw.  ``draw`` is the
-    only way out of a stream: ``count`` is the number of intervals handed
-    out, while the generator may have run up to ``_BUFFER - 1`` uniforms
-    ahead.
+    The simulation engine owns the calendar; the stream reads its
+    intervals from a ``Tape`` in order, a block at a time, and owns the
+    cumulative draw count.  ``RenewalStream(dist, rng)`` reads a private
+    tape of ``rng`` that keeps no block; ``RenewalStream(dist, tape=tape)``
+    reads a shared one, from its first interval, at its own pace.
+    ``draw`` is the only way out of a stream: ``count`` is the number of
+    intervals handed out, while the tape may have run up to ``_BUFFER - 1``
+    intervals ahead of it, or any number when another reader went first.
     """
 
-    __slots__ = ("dist", "rng", "count", "_intervals")
+    __slots__ = ("dist", "tape", "count", "_intervals", "_block")
 
-    def __init__(self, dist: DistributionSpec, rng: np.random.Generator):
+    def __init__(self, dist: DistributionSpec, rng: np.random.Generator = None, *, tape: Tape = None):
+        if tape is None:
+            tape = Tape(dist, rng, keep=False)
+        elif tape.dist != dist:
+            raise ValueError(f"tape of {tape.dist} read as {dist}")
         self.dist = dist
-        self.rng = rng
+        self.tape = tape
         self.count = 0
         self._intervals = iter(())
+        self._block = 0
 
     def draw(self) -> float:
         try:
             x = next(self._intervals)
         except StopIteration:
-            self._intervals = iter(self.dist.quantiles(self.rng.random(_BUFFER).tolist()))
+            self._intervals = iter(self.tape.block(self._block))
+            self._block += 1
             x = next(self._intervals)
         self.count += 1
         return x
 
 
-def make_streams(spec, master_seed: int):
-    """Per-flow arrival and per-class service streams for ``spec``.
+@dataclass(frozen=True)
+class SeedTapes:
+    """The tapes of every stream of one master seed: one per flow's
+    arrivals, then one per class's services."""
+
+    seed: int
+    arrivals: tuple
+    services: tuple
+
+
+def make_tapes(spec, master_seed: int, *, keep: bool = True) -> SeedTapes:
+    """The arrival and service tapes of ``spec`` under ``master_seed``.
 
     Sub-generators are spawned deterministically from the master seed in a
     fixed order (arrivals by flow id, then services by class id), so equal
     seeds reproduce identical sample paths bit for bit and distinct streams
-    are statistically independent.
+    are statistically independent.  With ``keep=False`` each tape serves
+    one reader and holds no interval.
     """
     root = np.random.SeedSequence(master_seed)
     children = root.spawn(spec.num_flows + spec.num_classes)
-    arrivals = [
-        RenewalStream(spec.arrival_dist[f], np.random.default_rng(children[f]))
-        for f in range(spec.num_flows)
+    tapes = [
+        Tape(dist, np.random.default_rng(child), keep=keep)
+        for dist, child in zip((*spec.arrival_dist, *spec.service_dist), children)
     ]
-    services = [
-        RenewalStream(
-            spec.service_dist[k],
-            np.random.default_rng(children[spec.num_flows + k]),
-        )
-        for k in range(spec.num_classes)
-    ]
+    return SeedTapes(int(master_seed), tuple(tapes[:spec.num_flows]), tuple(tapes[spec.num_flows:]))
+
+
+def make_streams(spec, master_seed: int, tapes: SeedTapes = None):
+    """Per-flow arrival and per-class service streams for ``spec``.
+
+    The streams read ``tapes``, which must be the tapes of ``master_seed``
+    for the laws of ``spec`` (ValueError otherwise), or private tapes of
+    that seed built by ``make_tapes(spec, master_seed, keep=False)``.
+    """
+    if tapes is None:
+        tapes = make_tapes(spec, master_seed, keep=False)
+    elif tapes.seed != master_seed:
+        raise ValueError(f"tapes of seed {tapes.seed} read by a run of seed {master_seed}")
+    elif ([t.dist for t in tapes.arrivals], [t.dist for t in tapes.services]) != (
+            list(spec.arrival_dist), list(spec.service_dist)):
+        raise ValueError("tapes built for other arrival or service laws than the network's")
+    arrivals = [RenewalStream(t.dist, tape=t) for t in tapes.arrivals]
+    services = [RenewalStream(t.dist, tape=t) for t in tapes.services]
     return arrivals, services

@@ -1,5 +1,6 @@
 """Threshold-scaling sweeps over distinct seeds, paired across n (a seed
-gets the same streams at every n), rate tables, and CSV/JSON export.
+gets the same streams at every n, and its cells share their intervals),
+rate tables, and CSV/JSON export.
 
 Outputs are byte-stable for a fixed plan: floats are written with
 shortest-roundtrip repr, rows are merged in (n, seed) order regardless of
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import des
+from .distributions import make_tapes
 from .network import NetworkSpec
 
 __all__ = [
@@ -93,56 +93,73 @@ def _failed_row(n, seed, error: str) -> RateRow:
     return RateRow(n=n, seed=seed, flow_rates=(), admit_rates=(), event_count=0, error=error)
 
 
-def _sweep_cell(args):
-    spec, n, seed, horizon, warmup = args
-    try:
-        trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off")
-    except des.SimulationError as exc:
-        return _failed_row(n, seed, str(exc))
-    except Exception as exc:  # a fault in one cell must not abort the sweep
-        return _failed_row(n, seed, f"{type(exc).__name__}: {exc}")
-    return RateRow(
-        n=n, seed=seed,
-        flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
-        admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
-        event_count=trace.event_count,
-    )
+def _sweep_seed(task) -> list:
+    """The rows of one seed's cells, run in ascending n on one set of
+    interval tapes: each cell reads the intervals an earlier cell drew
+    and computes only those beyond them."""
+    spec, n_values, seed, horizon, warmup = task
+    tapes = make_tapes(spec, seed)
+    rows = []
+    for n in n_values:
+        try:
+            trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off", tapes=tapes)
+        except des.SimulationError as exc:
+            # raised by the event loop, never while a tape grows
+            rows.append(_failed_row(n, seed, str(exc)))
+            continue
+        except Exception as exc:  # a fault in one cell must not abort the sweep
+            rows.append(_failed_row(n, seed, f"{type(exc).__name__}: {exc}"))
+            # it may have cut a tape's growth short: the next cell starts afresh
+            tapes = make_tapes(spec, seed)
+            continue
+        rows.append(RateRow(
+            n=n, seed=seed,
+            flow_rates=tuple(float(x) for x in trace.flow_depart_rates),
+            admit_rates=tuple(float(x) for x in trace.flow_admit_rates),
+            event_count=trace.event_count,
+        ))
+    return rows
 
 
 def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> RateTable:
     """Run every (n, seed) cell of the plan and collect long-run rates.
 
-    Each cell runs with ``des.default_event_budget``.  A cell that fails
-    is recorded on its row and the other cells still run: a budget error
-    by its message, any other exception as ``"TypeName: message"``, and a
-    cell whose worker process died as ``"BrokenProcessPool: message"``.  A
-    scale n whose n*h is not finite, or whose lower threshold n*h - gap
-    is negative, raises ValueError before any cell runs.  Results from up
-    to ``workers`` processes, never more than there are cells, are merged
-    in (n, seed) order, so the table is the same for any worker count.
+    A seed draws the same intervals at every n, so the cells of one seed
+    run in ascending n on one set of interval tapes (``make_tapes``),
+    which the seed holds while its cells run: about 32 bytes per interval
+    of its longest cell.  Each cell runs with ``des.default_event_budget``.
+    A cell that fails is recorded on its row and the other cells still
+    run: a budget error by its message, any other exception as
+    ``"TypeName: message"``, and every cell of a seed whose worker
+    process died as ``"BrokenProcessPool: message"``.  A scale n whose
+    n*h is not finite, or whose lower threshold n*h - gap is negative,
+    raises ValueError before any cell runs.  With ``workers > 1`` each
+    seed is one task of a pool of up to ``workers`` processes, never more
+    than there are seeds.  Rows are merged in (n, seed) order, so the
+    table is the same for any worker count.
     """
     plan.validate()
     if not 0 < plan.horizon < np.inf:
         raise des.EmptyWindowError("empty measurement window")
     for n in plan.n_values:
         des.thresholds(spec, n)
-    cells = [
-        (spec, float(n), int(seed), plan.horizon, plan.warmup_frac)
-        for n in plan.n_values
-        for seed in plan.seeds
-    ]
+    n_values = tuple(float(n) for n in plan.n_values)
+    tasks = [(spec, n_values, int(seed), plan.horizon, plan.warmup_frac) for seed in plan.seeds]
     if workers > 1:
+        # imported here, so that importing qnet loads no multiprocessing
+        from concurrent.futures import process
+
         # the pool forks all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            futures = [pool.submit(_sweep_cell, cell) for cell in cells]
+        with process.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(_sweep_seed, task) for task in tasks]
         rows = []
-        for (_, n, seed, _, _), future in zip(cells, futures):
+        for (_, _, seed, _, _), future in zip(tasks, futures):
             try:
-                rows.append(future.result())
-            except BrokenProcessPool as exc:
-                rows.append(_failed_row(n, seed, f"BrokenProcessPool: {exc}"))
+                rows += future.result()
+            except process.BrokenProcessPool as exc:
+                rows += [_failed_row(n, seed, f"BrokenProcessPool: {exc}") for n in n_values]
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        rows = [row for task in tasks for row in _sweep_seed(task)]
     rows.sort(key=lambda r: (r.n, r.seed))
     return RateTable(num_flows=spec.num_flows, rows=rows)
 

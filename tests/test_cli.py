@@ -1,6 +1,9 @@
 import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import qnet
 from qnet.cli import main
 from qnet.config import ConfigError, load_config, make_equilibrium_set
 from qnet.network import validate
@@ -261,15 +265,14 @@ class TestCli:
 
     def test_sweep_pool_capped_and_dead_worker_exit_2(self, switch_cfg, tmp_path, monkeypatch, capsys):
         # --workers 5000 used to fork 5000 processes for the plan's 4 cells,
-        # and a dead worker ended the sweep in a BrokenProcessPool traceback
-        from concurrent.futures import Future
+        # and a dead worker ended the sweep in a BrokenProcessPool traceback;
+        # each seed is one task, so the pool is no larger than the 2 seeds
+        from concurrent.futures import Future, process
         from concurrent.futures.process import BrokenProcessPool
-
-        from qnet import experiments
 
         sizes = []
 
-        class StandIn:  # runs each cell at submit; the worker of seed 4 dies
+        class StandIn:  # runs each seed's task at submit; the worker of seed 4 dies
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -279,18 +282,19 @@ class TestCli:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, cell):
+            def submit(self, fn, task):
                 future = Future()
-                if cell[2] == 4:
+                if task[2] == 4:
                     future.set_exception(BrokenProcessPool("a process died"))
                 else:
-                    future.set_result(fn(cell))
+                    future.set_result(fn(task))
                 return future
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StandIn)
+        # run_sweep looks the pool up in its module when a sweep has workers
+        monkeypatch.setattr(process, "ProcessPoolExecutor", StandIn)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(switch_cfg), "--out", str(out), "--workers", "5000"]) == 2
-        assert sizes == [4]
+        assert sizes == [2]
         assert "cell (n=20.0, seed=4) failed: BrokenProcessPool: a process died" in capsys.readouterr().out
         rows = json.loads((out / "rates.json").read_text())["rows"]
         assert [r["error"] for r in rows] == [None, "BrokenProcessPool: a process died"] * 2
@@ -683,3 +687,14 @@ def test_config_fields_exit_0_1_or_2(text):
         p.write_text(text)
         for verb in ("simulate", "fluid", "sweep", "verify-c2"):
             assert main([verb, "--config", str(p), "--out", str(Path(tmp) / verb)]) in (0, 1, 2)
+
+
+def test_import_loads_no_process_pool():
+    # run_sweep imports the pool only when a sweep has workers, so that
+    # importing qnet and its CLI stays free of multiprocessing
+    src = str(Path(qnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, qnet, qnet.cli; "
+             "print([m for m in ('multiprocessing', 'logging', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qnet.des import (
     run,
     scaled_trajectory,
 )
-from qnet.distributions import DistributionSpec, RenewalStream
+from qnet.distributions import DistributionSpec, RenewalStream, make_tapes
 from qnet.network import build_network, switch_example_spec, tandem_spec, validate
 from test_acceptance import _random_spec
 
@@ -807,6 +808,67 @@ def test_empty_sample_times_keep_their_shapes():
 def test_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         Simulation(tandem_spec(1.0, 0.8, 0.5), n=4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [3.0, np.float64(3.0), np.int64(3)])
+def test_integral_seed_of_any_type_runs_as_its_int(seed):
+    # 3.0 passed the seed check and then failed in SeedSequence with a TypeError
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    trace = run(spec, 4, seed, 50.0)
+    assert trace.seed == 3 and _trace_bits(trace) == _trace_bits(run(spec, 4, 3, 50.0))
+
+
+# -- interval tapes shared by the runs of one seed -----------------------
+
+
+def _trace_bits(trace):
+    return {f.name: pickle.dumps(getattr(trace, f.name)) for f in dataclasses.fields(trace)}
+
+
+@pytest.mark.parametrize("spec", [switch_example_spec(), tandem_spec(1.0, 0.8, 0.5)], ids=["switch", "tandem"])
+def test_runs_sharing_tapes_equal_fresh_runs(spec):
+    # one seed's runs at several n, in ascending and in descending order,
+    # read one set of tapes: each trace is bitwise the run's own, both
+    # when a run reads past the end of the tapes and extends them and when
+    # it stops short of what an earlier run computed
+    seed, horizon = 11, 4000.0
+    fresh = {n: _trace_bits(run(spec, n, seed, horizon)) for n in (3, 12, 40)}
+    overran = underran = False
+    for order in ((3, 12, 40), (40, 12, 3)):
+        tapes = make_tapes(spec, seed)
+        every = tapes.arrivals + tapes.services
+        for i, n in enumerate(order):
+            before = [len(t.blocks) for t in every]
+            sim = Simulation(spec, n, seed, tapes=tapes)
+            assert _trace_bits(sim.run(horizon)) == fresh[n]
+            after = [len(t.blocks) for t in every]
+            overran |= i > 0 and after != before
+            streams = sim.arr_streams + sim.svc_streams
+            underran |= any(s._block < len(s.tape.blocks) for s in streams)
+    assert overran and underran
+
+
+def test_budget_failure_leaves_the_tapes_whole(monkeypatch):
+    # a run that stops at its event budget leaves the seed's tapes as a
+    # prefix of the seed's intervals: the next run on them is a fresh run
+    spec, seed, horizon = switch_example_spec(), 5, 800.0
+    tapes = make_tapes(spec, seed)
+    budget = des.default_event_budget
+    monkeypatch.setattr(des, "default_event_budget", lambda *args: 300)
+    with pytest.raises(EventBudgetExceeded, match="exceeded event budget 300"):
+        run(spec, 10, seed, horizon, tapes=tapes)
+    monkeypatch.setattr(des, "default_event_budget", budget)
+    for n in (20, 10):
+        assert _trace_bits(run(spec, n, seed, horizon, tapes=tapes)) == _trace_bits(run(spec, n, seed, horizon))
+
+
+def test_tapes_of_another_seed_or_laws_rejected():
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    with pytest.raises(ValueError, match="tapes of seed 3 read by a run of seed 4"):
+        Simulation(spec, 4, 4, tapes=make_tapes(spec, 3))
+    for other in (tandem_spec(1.0, 0.9, 0.5), switch_example_spec()):
+        with pytest.raises(ValueError, match="other arrival or service laws"):
+            run(spec, 4, 3, 10.0, tapes=make_tapes(other, 3))
 
 
 # -- the engine: check modes, sampling and draws -------------------------

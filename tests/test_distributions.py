@@ -9,9 +9,11 @@ from qnet.distributions import (
     _BUFFER,
     DistributionSpec,
     RenewalStream,
+    Tape,
     make_streams,
+    make_tapes,
 )
-from qnet.network import switch_example_spec
+from qnet.network import switch_example_spec, tandem_spec
 
 
 def test_pareto_quantile_at_zero():
@@ -177,3 +179,57 @@ def test_buffered_draws_equal_scalar_draws(dist):
         for i in range(n):
             assert stream.draw() == dist.quantile(twin.random())
             assert stream.count == i + 1
+
+
+@pytest.mark.parametrize("dist", LAWS[:4], ids=LAW_IDS[:4])
+def test_readers_of_one_tape_draw_the_scalar_intervals(dist):
+    # two streams read one tape at different paces, each running ahead of
+    # the other in turn, over more than three blocks: both hand out exactly
+    # the intervals of one scalar uniform per draw, and the tape computes
+    # each block once
+    n = 3 * _BUFFER + 17
+    for seed in (0, 1, 2024):
+        tape = Tape(dist, np.random.default_rng(seed))
+        twin = np.random.default_rng(seed)
+        want = [dist.quantile(twin.random()) for _ in range(n)]
+        fast, slow = RenewalStream(dist, tape=tape), RenewalStream(dist, tape=tape)
+        got_fast, got_slow = [], []
+        for i in range(n):
+            got_fast.append(fast.draw())
+            if i % 3 == 0:
+                got_slow.append(slow.draw())
+        got_slow += [slow.draw() for _ in range(n - len(got_slow))]
+        assert _bits(got_fast) == _bits(got_slow) == _bits(want)
+        assert fast.count == slow.count == n
+        assert len(tape.blocks) == -(-n // _BUFFER)
+
+
+def test_private_tape_keeps_no_interval():
+    dist = DistributionSpec.exponential(0.8)
+    stream = RenewalStream(dist, np.random.default_rng(5))
+    for _ in range(2 * _BUFFER + 1):
+        stream.draw()
+    assert stream.tape.blocks == []
+    _, services = make_streams(switch_example_spec(), 3)
+    assert all(s.tape.blocks == [] for s in services)
+
+
+def test_tapes_give_the_streams_of_their_seed():
+    spec = switch_example_spec()
+    tapes = make_tapes(spec, 2024)
+    a1, s1 = make_streams(spec, 2024, tapes)
+    a2, s2 = make_streams(spec, 2024)
+    for x, y in zip(a1 + s1, a2 + s2):
+        assert _bits([x.draw() for _ in range(300)]) == _bits([y.draw() for _ in range(300)])
+
+
+def test_mismatched_tapes_rejected():
+    spec = switch_example_spec()
+    with pytest.raises(ValueError, match="tapes of seed 3 read by a run of seed 4"):
+        make_streams(spec, 4, make_tapes(spec, 3))
+    for other in (tandem_spec(1.0, 0.8, 0.6), switch_example_spec()):
+        with pytest.raises(ValueError, match="other arrival or service laws"):
+            make_streams(tandem_spec(1.0, 0.8, 0.5), 3, make_tapes(other, 3))
+    tape = Tape(DistributionSpec.exponential(1.0), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="read as"):
+        RenewalStream(DistributionSpec.exponential(2.0), tape=tape)

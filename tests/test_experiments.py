@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ def small_plan(**kw):
     defaults = dict(n_values=(5.0, 20.0), horizon=500.0, seeds=(7, 8))
     defaults.update(kw)
     return ExperimentPlan(**defaults)
+
+
+def _bits(xs):
+    return [struct.pack("<d", x) for x in xs]
 
 
 def sha(path):
@@ -145,6 +150,58 @@ class TestRunSweep:
         serial = run_sweep(spec, small_plan(), workers=1)
         parallel = run_sweep(spec, small_plan(), workers=2)
         assert [r.flow_rates for r in serial.rows] == [r.flow_rates for r in parallel.rows]
+
+    @pytest.mark.parametrize("spec", [switch_example_spec(), tandem_spec(1.0, 0.8, 0.5)], ids=["switch", "tandem"])
+    def test_rows_equal_independent_runs(self, spec):
+        # the cells of a seed share its interval tapes; each row is still,
+        # bit for bit, the row of its own des.run
+        plan = small_plan(n_values=(3.0, 12.0, 40.0), horizon=1000.0)
+        table = run_sweep(spec, plan)
+        assert [(r.n, r.seed) for r in table.rows] == [(n, s) for n in plan.n_values for s in plan.seeds]
+        for r in table.rows:
+            trace = qnet.des.run(spec, r.n, r.seed, plan.horizon, warmup_frac=plan.warmup_frac,
+                                 invariant_checks="off")
+            assert r.error is None and r.event_count == trace.event_count
+            assert _bits(r.flow_rates) == _bits(trace.flow_depart_rates.tolist())
+            assert _bits(r.admit_rates) == _bits(trace.flow_admit_rates.tolist())
+
+    def test_budget_failure_leaves_the_seeds_next_cell_unchanged(self, monkeypatch):
+        # the first cell of seed 7 stops at its event budget, partway into
+        # the seed's tapes: the seed's other cells equal a clean sweep's
+        spec = switch_example_spec()
+        plan = small_plan(n_values=(3.0, 12.0, 40.0))
+        clean = run_sweep(spec, plan)
+        budget = qnet.des.default_event_budget
+        calls = []
+
+        def short_first(*args):
+            calls.append(1)
+            return 300 if len(calls) == 1 else budget(*args)
+
+        monkeypatch.setattr(qnet.des, "default_event_budget", short_first)
+        table = run_sweep(spec, plan)
+        assert table.rows[0].error.startswith("exceeded event budget 300 at t=")
+        assert table.rows[1:] == clean.rows[1:]
+
+    def test_fault_while_a_tape_grows_leaves_the_next_cell_unchanged(self, monkeypatch):
+        # a fault between a tape's uniforms and its block leaves the tape's
+        # generator a block ahead: the seed's next cell starts on new tapes
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        plan = small_plan(n_values=(3.0, 12.0, 40.0), seeds=(7,))
+        clean = run_sweep(spec, plan)
+        quantiles = qnet.DistributionSpec.quantiles
+        calls = []
+
+        def fails_once(dist, us):
+            calls.append(1)
+            if len(calls) == 5:
+                raise MemoryError("no block")
+            return quantiles(dist, us)
+
+        monkeypatch.setattr(qnet.DistributionSpec, "quantiles", fails_once)
+        table = run_sweep(spec, plan)
+        assert [r.error for r in table.rows] == ["MemoryError: no block", None, None]
+        assert table.rows[1:] == clean.rows[1:]
 
 
 class TestCompare:
