@@ -210,6 +210,10 @@ class EquilibriumSet:
     pieces: tuple
     constrain_residuals: bool = True
 
+    def __post_init__(self):
+        if not self.pieces:
+            raise ValueError("an equilibrium set needs at least one piece")
+
     def q_distance(self, q_unit) -> float:
         return min(p.q_distance(q_unit) for p in self.pieces)
 
@@ -559,10 +563,13 @@ def verify_C1(
     plan's time budget is reported as a violation (a possible failure of
     linear-time absorption, or an insufficient budget; the report does not
     guess which).  Passing a projected set measures hitting on the
-    projection's phase-portrait coordinates only.  Raises ValueError
-    unless the plan's ``hit_tol``, when given, lies in [0, inf).
+    projection's phase-portrait coordinates only.  Raises ValueError for
+    a plan with no points, and unless the plan's ``hit_tol``, when given,
+    lies in [0, inf).
     """
     eqset.check_fits(spec)
+    if not plan.points:
+        raise ValueError("the sample plan has no points")
     if plan.hit_tol is not None and not 0.0 <= plan.hit_tol < math.inf:
         # a negative or nan tolerance is never met, so every start would
         # read as a failure to absorb
@@ -626,7 +633,8 @@ def member_states(
     eqset: EquilibriumSet, hbar: float, spec: NetworkSpec, *, per_piece: int = 12, seed: int = 0
 ) -> list:
     """Generic member states of the scaled set (residuals zero): random
-    points of each piece plus its centroid."""
+    points of each piece plus its centroid.  ``FluidState.initial``
+    rejects an hbar that is not positive and finite."""
     if per_piece < 0 or seed < 0:
         raise ValueError(f"per_piece and seed must be nonnegative, not {per_piece} and {seed}")
     rng = np.random.default_rng(seed)
@@ -635,7 +643,8 @@ def member_states(
         qs = [piece.sample_q(eqset.num_classes, rng) for _ in range(per_piece)]
         qs.append(piece.centroid_q(eqset.num_classes))
         for q in qs:
-            states.append(FluidState.initial(spec, q * hbar, hbar))
+            # scaled as Python floats, which turn inf * 0 into nan without a warning
+            states.append(FluidState.initial(spec, [x * hbar for x in q.tolist()], hbar))
     return states
 
 
@@ -650,13 +659,11 @@ def verify_C2(
 ) -> C2Report:
     """Sample member states and compare fluid departure rates with R."""
     eqset.check_fits(spec)
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
     R = np.asarray(target_rates, dtype=float)
     if R.shape != (spec.num_flows,):
         got = len(R) if R.ndim == 1 else f"shape {R.shape}"
         raise ValueError(f"expected one target rate per flow ({spec.num_flows}), not {got}")
     states = member_states(eqset, hbar, spec, per_piece=per_piece, seed=seed)
     rates = np.array([departure_rates_at(st, spec) for st in states])
-    max_dev = float(np.max(np.abs(rates - R))) if len(rates) else 0.0
+    max_dev = float(np.max(np.abs(rates - R)))
     return C2Report(hbar=hbar, target=R, flow_rates=rates, max_deviation=max_dev)

@@ -305,6 +305,8 @@ def _verify(node, where: str, net: NetworkSpec) -> dict:
         verify["set"].check_fits(net)
     except ValueError as exc:
         raise ConfigError(f"{where}.set: {exc}") from exc
+    if verify["starts"] == []:
+        raise ConfigError(f"{where}.starts: expected a nonempty list")
     if verify["time_budget"] is None:
         verify["time_budget"] = 100.0 * verify["hbar"]
     return verify

@@ -416,7 +416,9 @@ class Simulation:
     seed for the spec's laws (ValueError for any other), so that runs of
     one seed at several n compute its intervals once; without them the run
     builds private tapes of its seed, which keep no interval.  Either way
-    the run draws the same intervals.
+    the run draws the same intervals: each stream is a
+    ``RenewalStream(tape)``, whose ``count`` is both the draws it handed
+    out and its position on its tape.
     """
 
     def __init__(self, spec: NetworkSpec, n: float, seed: int, *, initial_queues=None, tapes=None):

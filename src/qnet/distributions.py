@@ -7,14 +7,16 @@ the one scalar formula per law (``-log1p(-u)/rate``, ``((1-u)^-1/2 - 1)/rate``,
 the point mass, ``inf`` at rate 0) as a list comprehension over Python
 floats; ``quantile(u)`` is its range check plus ``quantiles([u])[0]``.
 A ``Tape`` turns its generator's uniforms into intervals a block at a time,
-with one ``quantiles`` call per block, and a ``RenewalStream`` reads the
-intervals of one tape in order; that changes no sample (see ``Tape``).
+with one ``quantiles`` call per block, and ``RenewalStream(tape)`` reads
+the intervals of one tape in order, its position on the tape being its
+draw ``count``; that changes no sample (see ``Tape``).
 A seed draws the same intervals at every threshold scale n, so the cells
 of a sweep that share a seed share its ``SeedTapes``: the first cell
 computes the intervals and the others read them.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,7 +132,8 @@ class Tape:
     draw for draw.  ``blocks`` holds the blocks computed so far, as the
     lists ``quantiles`` returns: about 32 bytes per interval, held as long
     as the tape is.  A tape built with ``keep=False`` holds none and serves
-    a single reader, which gets each block as it is computed.
+    a single reader, which gets each block as it is computed.  Its
+    readers are the streams built as ``RenewalStream(tape)``.
     """
 
     __slots__ = ("dist", "rng", "keep", "blocks")
@@ -143,8 +146,8 @@ class Tape:
 
     def block(self, i: int) -> list:
         """Block i, computed from the generator if no reader has asked for
-        it yet.  Readers ask for 0, 1, 2, ... in turn, so i is never past
-        the end of ``blocks``."""
+        it yet.  Readers ask for 0, 1, 2, ... in turn, so on a tape that
+        keeps its blocks i is never past the end of ``blocks``."""
         blocks = self.blocks
         if i < len(blocks):
             return blocks[i]
@@ -157,38 +160,24 @@ class Tape:
 class RenewalStream:
     """A seeded renewal process: i.i.d. intervals from one distribution.
 
-    The simulation engine owns the calendar; the stream reads its
-    intervals from a ``Tape`` in order, a block at a time, and owns the
-    cumulative draw count.  ``RenewalStream(dist, rng)`` reads a private
-    tape of ``rng`` that keeps no block; ``RenewalStream(dist, tape=tape)``
-    reads a shared one, from its first interval, at its own pace.
-    ``draw`` is the only way out of a stream: ``count`` is the number of
-    intervals handed out, while the tape may have run up to ``_BUFFER - 1``
+    The simulation engine owns the calendar; the stream reads the
+    intervals of one ``Tape``, from its first, in order, at its own pace,
+    and its law is ``tape.dist``.  ``draw`` is the only way out of a
+    stream, and ``count``, the number of intervals it handed out, is its
+    position on the tape: the tape may have run up to ``_BUFFER - 1``
     intervals ahead of it, or any number when another reader went first.
     """
 
-    __slots__ = ("dist", "tape", "count", "_intervals", "_block")
+    __slots__ = ("tape", "count", "_intervals")
 
-    def __init__(self, dist: DistributionSpec, rng: np.random.Generator = None, *, tape: Tape = None):
-        if tape is None:
-            tape = Tape(dist, rng, keep=False)
-        elif tape.dist != dist:
-            raise ValueError(f"tape of {tape.dist} read as {dist}")
-        self.dist = dist
+    def __init__(self, tape: Tape):
         self.tape = tape
         self.count = 0
-        self._intervals = iter(())
-        self._block = 0
+        self._intervals = itertools.chain.from_iterable(map(tape.block, itertools.count()))
 
     def draw(self) -> float:
-        try:
-            x = next(self._intervals)
-        except StopIteration:
-            self._intervals = iter(self.tape.block(self._block))
-            self._block += 1
-            x = next(self._intervals)
         self.count += 1
-        return x
+        return next(self._intervals)
 
 
 @dataclass(frozen=True)
@@ -225,6 +214,8 @@ def make_streams(spec, master_seed: int, tapes: SeedTapes = None):
     The streams read ``tapes``, which must be the tapes of ``master_seed``
     for the laws of ``spec`` (ValueError otherwise), or private tapes of
     that seed built by ``make_tapes(spec, master_seed, keep=False)``.
+    This is the one place that checks a run's tapes against its seed and
+    laws; each stream is ``RenewalStream(tape)``, of the tape's law.
     """
     if tapes is None:
         tapes = make_tapes(spec, master_seed, keep=False)
@@ -233,6 +224,6 @@ def make_streams(spec, master_seed: int, tapes: SeedTapes = None):
     elif ([t.dist for t in tapes.arrivals], [t.dist for t in tapes.services]) != (
             list(spec.arrival_dist), list(spec.service_dist)):
         raise ValueError("tapes built for other arrival or service laws than the network's")
-    arrivals = [RenewalStream(t.dist, tape=t) for t in tapes.arrivals]
-    services = [RenewalStream(t.dist, tape=t) for t in tapes.services]
+    arrivals = [RenewalStream(t) for t in tapes.arrivals]
+    services = [RenewalStream(t) for t in tapes.services]
     return arrivals, services

@@ -96,20 +96,17 @@ def _failed_row(n, seed, error: str) -> RateRow:
 def _sweep_seed(task) -> list:
     """The rows of one seed's cells, run in ascending n on one set of
     interval tapes: each cell reads the intervals an earlier cell drew
-    and computes only those beyond them."""
+    and computes only those beyond them.  The cell after a failed one,
+    whatever the fault, reads fresh tapes."""
     spec, n_values, seed, horizon, warmup = task
     tapes = make_tapes(spec, seed)
     rows = []
     for n in n_values:
         try:
             trace = des.run(spec, n, seed, horizon, warmup_frac=warmup, invariant_checks="off", tapes=tapes)
-        except des.SimulationError as exc:
-            # raised by the event loop, never while a tape grows
-            rows.append(_failed_row(n, seed, str(exc)))
-            continue
         except Exception as exc:  # a fault in one cell must not abort the sweep
-            rows.append(_failed_row(n, seed, f"{type(exc).__name__}: {exc}"))
-            # it may have cut a tape's growth short: the next cell starts afresh
+            error = str(exc) if isinstance(exc, des.SimulationError) else f"{type(exc).__name__}: {exc}"
+            rows.append(_failed_row(n, seed, error))
             tapes = make_tapes(spec, seed)
             continue
         rows.append(RateRow(
@@ -133,12 +130,15 @@ def run_sweep(spec: NetworkSpec, plan: ExperimentPlan, *, workers: int = 1) -> R
     ``"TypeName: message"``, and every cell of a seed whose worker
     process died as ``"BrokenProcessPool: message"``.  A scale n whose
     n*h is not finite, or whose lower threshold n*h - gap is negative,
-    raises ValueError before any cell runs.  With ``workers > 1`` each
-    seed is one task of a pool of up to ``workers`` processes, never more
-    than there are seeds.  Rows are merged in (n, seed) order, so the
-    table is the same for any worker count.
+    raises ValueError before any cell runs, as does ``workers < 1``.
+    With ``workers > 1`` each seed is one task of a pool of up to
+    ``workers`` processes, never more than there are seeds.  Rows are
+    merged in (n, seed) order, so the table is the same for any worker
+    count.
     """
     plan.validate()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     if not 0 < plan.horizon < np.inf:
         raise des.EmptyWindowError("empty measurement window")
     for n in plan.n_values:

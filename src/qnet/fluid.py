@@ -51,7 +51,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -524,23 +523,15 @@ class _Column:
         if traj is None:
             return self
         rows, n = traj.rows, self.index
-        if n == 0:
-            column = np.array([row[0] for row in rows])
-        else:
-            if n < 4:   # q, u or v
-                entries = [row[n] for row in rows]
-            else:       # a RateVector field, or the flows accrued at one
-                field = self.name.removeprefix("cum_")
-                if field == self.name:
-                    entries = [getattr(row[4], field) for row in rows]
-                else:
-                    entries = _accrued(rows, field)
-            # the lists of floats in one pass, the shape known: np.array
-            # would discover it from the nested lists first
-            width = len(entries[0])
-            column = np.fromiter(
-                chain.from_iterable(entries), float, len(rows) * width
-            ).reshape(len(rows), width)
+        if n < 4:   # times, q, u or v
+            entries = [row[n] for row in rows]
+        else:       # a RateVector field, or the flows accrued at one
+            field = self.name.removeprefix("cum_")
+            if field == self.name:
+                entries = [getattr(row[4], field) for row in rows]
+            else:
+                entries = _accrued(rows, field)
+        column = np.array(entries, dtype=float)
         column.flags.writeable = False
         traj.__dict__[self.name] = column
         return column

@@ -274,6 +274,12 @@ class TestVerifyC1:
             verify_C1(spec, tandem_point_set(), 1.0, replace(plan, hit_tol=hit_tol))
         assert verify_C1(spec, tandem_point_set(), 1.0, replace(plan, hit_tol=0.0)).hit_times[0] == 0.0
 
+    def test_plan_without_points_rejected(self):
+        # used to report no samples, max_ratio 0.0 and ok
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        with pytest.raises(ValueError, match="^the sample plan has no points$"):
+            verify_C1(spec, tandem_point_set(), 1.0, SamplePlan(points=[], time_budget=5.0))
+
     def test_report_serializes(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
         plan = SamplePlan(points=[SamplePoint(q=np.array([2.0, 0.0]))], time_budget=30.0)
@@ -298,7 +304,22 @@ def test_set_must_fit_the_network(spec, eqset, shape):
         verify_C2(spec, eqset, 1.0, [0.5] * spec.num_flows)
 
 
+def test_set_without_pieces_rejected():
+    # verify_C2 used to report ok with no rates, and verify_C1 and
+    # distance to fail in min() of an empty sequence
+    with pytest.raises(ValueError, match="^an equilibrium set needs at least one piece$"):
+        EquilibriumSet(2, 1, ())
+
+
 class TestVerifyC2:
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_hbar_not_positive_and_finite_rejected(self, hbar):
+        # 0 and -1 used to fail a weaker check of verify_C2's own, with another
+        # message, and inf to reach initial's check after a numpy warning
+        spec = tandem_spec(1.0, 0.8, 0.5)
+        with pytest.raises(ValueError, match="^hbar must be positive and finite$"):
+            verify_C2(spec, tandem_point_set(), hbar, [0.5])
+
     def test_switch_rates_exact(self):
         spec = switch_example_spec()
         report = verify_C2(spec, switch_equilibrium_set(0.5), 1.0, [0.5, 0.5, 0.5])

@@ -76,7 +76,7 @@ def switch_cfg(tmp_path):
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestConfig:
@@ -263,6 +263,14 @@ class TestCli:
         rows = json.loads((out / "rates.json").read_text())["rows"]
         assert all(r["error"].startswith("exceeded event budget 10 at t=") for r in rows)
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_exit_1(self, switch_cfg, tmp_path, capsys, workers):
+        # used to run the sweep serially and exit 0
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(switch_cfg), "--out", str(out), "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"error: workers must be at least 1, not {workers}\n"
+        assert not out.exists()
+
     def test_sweep_pool_capped_and_dead_worker_exit_2(self, switch_cfg, tmp_path, monkeypatch, capsys):
         # --workers 5000 used to fork 5000 processes for the plan's 4 cells,
         # and a dead worker ended the sweep in a BrokenProcessPool traceback;
@@ -381,6 +389,8 @@ class TestCli:
              "fluid.initial_v: expected a list"),
             ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0, starts: 3}\n",
              "verify.starts: expected a list"),
+            ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0, starts: []}\n",
+             "verify.starts: expected a nonempty list"),
             ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: 0.5}\n",
              "verify.target_rates: expected a list"),
             ("fluid", "fluid: {hbar: [1.0], horizon: 5, initial_q: [1, 1]}\n",
@@ -529,7 +539,7 @@ class TestCli:
              "network.flows[0].weight: weight must be an integer or 'p/q' string"),
         ],
         ids=["idle_slots_list", "n_values_scalar", "seeds_scalar", "initial_queues_scalar",
-             "initial_u_scalar", "initial_v_scalar", "starts_scalar", "target_rates_scalar",
+             "initial_u_scalar", "initial_v_scalar", "starts_scalar", "starts_empty", "target_rates_scalar",
              "hbar_list", "n_list", "sample_count_list", "horizon_list",
              "set_a_list", "preset_lam_list", "class_ids_entry_list", "path_entry_list",
              "seed_fraction", "replications_fraction", "per_piece_fraction",

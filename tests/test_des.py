@@ -16,7 +16,7 @@ from qnet.des import (
     run,
     scaled_trajectory,
 )
-from qnet.distributions import DistributionSpec, RenewalStream, make_tapes
+from qnet.distributions import _BUFFER, DistributionSpec, RenewalStream, make_tapes
 from qnet.network import build_network, switch_example_spec, tandem_spec, validate
 from test_acceptance import _random_spec
 
@@ -844,7 +844,7 @@ def test_runs_sharing_tapes_equal_fresh_runs(spec):
             after = [len(t.blocks) for t in every]
             overran |= i > 0 and after != before
             streams = sim.arr_streams + sim.svc_streams
-            underran |= any(s._block < len(s.tape.blocks) for s in streams)
+            underran |= any(-(-s.count // _BUFFER) < len(s.tape.blocks) for s in streams)
     assert overran and underran
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def _bits(xs):
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestPlanValidation:
@@ -144,6 +145,15 @@ class TestRunSweep:
         for got, want in zip(table.rows, clean.rows):
             if got.error is None:
                 assert got == want
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        # used to run the sweep serially
+        cells = []
+        monkeypatch.setattr(qnet.des, "run", lambda *a, **kw: cells.append(a))
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, not {workers}$"):
+            run_sweep(tandem_spec(1.0, 0.8, 0.5), small_plan(), workers=workers)
+        assert cells == []
 
     def test_parallel_matches_serial(self):
         spec = tandem_spec(1.0, 0.8, 0.5)
