@@ -35,12 +35,21 @@ integer thresholds ceil(n*h) and floor(n*h - gap).  The source grows
 linearly in the classes and flows, not in the cycle lengths, since a
 workload of many structures compiles one loop each; it is dropped once
 compiled.  The loop keeps the state lists, ``heapq``'s functions and
-each stream's ``draw`` in locals; the lists are the ``Simulation``'s
-own, mutated in place, so the attributes show the state after each
-event, and the clock ``t`` is written when the run ends or raises.  The
-callables are bound when ``run`` starts, not when the loop is compiled,
-so wrappers installed on ``RenewalStream``, ``Simulation`` or ``heapq``
-beforehand see every call.  Stations start serving when ``run`` begins.
+each stream's draw callable in locals; the lists are the
+``Simulation``'s own, mutated in place, so the attributes show the state
+after each event, and the clock ``t`` is written when the run ends or
+raises.  A checked run (``"sparse"``, ``"every"``) draws through each
+stream's ``draw``, which counts the draws the check compares with the
+counters.  An ``"off"`` run draws through each stream's
+``next_interval``, a C-level call on the same iterator, so it takes the
+same intervals in the same order with no Python frame per interval, and
+sets each stream's ``count`` once from the counters when it ends or
+raises.  The callables are bound when ``run`` starts, not when the loop
+is compiled, so wrappers installed on ``Simulation`` or ``heapq``
+beforehand see every call, and one on ``RenewalStream.draw`` every draw
+of a checked run but only the first arrivals, drawn when the
+``Simulation`` is built, of an ``"off"`` run.  Stations start serving
+when ``run`` begins.
 
 Invariant checks: ``invariant_checks`` is ``"off"``, ``"sparse"`` (after
 every 1000th event, the default) or ``"every"`` (after every event).
@@ -53,10 +62,11 @@ structure, the spec's ``check_structure``, is read once per spec from
 engine runs on, and compiled into a function of straight-line code with
 fixed indices, once per structure (``_compile_check``, about 1 ms): a
 loop over the structure spent most of a check's time on the loop itself.
-Measured in process time on 2 shared cores, an ``"every"`` run takes
-3.8 times as long per event as an ``"off"`` run on the 100
-``checked_random`` networks (2.9 against 0.76 us) and 5.6 times on the
-switch at n=100 (4.9 against 0.88 us).
+Measured in process time on 2 shared cores (medians of 12 passes), an
+``"every"`` run takes 4.3 times as long per event as an ``"off"`` run on
+the 100 ``checked_random`` networks (2.9 against 0.70 us) and 6.5 times
+on the switch at n=100 (5.1 against 0.79 us); an ``"off"`` run draws no
+interval through a Python call, a checked one every interval.
 Any other mode, or sample times that are not a 1-D array within the
 horizon, raise before the single-use ``Simulation`` is spent.
 
@@ -209,16 +219,17 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
     marks, records, order)``.  It starts the stations and runs ``sim``
     from its calendar to ``horizon``: it raises EventBudgetExceeded after
     ``budget`` events, calls ``check(t)`` after every ``period``-th event
-    (never if 0), stores (q, D, Lambda) in ``records[order[r]]`` at the
-    first event after ``marks[r]``, and returns the event count and the
-    number of records stored.  An event is ``(t, code)``, ``code`` the
-    class k of a completion or K + f for an arrival of flow f, so
-    completions fire before arrivals at equal times, then by class or flow
-    id.  Each flow always has an arrival on the calendar, so the loop peeks
-    at the heap top without testing for an empty heap, and branches to the
-    event's handler on a binary ``if`` tree over the codes.  An arrival
-    tests its route's flags as one ``or``-chain and reschedules itself
-    with ``heapreplace``.  A station with one class in its cycle starts
+    (never if 0, when it draws through each stream's uncounted
+    ``next_interval`` instead of its ``draw``), stores (q, D, Lambda) in
+    ``records[order[r]]`` at the first event after ``marks[r]``, and
+    returns the event count and the number of records stored.  An event
+    is ``(t, code)``, ``code`` the class k of a completion or K + f for an
+    arrival of flow f, so completions fire before arrivals at equal times,
+    then by class or flow id.  Each flow always has an arrival on the
+    calendar, so the loop peeks at the heap top without testing for an
+    empty heap, and branches to the event's handler on a binary ``if``
+    tree over the codes.  An arrival tests its route's flags as one
+    ``or``-chain and reschedules itself with ``heapreplace``.  A station with one class in its cycle starts
     service inline; one with more runs one loop over its rotation table of
     (class, next cursor) pairs.  The queues are compared with the integer
     thresholds ``hi`` (flag on at or above) and ``off`` (flag off at or
@@ -290,8 +301,9 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         "    busy, busy_class, service_start, cursor = sim.busy, sim.busy_class, sim.service_start, sim.cursor",
         "    heap = sim.heap",
         "    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace",
-        f"    {''.join(f'sa{f}, ' for f in range(F))}= [s.draw for s in sim.arr_streams]",
-        "    ss = [s.draw for s in sim.svc_streams]",
+        f"    {''.join(f'sa{f}, ' for f in range(F))}= [s.draw if period else s.next_interval"
+        " for s in sim.arr_streams]",
+        "    ss = [s.draw if period else s.next_interval for s in sim.svc_streams]",
         f"    {''.join(f'ss{k}, ' for k in range(K))}= ss",
         "    t = 0.0",
     ]
@@ -417,8 +429,8 @@ class Simulation:
     one seed at several n compute its intervals once; without them the run
     builds private tapes of its seed, which keep no interval.  Either way
     the run draws the same intervals: each stream is a
-    ``RenewalStream(tape)``, whose ``count`` is both the draws it handed
-    out and its position on its tape.
+    ``RenewalStream(tape)``, whose ``count`` is its position on its tape
+    after ``run`` (see ``run`` for when it is counted).
     """
 
     def __init__(self, spec: NetworkSpec, n: float, seed: int, *, initial_queues=None, tapes=None):
@@ -502,6 +514,20 @@ class Simulation:
         sample_times=None,
         invariant_checks: str = "sparse",
     ) -> SimTrace:
+        """Run to ``horizon`` and return the trace, measuring the rates over
+        the last ``1 - warmup_frac`` of it and recording (q, D, Lambda) at
+        each of ``sample_times``.
+
+        ``invariant_checks`` is ``"off"``, ``"sparse"`` or ``"every"`` (see
+        the module docstring).  A checked run takes every interval through
+        ``RenewalStream.draw``, which counts it.  An ``"off"`` run takes them
+        through the streams' uncounted ``next_interval`` and, when it ends
+        or raises, sets each stream's ``count`` to what the check holds it
+        to: for flow f its exogenous arrivals plus one (the arrival pending
+        on the calendar), for class k its departures plus one while k is in
+        service.  Raises EventBudgetExceeded after ``default_event_budget``
+        events; a Simulation runs once.
+        """
         if not 0 < horizon < math.inf or not 0.0 <= warmup_frac < 1.0:
             raise EmptyWindowError("empty measurement window")
         if invariant_checks not in _CHECK_PERIOD:
@@ -531,8 +557,18 @@ class Simulation:
         budget = default_event_budget(spec, horizon, self.q0)
         # bound here, not at import, so that a wrapper installed on the class
         # sees each check
-        events, r = self._loop(self, horizon, budget, period, self.check_invariants, self.hi, self.off,
-                               marks, records, order)
+        try:
+            events, r = self._loop(self, horizon, budget, period, self.check_invariants, self.hi, self.off,
+                                   marks, records, order)
+        finally:
+            if not period:
+                # the unchecked loop counted no draw: each flow drew its
+                # first arrival and one per arrival, each class one service
+                # per departure and one more while in service
+                for stream, e in zip(self.arr_streams, self.e):
+                    stream.count = e + 1
+                for k, (stream, d) in enumerate(zip(self.svc_streams, self.d)):
+                    stream.count = d + (k in self.busy_class)
         self.t = horizon
         self.event_count = events
         q, d, lam = self.q, self.d, self.lam
@@ -580,7 +616,10 @@ def run(spec: NetworkSpec, n: float, seed: int, horizon: float, *, initial_queue
     """Simulate one replication to ``horizon`` and return its trace:
     ``options`` (``warmup_frac``, ``sample_times``, ``invariant_checks``)
     go to ``Simulation.run``.  The run has ``default_event_budget`` and
-    reads its intervals from ``tapes`` (see ``Simulation``)."""
+    reads its intervals from ``tapes`` (see ``Simulation``); with
+    ``invariant_checks="off"`` it takes them with no call of
+    ``RenewalStream.draw`` past the first arrivals, and sets the streams'
+    counts when it ends."""
     return Simulation(spec, n, seed, initial_queues=initial_queues, tapes=tapes).run(horizon, **options)
 
 

@@ -8,14 +8,14 @@ the point mass, ``inf`` at rate 0) as a list comprehension over Python
 floats; ``quantile(u)`` is its range check plus ``quantiles([u])[0]``.
 A ``Tape`` turns its generator's uniforms into intervals a block at a time,
 with one ``quantiles`` call per block, and ``RenewalStream(tape)`` reads
-the intervals of one tape in order, its position on the tape being its
-draw ``count``; that changes no sample (see ``Tape``).
+the intervals of one tape in order; that changes no sample (see ``Tape``).
 A seed draws the same intervals at every threshold scale n, so the cells
 of a sweep that share a seed share its ``SeedTapes``: the first cell
 computes the intervals and the others read them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -118,6 +118,9 @@ class DistributionSpec:
 
 # uniforms a Tape takes from its generator at a time
 _BUFFER = 128
+# blocks a kept Tape stores at most, about 2 MB: over 10 times the 47
+# blocks of Pareto arrivals that a switch cell reads at horizon 1e4
+_MAX_BLOCKS = 512
 
 
 class Tape:
@@ -131,30 +134,58 @@ class Tape:
     bit), so the intervals of a tape equal ``dist.quantile(rng.random())``
     draw for draw.  ``blocks`` holds the blocks computed so far, as the
     lists ``quantiles`` returns: about 32 bytes per interval, held as long
-    as the tape is.  A tape built with ``keep=False`` holds none and serves
-    a single reader, which gets each block as it is computed.  Its
-    readers are the streams built as ``RenewalStream(tape)``.
+    as the tape is, and at most ``_MAX_BLOCKS`` of them.  When the tape
+    stores its last block it saves its generator's state after that block
+    in ``last_state``; a reader that reads past that block computes the
+    rest on a generator of its own, set to that state, and stores nothing.
+    A tape built with ``keep=False`` holds none and serves a single
+    reader, which gets each block as it is computed.  Its readers are the
+    streams built as ``RenewalStream(tape)``, each on its own
+    ``intervals()``.
     """
 
-    __slots__ = ("dist", "rng", "keep", "blocks")
+    __slots__ = ("dist", "rng", "keep", "blocks", "last_state")
 
     def __init__(self, dist: DistributionSpec, rng: np.random.Generator, *, keep: bool = True):
         self.dist = dist
         self.rng = rng
         self.keep = keep
         self.blocks = []
+        self.last_state = None
 
     def block(self, i: int) -> list:
         """Block i, computed from the generator if no reader has asked for
-        it yet.  Readers ask for 0, 1, 2, ... in turn, so on a tape that
-        keeps its blocks i is never past the end of ``blocks``."""
+        it yet.  Readers ask for 0, 1, 2, ... in turn, and of a tape that
+        keeps its blocks only for i below ``_MAX_BLOCKS``, so on such a
+        tape i is never past the end of ``blocks``."""
         blocks = self.blocks
         if i < len(blocks):
             return blocks[i]
         block = self.dist.quantiles(self.rng.random(_BUFFER).tolist())
         if self.keep:
             blocks.append(block)
+            if len(blocks) == _MAX_BLOCKS:
+                self.last_state = self.rng.bit_generator.state
         return block
+
+    def intervals(self):
+        """The intervals of the tape, from the first, as one C-level
+        iterator for one reader: the stored blocks through ``block``, then,
+        on a tape that keeps them, the blocks past ``_MAX_BLOCKS`` from the
+        reader's own generator."""
+        if not self.keep:
+            return itertools.chain.from_iterable(map(self.block, itertools.count()))
+        return itertools.chain.from_iterable(
+            itertools.chain(map(self.block, range(_MAX_BLOCKS)), self._blocks_past_last()))
+
+    def _blocks_past_last(self):
+        # starts when the reader is past the last stored block, whose
+        # state the tape has saved by then
+        bit_generator = type(self.rng.bit_generator)()
+        bit_generator.state = self.last_state
+        random, quantiles = np.random.Generator(bit_generator).random, self.dist.quantiles
+        while True:
+            yield quantiles(random(_BUFFER).tolist())
 
 
 class RenewalStream:
@@ -162,18 +193,24 @@ class RenewalStream:
 
     The simulation engine owns the calendar; the stream reads the
     intervals of one ``Tape``, from its first, in order, at its own pace,
-    and its law is ``tape.dist``.  ``draw`` is the only way out of a
-    stream, and ``count``, the number of intervals it handed out, is its
-    position on the tape: the tape may have run up to ``_BUFFER - 1``
-    intervals ahead of it, or any number when another reader went first.
+    and its law is ``tape.dist``.  There are two ways out of a stream, on
+    one iterator: ``draw()`` hands out the next interval and counts it in
+    ``count``, and ``next_interval()``, a C-level call with no Python
+    frame, hands it out uncounted.  While only ``draw`` reads it,
+    ``count`` is the stream's position on the tape: the tape may have run
+    up to ``_BUFFER - 1`` intervals ahead of it, or any number when
+    another reader went first.  A run with invariant checks ``"off"``
+    reads through ``next_interval`` and sets ``count`` to its position
+    when it ends or raises (see ``des.Simulation.run``).
     """
 
-    __slots__ = ("tape", "count", "_intervals")
+    __slots__ = ("tape", "count", "_intervals", "next_interval")
 
     def __init__(self, tape: Tape):
         self.tape = tape
         self.count = 0
-        self._intervals = itertools.chain.from_iterable(map(tape.block, itertools.count()))
+        self._intervals = tape.intervals()
+        self.next_interval = functools.partial(next, self._intervals)
 
     def draw(self) -> float:
         self.count += 1

@@ -910,8 +910,10 @@ def _assert_same_run(t1, t2):
 
 def test_check_modes_and_sampling_leave_the_run_unchanged(monkeypatch):
     # the checks and the sampling only read the state: every mode, sampled
-    # or not, gives the same trace, and every interval the engine takes
-    # goes through RenewalStream.draw, as counted by a class-level wrapper
+    # or not, gives the same trace.  As counted by a class-level wrapper,
+    # a checked run takes every interval through RenewalStream.draw, an
+    # unchecked one only the F first arrivals that Simulation draws when
+    # built, and sets its streams' counts to those of the checked runs
     calls = []
     draw = RenewalStream.draw
 
@@ -927,12 +929,14 @@ def test_check_modes_and_sampling_leave_the_run_unchanged(monkeypatch):
         spec = _criterion7_spec(rng)
         assert str(validate(spec)) == "valid"
         n, seed = int(rng.integers(1, 12)), int(rng.integers(2**31))
-        traces = []
+        traces, counts = [], []
         for mode, times in [("off", None), ("sparse", None), ("every", None), ("off", grid)]:
             calls.clear()
             sim = Simulation(spec, n, seed)
             traces.append(sim.run(horizon, invariant_checks=mode, sample_times=times))
-            assert len(calls) == sum(s.count for s in sim.arr_streams + sim.svc_streams)
+            counts.append([s.count for s in sim.arr_streams + sim.svc_streams])
+            assert len(calls) == (spec.num_flows if mode == "off" else sum(counts[-1]))
+        assert counts[0] == counts[1] == counts[2] == counts[3]
         assert traces[0].event_count > 1000  # the sparse mode checks at least once
         for trace in traces[1:]:
             _assert_same_run(traces[0], trace)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qnet import distributions
 from qnet.distributions import (
     _BUFFER,
     DistributionSpec,
@@ -202,6 +203,28 @@ def test_readers_of_one_tape_draw_the_scalar_intervals(dist):
         assert _bits(got_fast) == _bits(got_slow) == _bits(want)
         assert fast.count == slow.count == n
         assert len(tape.blocks) == -(-n // _BUFFER)
+
+
+@pytest.mark.parametrize("dist", LAWS[:4], ids=LAW_IDS[:4])
+def test_tape_stores_at_most_its_cap(dist, monkeypatch):
+    # with a cap of 2 blocks, a reader that starts before another reads
+    # past the cap, one that starts before but reads after, and one that
+    # starts after all draw the intervals of a private tape, and the
+    # tape keeps its 2 blocks
+    monkeypatch.setattr(distributions, "_MAX_BLOCKS", 2)
+    n = 5 * _BUFFER + 17
+    for seed in (0, 2024):
+        private = RenewalStream(Tape(dist, np.random.default_rng(seed), keep=False))
+        want = _bits([private.draw() for _ in range(n)])
+        tape = Tape(dist, np.random.default_rng(seed))
+        first, waiting = RenewalStream(tape), RenewalStream(tape)
+        got_first = [first.draw() for _ in range(3 * _BUFFER)]
+        late = RenewalStream(tape)
+        got_late = [late.draw() for _ in range(n)]
+        got_first += [first.draw() for _ in range(n - len(got_first))]
+        got_waiting = [waiting.draw() for _ in range(n)]
+        assert _bits(got_first) == _bits(got_late) == _bits(got_waiting) == want
+        assert len(tape.blocks) == 2
 
 
 def test_private_tape_keeps_no_interval():
