@@ -94,7 +94,7 @@ def cmd_fluid(args) -> int:
     traj = _integrate(cfg)
     out = _outdir(args)
     experiments.export_trajectory_csv(traj, os.path.join(out, "fluid.csv"))
-    flow_rates = fluid.departure_rates_at(traj.state_at(traj.horizon), cfg.network)
+    flow_rates = traj.rows[-1][4].flow_depart   # the last row, at the horizon
     print(
         f"integrated {len(traj.rows)} breakpoints to t={traj.horizon}; "
         f"absorbed_at={traj.absorbed_at}; final flow rates "

@@ -185,6 +185,17 @@ def _flow(node, where: str) -> dict:
     })
 
 
+def _class_ids(value, where: str) -> dict:
+    """The rows ``[flow, hop, class]`` as {(flow, hop): class}, each
+    (flow, hop) given once."""
+    ids = {}
+    for f, hop, k in _list(_list(INTEGER, 3))(value, where):
+        if (f, hop) in ids:
+            raise ConfigError(f"{where}: (flow, hop) {(f, hop)} is given twice")
+        ids[f, hop] = k
+    return ids
+
+
 def _network(node, where: str) -> NetworkSpec:
     if isinstance(node, dict) and "preset" in node:
         net = _section(node, where, {
@@ -200,7 +211,7 @@ def _network(node, where: str) -> NetworkSpec:
         "flows": (_list(_flow), REQUIRED),
         "threshold_base": (POSITIVE, REQUIRED),
         "hysteresis_gap": (NONNEGATIVE, 0.0),
-        "class_ids": (_list(_list(INTEGER, 3), into=lambda rows: {(f, hop): k for f, hop, k in rows}), None),
+        "class_ids": (_class_ids, None),
         "idle_slots": (_integer_mapping, None),
     })
     flows = net["flows"]
@@ -329,7 +340,21 @@ def _version(value, where: str) -> int:
 
 class _Loader(yaml.SafeLoader):
     """YAML 1.1, plus the 1.2 floats whose exponent has no sign or whose
-    mantissa has no point (``1e4``, ``1.0e308``), which 1.1 reads as strings."""
+    mantissa has no point (``1e4``, ``1.0e308``), which 1.1 reads as
+    strings.  A key written twice in one mapping is an error, not the
+    later value; a key that a merge (``<<``) brings in may be given again."""
+
+    def compose_mapping_node(self, anchor):
+        node = super().compose_mapping_node(anchor)   # as written, before any merge
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return node
 
 
 _Loader.add_implicit_resolver(

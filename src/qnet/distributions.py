@@ -134,24 +134,23 @@ class Tape:
     bit), so the intervals of a tape equal ``dist.quantile(rng.random())``
     draw for draw.  ``blocks`` holds the blocks computed so far, as the
     lists ``quantiles`` returns: about 32 bytes per interval, held as long
-    as the tape is, and at most ``_MAX_BLOCKS`` of them.  When the tape
-    stores its last block it saves its generator's state after that block
-    in ``last_state``; a reader that reads past that block computes the
-    rest on a generator of its own, set to that state, and stores nothing.
+    as the tape is, and at most ``_MAX_BLOCKS`` of them.  No reader asks
+    a tape that keeps them for a block past its last, so its generator
+    stops there; a reader that reads on computes the rest on a generator
+    of its own, set to a copy of that state, and stores nothing.
     A tape built with ``keep=False`` holds none and serves a single
     reader, which gets each block as it is computed.  Its readers are the
     streams built as ``RenewalStream(tape)``, each on its own
     ``intervals()``.
     """
 
-    __slots__ = ("dist", "rng", "keep", "blocks", "last_state")
+    __slots__ = ("dist", "rng", "keep", "blocks")
 
     def __init__(self, dist: DistributionSpec, rng: np.random.Generator, *, keep: bool = True):
         self.dist = dist
         self.rng = rng
         self.keep = keep
         self.blocks = []
-        self.last_state = None
 
     def block(self, i: int) -> list:
         """Block i, computed from the generator if no reader has asked for
@@ -164,8 +163,6 @@ class Tape:
         block = self.dist.quantiles(self.rng.random(_BUFFER).tolist())
         if self.keep:
             blocks.append(block)
-            if len(blocks) == _MAX_BLOCKS:
-                self.last_state = self.rng.bit_generator.state
         return block
 
     def intervals(self):
@@ -179,10 +176,10 @@ class Tape:
             itertools.chain(map(self.block, range(_MAX_BLOCKS)), self._blocks_past_last()))
 
     def _blocks_past_last(self):
-        # starts when the reader is past the last stored block, whose
-        # state the tape has saved by then
+        # starts when the reader is past the last stored block, where the
+        # tape's generator has stopped
         bit_generator = type(self.rng.bit_generator)()
-        bit_generator.state = self.last_state
+        bit_generator.state = self.rng.bit_generator.state
         random, quantiles = np.random.Generator(bit_generator).random, self.dist.quantiles
         while True:
             yield quantiles(random(_BUFFER).tolist())

@@ -41,8 +41,9 @@ cores.  ``integrate`` runs its breakpoint loop on lists of floats; numpy
 only builds the state handed to ``solve_rates``.  It appends one row per
 breakpoint, ``(t, q, u, v, rates, step)``, and one for a stationary
 state's hold to the horizon; once every arrival clock and service gate
-has run out it no longer scans or snaps u and v.  ``FluidTrajectory``
-builds each column from the rows on first read, so ``verify_C1``, whose
+has run out it no longer scans or snaps u and v.  A ``FluidTrajectory``
+is its rows: its ``__getattr__`` builds any column from them on the
+column's first read and keeps it in the instance, so ``verify_C1``, whose
 hit search reads t, q, u and v, builds none.  A C1 start on the switch
 (4.9 rows) takes about 39 us here.
 """
@@ -511,32 +512,6 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-class _Column:
-    """One column of ``FluidTrajectory``: a read-only array built from the
-    rows on first read and kept in the instance, so later reads are plain
-    attribute reads."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.index = name, TRAJECTORY_COLUMNS.index(name)
-
-    def __get__(self, traj, owner=None):
-        if traj is None:
-            return self
-        rows, n = traj.rows, self.index
-        if n < 4:   # times, q, u or v
-            entries = [row[n] for row in rows]
-        else:       # a RateVector field, or the flows accrued at one
-            field = self.name.removeprefix("cum_")
-            if field == self.name:
-                entries = [getattr(row[4], field) for row in rows]
-            else:
-                entries = _accrued(rows, field)
-        column = np.array(entries, dtype=float)
-        column.flags.writeable = False
-        traj.__dict__[self.name] = column
-        return column
-
-
 def _accrued(rows: tuple, field: str) -> list:
     """The flows accrued at the rates ``field`` of each row's RateVector:
     0 at the first row, then the previous row's plus its rates times its
@@ -558,12 +533,14 @@ class FluidTrajectory:
     ``RateVector`` that ``solve_rates`` returned there, constant on the
     segment starting there, and that segment's length (0.0 on the last
     row).  Each column of ``TRAJECTORY_COLUMNS`` is a read-only array,
-    ``times`` of shape (rows,) and the others (rows, width), built on its
-    first read: admit, depart, busy and idle from the RateVectors, and
-    the cumulative flows from 0 by adding each row's ``arrival``,
-    ``depart`` or ``admit`` times its step, left to right.  The hit
-    search of ``verify_C1`` reads the rows and builds none.  The rows are
-    the record the columns are built from, and are not to be modified.
+    ``times`` of shape (rows,) and the others (rows, width), which
+    ``__getattr__`` builds on its first read and stores in the instance's
+    ``__dict__``, where later reads find it: t, q, u and v from the rows,
+    admit, depart, busy and idle from the RateVectors, and the cumulative
+    flows from 0 by adding each row's ``arrival``, ``depart`` or
+    ``admit`` times its step, left to right.  A state between rows is
+    ``state_at(t)``.  The hit search of ``verify_C1`` reads the rows and
+    builds no column.  The rows are the record, and are not to be modified.
     ``absorbed_at`` is the first breakpoint at which the state was
     stationary with no pending clock or gate events (the trajectory then
     stays there for all later times).
@@ -573,17 +550,23 @@ class FluidTrajectory:
     rows: tuple
     absorbed_at: Optional[float] = None
 
-    times = _Column()
-    q = _Column()
-    u = _Column()
-    v = _Column()
-    admit = _Column()
-    depart = _Column()
-    busy = _Column()
-    idle = _Column()
-    cum_arrival = _Column()
-    cum_depart = _Column()
-    cum_admit = _Column()
+    def __getattr__(self, name):
+        # reached only for a name the instance does not hold: a column not
+        # read yet, or anything else (copy and pickle probes), which must
+        # fail before it reads self.rows
+        if name not in TRAJECTORY_COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, n = self.rows, TRAJECTORY_COLUMNS.index(name)
+        if n < 4:   # times, q, u or v
+            entries = [row[n] for row in rows]
+        elif name.startswith("cum_"):   # the flows accrued at a RateVector field
+            entries = _accrued(rows, name.removeprefix("cum_"))
+        else:       # a RateVector field
+            entries = [getattr(row[4], name) for row in rows]
+        column = np.array(entries, dtype=float)
+        column.flags.writeable = False
+        self.__dict__[name] = column
+        return column
 
     @property
     def horizon(self) -> float:
@@ -604,9 +587,6 @@ class FluidTrajectory:
         u = self.u[i] + frac * (self.u[i + 1] - self.u[i])
         v = self.v[i] + frac * (self.v[i + 1] - self.v[i])
         return FluidState(q, u, v, self.hbar)
-
-    def q_at(self, t: float) -> np.ndarray:
-        return self.state_at(t).q
 
 
 def integrate(state0: FluidState, spec: NetworkSpec, horizon: float) -> FluidTrajectory:

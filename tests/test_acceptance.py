@@ -205,7 +205,7 @@ def test_criterion_6_functional_slln():
     T = 5.0
     grid = np.linspace(0.0, T, 501)
     traj = integrate(FluidState.initial(spec, q0, HBAR), spec, T)
-    fluid_q = np.array([traj.q_at(t) for t in grid])
+    fluid_q = np.array([traj.state_at(t).q for t in grid])
     sups = []
     for n in (100, 1000, 10000):
         trace = qnet.run(

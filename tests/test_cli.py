@@ -457,6 +457,9 @@ class TestCli:
              "network.idle_slots: station 7 of class 2 is not in [0, 2)"),
             ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 0]]\n  flows:"),
              "network.class_ids: (flow, hop) (0, 1) has no class id"),
+            # the dict of (flow, hop) -> class id used to keep the last row
+            ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 1], [0, 0, 0], [0, 1, 1]]\n  flows:"),
+             "network.class_ids: (flow, hop) (0, 0) is given twice"),
             ("validate", TANDEM_YAML.replace("flows:", "class_ids: [[0, 0, 0], [0, 1, 1], [0, 2, 2]]\n  flows:"),
              "network.class_ids: (flow, hop) (0, 2) is not on a path;"
              " network.class_ids: class id 2 is not in [0, 2)"),
@@ -548,7 +551,8 @@ class TestCli:
              "per_piece_negative", "set_a_outside", "n_nan", "hbar_zero",
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
              "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",
-             "idle_station_too_large", "hop_without_class_id", "hop_past_path", "flow_past_paths",
+             "idle_station_too_large", "hop_without_class_id", "hop_given_twice",
+             "hop_past_path", "flow_past_paths",
              "station_too_large", "path_revisit", "weight_zero", "arrival_rate_zero", "ingress_class",
              "initial_q_length", "initial_v_length", "initial_u_length", "initial_queues_length",
              "experiment_target_rates_length", "verify_target_rates_length", "starts_entry_length",
@@ -630,6 +634,32 @@ class TestCli:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: malformed YAML: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("version: 1\nversion: 1\nnetwork: {preset: switch_example}\n", "version", 2),
+        ("version: 1\nnetwork: {preset: switch_example}\n"
+         "simulate: {n: 4, horizon: 200, seed: 2, horizon: 5}\n", "horizon", 3),
+        (TANDEM_YAML.replace("      weight: 1\n", "      weight: 1\n      weight: 2\n")
+         + "simulate: {n: 4, horizon: 200}\n", "weight", 8),
+    ], ids=["top_level", "flow_mapping", "flows_entry"])
+    def test_duplicate_key_exit_1(self, tmp_path, capsys, text, key, line):
+        # PyYAML keeps a repeated key's last value: simulate used to run to
+        # t=5 and exit 0, and a second weight replaced the first
+        p = tmp_path / "dup.yaml"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: malformed YAML: found duplicate key {key!r}\n")
+        assert f'"{p}", line {line},' in err
+        assert not out.exists()
+
+    def test_merged_key_may_be_given_again(self, tmp_path):
+        # a key a merge brings in is overridden, as YAML's merge allows
+        p = tmp_path / "merge.yaml"
+        p.write_text("version: 1\nnetwork: {preset: switch_example}\n"
+                     "simulate:\n  <<: {n: 4, horizon: 200, seed: 2}\n  horizon: 5\n")
+        assert load_config(p).simulate["horizon"] == 5.0
 
     def test_missing_section_exit_1(self, tmp_path):
         p = tmp_path / "min.yaml"

@@ -312,7 +312,7 @@ def test_scaled_paths_converge_to_fluid():
     q0 = np.array([2.0, 0.5])
     grid = np.linspace(0.0, 5.0, 101)
     traj = qnet.integrate(qnet.FluidState.initial(spec, q0, 1.0), spec, 5.0)
-    fluid_q = np.array([traj.q_at(t) for t in grid])
+    fluid_q = np.array([traj.state_at(t).q for t in grid])
     sups = []
     for n in (10, 100):
         trace = run(
@@ -396,7 +396,7 @@ def test_switch_scaled_path_tracks_fluid():
     grid = np.linspace(0.0, T, 161)
     traj = qnet.integrate(qnet.FluidState.initial(spec, q0, 1.0), spec, T)
     assert traj.q[-1][[1, 6]] == pytest.approx([1.0, 0.8], abs=1e-9)
-    fluid_q = np.array([traj.q_at(t) for t in grid])
+    fluid_q = np.array([traj.state_at(t).q for t in grid])
     sups = []
     for n in (100, 1000):
         trace = run(spec, n, seed=0, horizon=n * T,

@@ -332,6 +332,19 @@ def test_breakpoint_budget_guard(monkeypatch):
         integrate(FluidState.initial(spec, [2.5, 0.7], 1.0), spec, 50.0)
 
 
+def test_zeno_window_guard(monkeypatch):
+    # a clock and a gate that run out 3e-10 apart give breakpoints at 3e-10
+    # and 6e-10: two within a span below 1e-12 * horizon trip a window of 2
+    from qnet.fluid import ZenoError
+
+    spec = tandem_spec(1.0, 0.8, 0.5)
+    state = FluidState.initial(spec, [0.0, 0.0], 1.0, u=[3e-10], v=[6e-10, 0.0])
+    assert len(integrate(state, spec, 1000.0).rows) == 7
+    monkeypatch.setattr(qnet.fluid, "_ZENO_WINDOW", 2)
+    with pytest.raises(ZenoError, match=r"^2 breakpoints within 3\.000e-10 time units at t=6e-10$"):
+        integrate(state, spec, 1000.0)
+
+
 @pytest.mark.parametrize("horizon", [np.inf, np.nan])
 def test_horizon_not_finite_rejected(horizon):
     # an infinite horizon used to run to the breakpoint budget on nan times
