@@ -7,6 +7,7 @@ from .network import (
     NetworkSpec,
     ValidationReport,
     build_network,
+    fair_rates,
     offered_load,
     switch_example_spec,
     tandem_spec,

@@ -16,16 +16,17 @@ Scheduling: weighted round robin over a fixed per-station visit cycle
 head of line only.  The cycle cursor persists across idle periods.
 
 Engine: ``Simulation.__init__`` turns (spec, n, seed) into what the
-engine runs: the float and integer thresholds, the streams, the first
-arrivals and the event loop of the spec's network structure.  The
-streams read the seed's interval tapes (``distributions.Tape``): a
+engine runs: the float and integer thresholds, the streams and the
+first arrivals.  The streams read the seed's interval tapes (``distributions.Tape``): a
 caller that runs one seed at several n passes the same ``tapes`` to
 each run, which then computes only the intervals no earlier run drew.
 ``Simulation.run`` checks its own arguments, lays out the records and
-calls that loop.  ``_compile_loop`` generates it as straight-line code
-with fixed indices, once per structure: it is keyed by the spec's
-``routes``, ``successor``, ``station_of``, ``cycles`` and ``members``,
-takes 1-4 ms and is cached for up to 256 structures.  A binary ``if``
+calls the event loop of the spec's network structure and of its mode,
+checked or not.  ``_compile_loop`` generates it as straight-line code
+with fixed indices, once per structure and mode: it is keyed by the
+spec's ``routes``, ``successor``, ``station_of``, ``cycles`` and
+``members`` and by ``checked``, takes 1-4 ms and is cached for up to 256
+keys.  A binary ``if``
 tree on the event code leads to one handler per class and per flow, so
 no event looks up a route, a station or a successor; an arrival tests
 its route's flags as one ``or``-chain, a station with one class in its
@@ -35,16 +36,20 @@ integer thresholds ceil(n*h) and floor(n*h - gap).  The source grows
 linearly in the classes and flows, not in the cycle lengths, since a
 workload of many structures compiles one loop each; it is dropped once
 compiled.  The loop keeps the state lists, ``heapq``'s functions and
-each stream's draw callable in locals; the lists are the
+each stream's draw callable or iterator in locals; the lists are the
 ``Simulation``'s own, mutated in place, so the attributes show the state
 after each event, and the clock ``t`` is written when the run ends or
-raises.  A checked run (``"sparse"``, ``"every"``) draws through each
-stream's ``draw``, which counts the draws the check compares with the
-counters.  An ``"off"`` run draws through each stream's
-``next_interval``, a C-level call on the same iterator, so it takes the
-same intervals in the same order with no Python frame per interval, and
-sets each stream's ``count`` once from the counters when it ends or
-raises.  The callables are bound when ``run`` starts, not when the loop
+raises.  A checked run (``"sparse"``, ``"every"``) keeps what only the
+check reads: it counts its events towards the next check, counts the
+arrivals A per class, and draws through each stream's ``draw``, which
+counts the draws.  An ``"off"`` run keeps none of it.  It takes each
+interval with ``next`` off its stream's ``intervals``, the same C-level
+iterator, so it draws the same intervals in the same order with no
+Python frame per interval.  It bounds its events with
+``itertools.repeat`` and counts them as E + D, one exogenous arrival or
+one completion each.  When it ends or raises, ``run`` sets A and each
+stream's ``count`` from the other counters, to what the checked loop
+holds.  The callables are bound when ``run`` starts, not when the loop
 is compiled, so wrappers installed on ``Simulation`` or ``heapq``
 beforehand see every call, and one on ``RenewalStream.draw`` every draw
 of a checked run but only the first arrivals, drawn when the
@@ -63,10 +68,11 @@ engine runs on, and compiled into a function of straight-line code with
 fixed indices, once per structure (``_compile_check``, about 1 ms): a
 loop over the structure spent most of a check's time on the loop itself.
 Measured in process time on 2 shared cores (medians of 12 passes), an
-``"every"`` run takes 4.3 times as long per event as an ``"off"`` run on
-the 100 ``checked_random`` networks (2.9 against 0.70 us) and 6.5 times
-on the switch at n=100 (5.1 against 0.79 us); an ``"off"`` run draws no
-interval through a Python call, a checked one every interval.
+``"every"`` run takes 4.9 times as long per event as an ``"off"`` run on
+the 100 ``checked_random`` networks (2.99 against 0.61 us) and 7.7 times
+on the switch at n=100 (5.1 against 0.67 us); an ``"off"`` run keeps no
+count that only the check reads and draws no interval through a Python
+call, a checked one every interval.
 Any other mode, or sample times that are not a 1-D array within the
 horizon, raise before the single-use ``Simulation`` is spent.
 
@@ -211,18 +217,28 @@ def _define(lines: list, filename: str, namespace: dict):
 
 
 @functools.lru_cache(maxsize=256)
-def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tuple, members: tuple):
+def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tuple, members: tuple,
+                  checked: bool):
     """The event loop of one network structure, as a function of
-    straight-line code with fixed indices.
+    straight-line code with fixed indices: the loop of a checked run if
+    ``checked``, else that of an unchecked one.
 
     The function is ``loop(sim, horizon, budget, period, check, hi, off,
     marks, records, order)``.  It starts the stations and runs ``sim``
     from its calendar to ``horizon``: it raises EventBudgetExceeded after
-    ``budget`` events, calls ``check(t)`` after every ``period``-th event
-    (never if 0, when it draws through each stream's uncounted
-    ``next_interval`` instead of its ``draw``), stores (q, D, Lambda) in
-    ``records[order[r]]`` at the first event after ``marks[r]``, and
-    returns the event count and the number of records stored.  An event
+    ``budget`` events, stores (q, D, Lambda) in ``records[order[r]]`` at
+    the first event after ``marks[r]``, and returns the event count and
+    the number of records stored.  The checked loop counts its events,
+    calls ``check(t)`` after every ``period``-th (never if 0), counts
+    each class's arrivals in A and draws through each stream's ``draw``,
+    which counts the draws: the check compares A and the draw counts with
+    the other counters.  The unchecked loop ignores ``period`` and
+    ``check`` and keeps none of that bookkeeping: it takes each interval
+    with ``next`` off its stream's ``intervals``, runs its events under
+    ``itertools.repeat(None, budget + 1)``, whose exhaustion raises the
+    budget error at the same event, and returns ``sum(E) + sum(D)``,
+    since every event is one exogenous arrival or one completion;
+    ``Simulation.run`` sets A and the draw counts when it ends.  An event
     is ``(t, code)``, ``code`` the class k of a completion or K + f for an
     arrival of flow f, so completions fire before arrivals at equal times,
     then by class or flow id.  Each flow always has an arrival on the
@@ -236,13 +252,20 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
     below).  The source grows linearly in the classes and flows, and a
     cycle's length sizes only its rotation table.
     """
+    from itertools import repeat  # loaded already, by distributions
+
     K, F = len(successor), len(routes)
     namespace = {"heapq": heapq, "EventBudgetExceeded": EventBudgetExceeded,
-                 "InvariantViolation": InvariantViolation}
+                 "InvariantViolation": InvariantViolation, "repeat": repeat}
     # per station of two or more classes: (class, next cursor) at each cursor
     for i, cyc in enumerate(cycles):
         if len(cyc) > 1:
             namespace[f"R{i}"] = tuple((c, (j + 1) % len(cyc)) for j, c in enumerate(cyc))
+
+    def draw(stream):
+        # the next interval of ``stream``: its counted ``draw``, or the next
+        # item of its ``intervals`` with no Python frame
+        return f"{stream}()" if checked else f"nx({stream})"
 
     def pick(i, own):
         # the round robin at station i: serve the first nonempty class at or
@@ -252,19 +275,21 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         idle = [f"busy_class[{i}] = -1"] + (["heappop(heap)"] if own else []) + ["break"]
         return [f"j = cur = cursor[{i}]", "while True:", f"    c, j = R{i}[j]", "    if q[c] > 0:",
                 f"        cursor[{i}] = j", f"        busy_class[{i}] = c", f"        service_start[{i}] = t",
-                f"        {push}(heap, (t + ss[c](), c))", "        break", "    if j == cur:",
+                f"        {push}(heap, (t + {draw('ss[c]')}, c))", "        break", "    if j == cur:",
                 ] + ["        " + x for x in idle]
 
     def serve(k):
         # station i of a one-class cycle starts serving class k
         i = station_of[k]
-        return [f"busy_class[{i}] = {k}", f"service_start[{i}] = t", f"heappush(heap, (t + ss{k}(), {k}))"]
+        return [f"busy_class[{i}] = {k}", f"service_start[{i}] = t",
+                f"heappush(heap, (t + {draw(f'ss{k}')}, {k}))"]
 
     def enqueue(k):
         # one job joins class k; an idle station starts serving
         i = station_of[k]
         backlog = " + ".join(f"q[{c}]" for c in members[i])
-        return [f"x = q[{k}] + 1", f"q[{k}] = x", f"a[{k}] += 1", "if x >= hi:", f"    flags[{k}] = 1",
+        return [f"x = q[{k}] + 1", f"q[{k}] = x"] + ([f"a[{k}] += 1"] if checked else []) + [
+                "if x >= hi:", f"    flags[{k}] = 1",
                 f"if busy_class[{i}] < 0:", f"    if __debug__ and {backlog} != 1:",
                 f"        raise InvariantViolation({f'station {i} idle while backlogged'!r})",
                 ] + ["    " + x for x in (pick(i, False) if len(cycles[i]) > 1 else serve(k))]
@@ -274,8 +299,8 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
             f = code - K
             route = routes[f]
             flagged = " or ".join(f"flags[{k}]" for k in route)
-            return [f"e[{f}] += 1", f"heapreplace(heap, (t + sa{f}(), {code}))", f"if not ({flagged}):",
-                    f"    lam[{f}] += 1"] + ["    " + x for x in enqueue(route[0])]
+            return [f"e[{f}] += 1", f"heapreplace(heap, (t + {draw(f'sa{f}')}, {code}))",
+                    f"if not ({flagged}):", f"    lam[{f}] += 1"] + ["    " + x for x in enqueue(route[0])]
         # a departure only clears a flag: at or above ``hi`` it is on already
         k, i, l = code, station_of[code], successor[code]
         lines = [f"busy[{k}] += t - service_start[{i}]", f"d[{k}] += 1", f"x = q[{k}] - 1", f"q[{k}] = x",
@@ -283,7 +308,8 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         if len(cycles[i]) > 1:
             lines += pick(i, True)
         else:
-            lines += ["if x > 0:", f"    service_start[{i}] = t", f"    heapreplace(heap, (t + ss{k}(), {k}))",
+            lines += ["if x > 0:", f"    service_start[{i}] = t",
+                      f"    heapreplace(heap, (t + {draw(f'ss{k}')}, {k}))",
                       "else:", f"    busy_class[{i}] = -1", "    heappop(heap)"]
         return lines + (enqueue(l) if l >= 0 else [])
 
@@ -295,15 +321,17 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
                 + [f"{pad}else:"] + dispatch(codes[mid:], pad + "    "))
 
     codes = sorted(c for cyc in cycles for c in set(cyc)) + list(range(K, K + F))
+    state = ["q", "a", "d", "lam", "e", "flags"] if checked else ["q", "d", "lam", "e", "flags"]
+    source = "draw" if checked else "intervals"
     lines = [
         "def loop(sim, horizon, budget, period, check, hi, off, marks, records, order):",
-        "    q, a, d, lam, e, flags = sim.q, sim.a, sim.d, sim.lam, sim.e, sim.flags",
+        f"    {', '.join(state)} = {', '.join(f'sim.{x}' for x in state)}",
         "    busy, busy_class, service_start, cursor = sim.busy, sim.busy_class, sim.service_start, sim.cursor",
         "    heap = sim.heap",
         "    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace",
-        f"    {''.join(f'sa{f}, ' for f in range(F))}= [s.draw if period else s.next_interval"
-        " for s in sim.arr_streams]",
-        "    ss = [s.draw if period else s.next_interval for s in sim.svc_streams]",
+    ] + ([] if checked else ["    nx = next"]) + [
+        f"    {''.join(f'sa{f}, ' for f in range(F))}= [s.{source} for s in sim.arr_streams]",
+        f"    ss = [s.{source} for s in sim.svc_streams]",
         f"    {''.join(f'ss{k}, ' for k in range(K))}= ss",
         "    t = 0.0",
     ]
@@ -312,15 +340,19 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
             lines += ["    " + x for x in pick(i, False)]
         elif cyc:
             lines += [f"    if q[{cyc[0]}] > 0:"] + ["        " + x for x in serve(cyc[0])]
+    lines += ["    r = 0", "    mark = marks[0]", "    stop = min(mark, horizon)"]
+    over = "raise EventBudgetExceeded(f'exceeded event budget {budget} at t={t:.6g}')"
+    if checked:
+        lines += [
+            "    limit = budget + 1",
+            "    due = min(period, limit) if period else limit",
+            "    events = 0",
+            "    try:",
+            "        while True:",
+        ]
+    else:
+        lines += ["    try:", "        for _ in repeat(None, budget + 1):"]
     lines += [
-        "    r = 0",
-        "    mark = marks[0]",
-        "    stop = min(mark, horizon)",
-        "    limit = budget + 1",
-        "    due = min(period, limit) if period else limit",
-        "    events = 0",
-        "    try:",
-        "        while True:",
         "            t, code = heap[0]",
         "            if t > stop:",
         "                if t > horizon:",
@@ -332,17 +364,22 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         "                stop = min(mark, horizon)",
     ]
     lines += dispatch(codes, "            ")
+    if checked:
+        lines += [
+            "            events += 1",
+            "            if events == due:",
+            "                if events == limit:",
+            f"                    {over}",
+            "                check(t)",
+            "                due = min(events + period, limit)",
+        ]
+    else:
+        lines += ["        else:", f"            {over}"]
     lines += [
-        "            events += 1",
-        "            if events == due:",
-        "                if events == limit:",
-        "                    raise EventBudgetExceeded(f'exceeded event budget {budget} at t={t:.6g}')",
-        "                check(t)",
-        "                due = min(events + period, limit)",
         "    except BaseException:",
         "        sim.t = t",
         "        raise",
-        "    return events, r",
+        "    return events, r" if checked else "    return sum(e) + sum(d), r",
     ]
     return _define(lines, "<event loop>", namespace)
 
@@ -445,9 +482,8 @@ class Simulation:
 
         K, F, d = spec.num_classes, spec.num_flows, spec.num_stations
         self.arr_streams, self.svc_streams = make_streams(spec, self.seed, tapes)
-        # both are read through the module globals, so a patched one applies
+        # read through the module global, so a patched one applies
         self._check = _compile_check(*spec.check_structure, F)
-        self._loop = _compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
 
         self.t = 0.0
         self.q = [0] * K
@@ -519,14 +555,18 @@ class Simulation:
         each of ``sample_times``.
 
         ``invariant_checks`` is ``"off"``, ``"sparse"`` or ``"every"`` (see
-        the module docstring).  A checked run takes every interval through
-        ``RenewalStream.draw``, which counts it.  An ``"off"`` run takes them
-        through the streams' uncounted ``next_interval`` and, when it ends
-        or raises, sets each stream's ``count`` to what the check holds it
-        to: for flow f its exogenous arrivals plus one (the arrival pending
-        on the calendar), for class k its departures plus one while k is in
-        service.  Raises EventBudgetExceeded after ``default_event_budget``
-        events; a Simulation runs once.
+        the module docstring), and selects the event loop.  A checked run
+        counts the arrivals A per class and takes every interval through
+        ``RenewalStream.draw``, which counts it.  An ``"off"`` run takes
+        them uncounted off the streams' ``intervals`` and counts no
+        arrival.  When it ends or raises, it sets A and each stream's
+        ``count`` to what the check holds them to.  Class k's arrivals are
+        the admissions of the flow entering at k, or the departures of the
+        class before k.  Flow f's count is its exogenous arrivals plus one
+        (the arrival pending on the calendar).  Class k's count is its
+        departures, plus one while k is in service.  Raises
+        EventBudgetExceeded after ``default_event_budget`` events; a
+        Simulation runs once.
         """
         if not 0 < horizon < math.inf or not 0.0 <= warmup_frac < 1.0:
             raise EmptyWindowError("empty measurement window")
@@ -553,22 +593,31 @@ class Simulation:
         records = np.empty((m + 1, 2 * K + F), dtype=np.int64)
 
         period = _CHECK_PERIOD[invariant_checks]
-        # the default is read through the module global, so a patched one applies
+        # both are read through the module globals, so a patched one applies
         budget = default_event_budget(spec, horizon, self.q0)
+        loop = _compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members,
+                             period > 0)
         # bound here, not at import, so that a wrapper installed on the class
         # sees each check
         try:
-            events, r = self._loop(self, horizon, budget, period, self.check_invariants, self.hi, self.off,
-                                   marks, records, order)
+            events, r = loop(self, horizon, budget, period, self.check_invariants, self.hi, self.off,
+                             marks, records, order)
         finally:
             if not period:
-                # the unchecked loop counted no draw: each flow drew its
-                # first arrival and one per arrival, each class one service
-                # per departure and one more while in service
+                # the unchecked loop counted no draw and no arrival: each flow
+                # drew its first arrival and one per arrival, each class one
+                # service per departure and one more while in service; a
+                # class's arrivals are its flow's admissions at the route's
+                # first class, else the departures of the class before it
                 for stream, e in zip(self.arr_streams, self.e):
                     stream.count = e + 1
                 for k, (stream, d) in enumerate(zip(self.svc_streams, self.d)):
                     stream.count = d + (k in self.busy_class)
+                for route, admitted in zip(spec.routes, self.lam):
+                    self.a[route[0]] = admitted
+                for k, l in enumerate(spec.successor):
+                    if l >= 0:
+                        self.a[l] = self.d[k]
         self.t = horizon
         self.event_count = events
         q, d, lam = self.q, self.d, self.lam
@@ -618,8 +667,8 @@ def run(spec: NetworkSpec, n: float, seed: int, horizon: float, *, initial_queue
     go to ``Simulation.run``.  The run has ``default_event_budget`` and
     reads its intervals from ``tapes`` (see ``Simulation``); with
     ``invariant_checks="off"`` it takes them with no call of
-    ``RenewalStream.draw`` past the first arrivals, and sets the streams'
-    counts when it ends."""
+    ``RenewalStream.draw`` past the first arrivals, and sets A and the
+    streams' counts when it ends."""
     return Simulation(spec, n, seed, initial_queues=initial_queues, tapes=tapes).run(horizon, **options)
 
 

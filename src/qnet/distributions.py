@@ -15,7 +15,6 @@ computes the intervals and the others read them.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -190,28 +189,27 @@ class RenewalStream:
 
     The simulation engine owns the calendar; the stream reads the
     intervals of one ``Tape``, from its first, in order, at its own pace,
-    and its law is ``tape.dist``.  There are two ways out of a stream, on
-    one iterator: ``draw()`` hands out the next interval and counts it in
-    ``count``, and ``next_interval()``, a C-level call with no Python
-    frame, hands it out uncounted.  While only ``draw`` reads it,
-    ``count`` is the stream's position on the tape: the tape may have run
-    up to ``_BUFFER - 1`` intervals ahead of it, or any number when
-    another reader went first.  A run with invariant checks ``"off"``
-    reads through ``next_interval`` and sets ``count`` to its position
+    and its law is ``tape.dist``.  ``intervals`` is the stream's one
+    C-level iterator over the tape.  ``draw()`` hands out its next
+    interval and counts it in ``count``; a reader that takes intervals
+    with ``next(stream.intervals)`` counts none.  While only ``draw``
+    reads it, ``count`` is the stream's position on the tape: the tape may
+    have run up to ``_BUFFER - 1`` intervals ahead of it, or any number
+    when another reader went first.  A run with invariant checks ``"off"``
+    reads ``intervals`` with ``next`` and sets ``count`` to its position
     when it ends or raises (see ``des.Simulation.run``).
     """
 
-    __slots__ = ("tape", "count", "_intervals", "next_interval")
+    __slots__ = ("tape", "count", "intervals")
 
     def __init__(self, tape: Tape):
         self.tape = tape
         self.count = 0
-        self._intervals = tape.intervals()
-        self.next_interval = functools.partial(next, self._intervals)
+        self.intervals = tape.intervals()
 
     def draw(self) -> float:
         self.count += 1
-        return next(self._intervals)
+        return next(self.intervals)
 
 
 @dataclass(frozen=True)

@@ -124,11 +124,12 @@ class FluidState:
         return cls(q=q, u=u, v=v, hbar=float(hbar))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RateVector:
     """The rates of one regime, as tuples of floats: ``solve_rates``
     returns the same object for every state of the regime.  ``moving``
-    holds the classes whose ``q_dot`` is not 0."""
+    holds the classes whose ``q_dot`` is not 0.  Two RateVectors are equal
+    when their rates are, so a copied trajectory equals its original."""
     admit: tuple        # per flow, in [0, alpha_f]
     depart: tuple       # per class
     busy: tuple         # per class, server time fraction in [0, 1]
@@ -540,7 +541,9 @@ class FluidTrajectory:
     flows from 0 by adding each row's ``arrival``, ``depart`` or
     ``admit`` times its step, left to right.  A state between rows is
     ``state_at(t)``.  The hit search of ``verify_C1`` reads the rows and
-    builds no column.  The rows are the record, and are not to be modified.
+    builds no column.  The rows are the record, and are not to be modified;
+    a copy or a pickle carries them and no built column, and equals the
+    original.
     ``absorbed_at`` is the first breakpoint at which the state was
     stationary with no pending clock or gate events (the trajectory then
     stays there for all later times).
@@ -567,6 +570,11 @@ class FluidTrajectory:
         column.flags.writeable = False
         self.__dict__[name] = column
         return column
+
+    def __getstate__(self):
+        # the built columns stay behind, so a copy or an unpickled trajectory
+        # builds its own, read-only, from the rows
+        return {k: v for k, v in self.__dict__.items() if k not in TRAJECTORY_COLUMNS}
 
     @property
     def horizon(self) -> float:

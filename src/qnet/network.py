@@ -377,6 +377,56 @@ def offered_load(spec: NetworkSpec) -> np.ndarray:
     return load
 
 
+def fair_rates(spec: NetworkSpec) -> tuple:
+    """The weighted max-min fair rate of each flow, by progressive filling
+    (Bertsekas and Gallager, *Data Networks*, 2nd ed., §6.5).
+
+    Every unfrozen flow f grows at w_f per unit of a common level c.
+    Station i must keep sum_k r_flow(k) / mu_k <= 1 over its fed classes
+    k, which counts jobs per unit of weight as ``_visit_cycle`` serves
+    them.  A flow freezes at alpha_f, or at w_f * c when a station on its
+    route saturates at level c; each step raises c to the first such
+    level.  Floats are summed left to right, in flow and class order.
+
+    Proved (§6.5.2): the result is the one rate vector in which every
+    flow below alpha_f crosses a saturated station where its rate per
+    unit of weight is the largest.  Argued but not proved: a sink of the
+    fluid model has that property, since a flow admitted below alpha_f
+    has a queue at the threshold on its route, a backlogged station is
+    saturated, and weighted round robin gives its backlogged classes
+    equal departures per unit of weight and the others less.  That last
+    step compares flows by their class weights, so the claim is for
+    per-flow weights, the only kind a NetworkSpec holds.  Only measured:
+    wherever ``fluid.integrate`` absorbs, its final ``flow_depart`` equals
+    these rates (to 1e-12 in the tests); not every start absorbs.
+    """
+    w = [float(x) for x in spec.weights]
+    flow_of = {k: f for f, ks in enumerate(spec.routes) for k in ks}
+    rate = [None] * spec.num_flows  # per flow: its rate, once frozen
+    while None in rate:
+        demand = [a / wf if r is None else math.inf for a, wf, r in zip(spec.alpha, w, rate)]
+        capacity = []  # per station: the level at which it saturates
+        for ks in spec.fed:
+            load = grow = 0.0
+            for k in ks:
+                f = flow_of[k]
+                if rate[f] is None:
+                    grow += w[f] / spec.mu[k]
+                else:
+                    load += rate[f] / spec.mu[k]
+            capacity.append((1.0 - load) / grow if grow else math.inf)
+        level = min(demand + capacity)
+        for f, c in enumerate(demand):
+            if c == level:
+                rate[f] = spec.alpha[f]
+        for ks, c in zip(spec.fed, capacity):
+            if c == level:
+                for f in map(flow_of.get, ks):
+                    if rate[f] is None:
+                        rate[f] = w[f] * level
+    return tuple(rate)
+
+
 # ---------------------------------------------------------------------------
 # bundled fixtures
 

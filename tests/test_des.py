@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import heapq
 import pickle
 
@@ -584,30 +585,65 @@ def test_check_is_compiled_once_per_structure_and_called_per_event(monkeypatch):
     assert forward._check is not backward._check
 
 
-def test_loop_is_compiled_once_per_structure_and_grows_linearly():
-    def loop(spec):
-        return des._compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
+def test_loop_is_compiled_once_per_structure_and_grows_linearly(monkeypatch):
+    def loop(spec, checked):
+        return des._compile_loop(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members,
+                                 checked)
 
     spec = switch_example_spec()
-    assert loop(dataclasses.replace(spec)) is loop(spec)
+    for checked in (True, False):
+        assert loop(dataclasses.replace(spec), checked) is loop(spec, checked)
+    assert loop(spec, True) is not loop(spec, False)
     # a cycle's length is table data, not source: weights 40:1 compile to as
     # many bytecode bytes as 1:1; flows on their own stations add bytecode in
-    # proportion
-    def size(net):
-        return len(loop(net).__code__.co_code)
+    # proportion.  Both loops, the checked and the unchecked one
+    def size(net, checked):
+        return len(loop(net, checked).__code__.co_code)
 
     station, _ = two_class_station()
     weighted, _ = two_class_station(weights=(40, 1))
     assert len(weighted.cycles[0]) == 41
-    assert size(weighted) == size(station)
 
     def parallel(m):
         return build_network([(i,) for i in range(m)], arrival=[EXP1] * m, service=[[EXP1]] * m)
 
-    sizes = [size(parallel(m)) for m in (4, 8, 16)]
-    assert sizes[2] - sizes[1] <= 2 * (sizes[1] - sizes[0]) + 32
+    for checked in (True, False):
+        assert size(weighted, checked) == size(station, checked)
+        sizes = [size(parallel(m), checked) for m in (4, 8, 16)]
+        assert sizes[2] - sizes[1] <= 2 * (sizes[1] - sizes[0]) + 32
     # the generated text is dropped once compiled
-    assert not hasattr(loop(spec), "source") and not hasattr(Simulation(spec, 10, 1)._check, "source")
+    assert not hasattr(loop(spec, True), "source") and not hasattr(Simulation(spec, 10, 1)._check, "source")
+
+    # a run fetches the loop of its mode when it starts: Simulations of one
+    # structure share it
+    fetched, want = [], [loop(spec, True)] * 2 + [loop(spec, False)] * 2
+    compile_loop = des._compile_loop
+
+    def recorded(*structure):
+        fetched.append(compile_loop(*structure))
+        return fetched[-1]
+
+    monkeypatch.setattr(des, "_compile_loop", recorded)
+    for net, mode in [(spec, "every"), (dataclasses.replace(spec), "sparse"), (spec, "off"),
+                      (dataclasses.replace(spec), "off")]:
+        Simulation(net, 10, 1).run(50.0, invariant_checks=mode)
+    assert fetched == want
+
+    # the checked loop's text on the switch is pinned, as text because its
+    # bytecode differs between Python versions: the invariant check reads
+    # what this loop counts, and a change to it shows here
+    texts = []
+    define = des._define
+
+    def kept(lines, *args):
+        texts.append("\n".join(lines))
+        return define(lines, *args)
+
+    monkeypatch.setattr(des, "_define", kept)
+    compile_loop.__wrapped__(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members, True)
+    assert len(texts[0].splitlines()) == 298
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == (
+        "eb86d1767f1aad398dbc172b0b9e8a00534fb6c569fe6ae9f196bd85156458c8")
 
 
 def test_loop_calls_heapq_as_bound_when_the_run_starts(monkeypatch):

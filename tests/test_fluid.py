@@ -1,16 +1,18 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import qnet
 from qnet.distributions import DistributionSpec
-from qnet.fluid import TRAJECTORY_COLUMNS, FluidState, _classify, integrate, solve_rates
-from qnet.network import SWITCH, build_network, switch_example_spec, tandem_spec
+from qnet.fluid import TRAJECTORY_COLUMNS, FluidRateError, FluidState, _classify, integrate, solve_rates
+from qnet.network import SWITCH, build_network, fair_rates, switch_example_spec, tandem_spec
 
 EXP = DistributionSpec.exponential
 
@@ -480,7 +482,7 @@ def test_surplus_goes_to_the_saturated_flow():
 
 
 @st.composite
-def fluid_cases(draw):
+def fluid_cases(draw, max_weight=3):
     d = draw(st.integers(2, 4))
     F = draw(st.integers(1, 3))
     paths, arrival, service, weights = [], [], [], []
@@ -490,7 +492,7 @@ def fluid_cases(draw):
         paths.append(tuple(perm[:length]))
         arrival.append(EXP(draw(st.floats(0.2, 1.7))))
         service.append([EXP(draw(st.floats(0.3, 2.3))) for _ in range(length)])
-        weights.append(draw(st.integers(1, 3)))
+        weights.append(draw(st.integers(1, max_weight)))
     spec = build_network(
         paths, arrival=arrival, service=service, weights=weights,
         threshold_base=1.0, num_stations=d,
@@ -543,6 +545,44 @@ def test_rate_invariants_on_random_networks(case):
     assert traj.horizon == float(horizon)
     assert (traj.q >= -1e-9).all()
     assert conservation_residual(spec, traj) <= 1e-9
+
+
+def test_fair_rates_by_progressive_filling():
+    assert fair_rates(switch_example_spec()) == (0.5, 0.5, 0.5)
+    assert fair_rates(tandem_spec(1.0, 0.8, 0.5)) == (0.5,)
+    assert fair_rates(tandem_spec(0.3, 0.8, 0.5)) == (0.3,)  # below every capacity
+    # one station at rate 1: weights 2:1 share it 2:1, and a flow frozen
+    # at its arrival rate leaves the rest to the other
+    shared = [[EXP(1.0)], [EXP(1.0)]]
+    assert fair_rates(build_network([(0,), (0,)], arrival=[EXP(5.0)] * 2, service=shared,
+                                    weights=[2, 1])) == pytest.approx((2 / 3, 1 / 3), abs=1e-15)
+    assert fair_rates(build_network([(0,), (0,)], arrival=[EXP(0.25), EXP(5.0)],
+                                    service=shared)) == (0.25, 0.75)
+    # flow 1 saturates station 1 at level 0.25 (4 jobs per unit of weight
+    # at rate 1), and flow 0 then fills the rest of station 0
+    spec = build_network([(0,), (0, 1)], arrival=[EXP(5.0)] * 2,
+                         service=[[EXP(1.0)], [EXP(1.0), EXP(0.25)]])
+    assert fair_rates(spec) == pytest.approx((0.75, 0.25), abs=1e-15)
+
+
+@settings(max_examples=500, deadline=None)
+@given(fluid_cases(max_weight=20))
+def test_absorbed_trajectories_end_at_the_fair_rates(case):
+    # the measured half of fair_rates' claim: wherever integrate absorbs,
+    # weighted and cyclic networks included, from any start, its final
+    # departure rates are the fair rates.  Starts that raise FluidRateError
+    # or have not absorbed by t = 3000 are noted and not counted
+    spec, state, _horizon = case
+    try:
+        traj = integrate(state, spec, 3000.0)
+    except FluidRateError:
+        event("raised FluidRateError")
+        assume(False)
+    if traj.absorbed_at is None:
+        event("not absorbed by t = 3000")
+        assume(False)
+    final = traj.rows[-1][4].flow_depart
+    assert max(abs(x - y) for x, y in zip(final, fair_rates(spec))) <= 1e-12
 
 
 def reference_integrate(state0, spec, horizon):
@@ -693,6 +733,26 @@ def test_trajectory_columns_match_the_eager_build(case):
     for t, q, u, v, rates, step in traj.rows:
         assert rates is solve_rates(FluidState(np.array(q), np.array(u), np.array(v), traj.hbar), spec)
     assert traj.rows[-1][5] == 0.0
+
+
+def test_copied_trajectories_are_read_only_and_equal():
+    # a pickled or copied trajectory carries the rows, not the columns read
+    # before: it builds its own, read-only, and equals the original by its
+    # numbers, RateVectors included
+    spec = switch_example_spec()
+    traj = integrate(FluidState.initial(spec, np.zeros(spec.num_classes), 1.0), spec, 30.0)
+    columns = {name: getattr(traj, name) for name in TRAJECTORY_COLUMNS}
+    for copied in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj), copy.copy(traj)):
+        assert copied == traj
+        assert not set(TRAJECTORY_COLUMNS) & set(vars(copied))
+        for name, want in columns.items():
+            column = getattr(copied, name)
+            assert column.tobytes() == want.tobytes(), name
+            with pytest.raises(ValueError, match="read-only"):
+                column[-1] = 1.0
+    assert traj.rows[0][4] == dataclasses.replace(traj.rows[0][4])
+    assert traj.rows[0][4] != traj.rows[-1][4]
+    assert traj != integrate(FluidState.initial(spec, np.zeros(spec.num_classes), 1.0), spec, 31.0)
 
 
 @settings(max_examples=40, deadline=None)
