@@ -15,7 +15,9 @@ Every verb loads its config with ``config.load_config``: the sections
 arrive checked, converted and with their defaults filled in, and the
 network was checked for every fault by ``network.build_network``, so
 this module reads them as they are.  ``validate`` prints the network's
-warnings and its offered load.
+warnings and its offered load.  ``verify-c2`` and ``sweep`` compare the
+rates with the section's ``target_rates`` or, when it gives none, with
+the network's weighted max-min fair rates (``network.fair_rates``).
 """
 from __future__ import annotations
 
@@ -125,12 +127,19 @@ def cmd_verify_c1(args) -> int:
     return EXIT_OK if report.ok else EXIT_RUNTIME
 
 
+def _target_rates(cfg, given):
+    """``given``, a section's ``target_rates``, or when it is None the
+    network's weighted max-min fair rates (``network.fair_rates``)."""
+    if given is not None:
+        return given
+    from .network import fair_rates
+    return fair_rates(cfg.network)
+
+
 def cmd_verify_c2(args) -> int:
     cfg, node = _verify_common(args)
-    if node["target_rates"] is None:
-        raise ConfigError("verify: c2 needs target_rates")
     report = absorption.verify_C2(
-        cfg.network, node["set"], node["hbar"], node["target_rates"],
+        cfg.network, node["set"], node["hbar"], _target_rates(cfg, node["target_rates"]),
         per_piece=node["per_piece"], seed=args.seed or 0,
     )
     out = _outdir(args)
@@ -150,7 +159,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     experiments.export_rate_table_csv(table, os.path.join(out, "rates.csv"))
     experiments.export_rate_table_json(
-        table, os.path.join(out, "rates.json"), target_rates=plan.target_rates
+        table, os.path.join(out, "rates.json"), target_rates=_target_rates(cfg, plan.target_rates)
     )
     for n in plan.n_values:
         rates = table.rates_for(n)

@@ -67,10 +67,11 @@ structure, the spec's ``check_structure``, is read once per spec from
 engine runs on, and compiled into a function of straight-line code with
 fixed indices, once per structure (``_compile_check``, about 1 ms): a
 loop over the structure spent most of a check's time on the loop itself.
+The function unpacks each state list into locals once per call.
 Measured in process time on 2 shared cores (medians of 12 passes), an
-``"every"`` run takes 4.9 times as long per event as an ``"off"`` run on
-the 100 ``checked_random`` networks (2.99 against 0.61 us) and 7.7 times
-on the switch at n=100 (5.1 against 0.67 us); an ``"off"`` run keeps no
+``"every"`` run takes 4.1 times as long per event as an ``"off"`` run on
+the 100 ``checked_random`` networks (2.28 against 0.55 us) and 6.7 times
+on the switch at n=100 (4.05 against 0.60 us); an ``"off"`` run keeps no
 count that only the check reads and draws no interval through a Python
 call, a checked one every interval.
 Any other mode, or sample times that are not a 1-D array within the
@@ -371,7 +372,7 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
             "                if events == limit:",
             f"                    {over}",
             "                check(t)",
-            "                due = min(events + period, limit)",
+            "                due = events + period if events + period < limit else limit",
         ]
     else:
         lines += ["        else:", f"            {over}"]
@@ -395,10 +396,15 @@ def _compile_check(feeds: tuple, served: tuple, num_flows: int):
     names a station, a class or a flow is one ``if`` per index, in the
     order of that index, so the first identity that fails raises its
     message.  The function reads every piece of state from ``sim`` on
-    each call and stores the busy and idle times it computed for the next
-    call's monotonicity checks.  The source holds only integer indices
-    and fixed text.  Compiling takes about a millisecond, so it is done
-    once per structure.
+    each call, unpacking each list into one local per entry (``q0, q1, =
+    sim.q``) the first time an identity reads it, so that no entry is
+    subscripted twice, and stores the busy and idle times it computed for
+    the next call's monotonicity checks.  Only the busy times are built by
+    subscript: each in-progress service adds to the copy's entry of the
+    class its station names, which may be any class, before the copy is
+    unpacked.  The classes in service stay a list, tested with ``in``.
+    The source holds only integer indices and fixed text.  Compiling
+    takes about a millisecond, so it is done once per structure.
     """
     K, F = len(feeds), int(num_flows)
 
@@ -411,46 +417,50 @@ def _compile_check(feeds: tuple, served: tuple, num_flows: int):
     def fail_if_any(conditions, message):
         return fail_if(" or ".join(conditions), message)
 
+    def unpack(prefix, size, source):
+        # one local per entry of the list ``source``, named prefix + index
+        return [f"    {''.join(f'{prefix}{j}, ' for j in range(size))}= {source}"] if size else []
+
     stations = range(len(served))
-    lines = ["def check(sim, t):", "    q = sim.q", "    a = sim.a", "    d = sim.d", "    lam = sim.lam"]
+    lines = (["def check(sim, t):"] + unpack("q", K, "sim.q") + unpack("a", K, "sim.a")
+             + unpack("d", K, "sim.d") + unpack("lam", F, "sim.lam"))
     routed = [
-        total(([f"lam[{int(f)}]"] if f >= 0 else []) + [f"d[{int(j)}]" for j in preds])
+        total(([f"lam{int(f)}"] if f >= 0 else []) + [f"d{int(j)}" for j in preds])
         for preds, f in feeds
     ]
-    lines += fail_if_any([f"a[{k}] != {r}" for k, r in enumerate(routed)], "A != P^T D + Lambda")
-    lines.append("    q0 = sim.q0")
-    lines += fail_if_any([f"q[{k}] != q0[{k}] + a[{k}] - d[{k}]" for k in range(K)],
-                         "Q != Q(0) + A - D")
-    lines += fail_if_any([f"q[{k}] < 0" for k in range(K)], "negative queue length")
+    lines += fail_if_any([f"a{k} != {r}" for k, r in enumerate(routed)], "A != P^T D + Lambda")
+    lines += unpack("q0_", K, "sim.q0")
+    lines += fail_if_any([f"q{k} != q0_{k} + a{k} - d{k}" for k in range(K)], "Q != Q(0) + A - D")
+    lines += fail_if_any([f"q{k} < 0" for k in range(K)], "negative queue length")
     # in-progress services count towards the busy time of their class
     lines += ["    b = sim.busy[:]", "    bc = sim.busy_class", "    ss = sim.service_start"]
     for i in stations:
         lines += [f"    c = bc[{i}]", "    if c >= 0:", f"        b[c] += t - ss[{i}]"]
-    lines.append("    pb = sim._prev_busy")
-    lines += fail_if_any([f"b[{k}] < pb[{k}] - 1e-9" for k in range(K)], "busy time decreased")
-    lines += [f"    i{i} = t - ({total(f'b[{int(k)}]' for k in served[i])})" for i in stations]
+    lines += unpack("b", K, "b") + unpack("pb", K, "sim._prev_busy")
+    lines += fail_if_any([f"b{k} < pb{k} - 1e-9" for k in range(K)], "busy time decreased")
+    lines += [f"    i{i} = t - ({total(f'b{int(k)}' for k in served[i])})" for i in stations]
     lines += fail_if_any([f"i{i} < -1e-9" for i in stations], "negative idle time")
-    lines.append("    pi = sim._prev_idle")
-    lines += fail_if_any([f"i{i} < pi[{i}] - 1e-9" for i in stations], "idle time decreased")
+    lines += unpack("pi", len(served), "sim._prev_idle")
+    lines += fail_if_any([f"i{i} < pi{i} - 1e-9" for i in stations], "idle time decreased")
     # one interarrival is always drawn ahead of the pending event
-    lines += ["    e = sim.e", "    s = sim.arr_streams"]
+    lines += unpack("e", F, "sim.e") + unpack("arr", F, "sim.arr_streams")
     for f in range(F):
-        lines += fail_if(f"lam[{f}] > e[{f}]", "admitted more than arrived")
-        lines += fail_if(f"e[{f}] != s[{f}].count - 1", "arrival count disagrees with its stream")
+        lines += fail_if(f"lam{f} > e{f}", "admitted more than arrived")
+        lines += fail_if(f"e{f} != arr{f}.count - 1", "arrival count disagrees with its stream")
     # departures are the composition of the service counting process with
     # the cumulative busy time: every departure is one drawn service, with
     # one more draw in progress for each class in service
-    lines.append("    s = sim.svc_streams")
-    lines += fail_if_any([f"s[{k}].count - ({k} in bc) != d[{k}]" for k in range(K)],
+    lines += unpack("svc", K, "sim.svc_streams")
+    lines += fail_if_any([f"svc{k}.count - ({k} in bc) != d{k}" for k in range(K)],
                          "departure count disagrees with its stream")
     for i in stations:
         if served[i]:
-            backlog = " or ".join(f"q[{int(k)}] > 0" for k in served[i])
+            backlog = " or ".join(f"q{int(k)} > 0" for k in served[i])
             lines += fail_if(f"bc[{i}] < 0 and ({backlog})", f"station {i} idle while backlogged")
-    lines += ["    nh = sim.nh", "    low = sim.low", "    flags = sim.flags"]
+    lines += ["    nh = sim.nh", "    low = sim.low"] + unpack("flag", K, "sim.flags")
     for k in range(K):
-        lines += fail_if(f"q[{k}] >= nh and not flags[{k}]", f"flag {k} off at/above threshold")
-        lines += fail_if(f"q[{k}] < low and flags[{k}]", f"flag {k} on below the lower threshold")
+        lines += fail_if(f"q{k} >= nh and not flag{k}", f"flag {k} off at/above threshold")
+        lines += fail_if(f"q{k} < low and flag{k}", f"flag {k} on below the lower threshold")
     lines += [
         "    sim._prev_busy = b",
         f"    sim._prev_idle = [{', '.join(f'i{i}' for i in stations)}]",
@@ -535,8 +545,9 @@ class Simulation:
         ``constituency``, not from the tables the engine runs on.  The
         checks are straight-line code compiled once per network structure
         (``_compile_check``), which reads the state from this Simulation
-        on each call; a check costs 3-7 us on the test networks, so it can
-        run after every event.
+        on each call; a check costs about 3 us on the switch and 0.7-3 us
+        on the ``checked_random`` networks, so it can run after every
+        event.
         """
         self._check(self, t)
 

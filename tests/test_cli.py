@@ -531,7 +531,6 @@ class TestCli:
             ("verify-c1", "", "config has no verify section"),
             ("verify-c1", "verify: {set: {kind: tandem_point}, hbar: 1.0}\n",
              "verify: c1 needs a starts list (initial q vectors)"),
-            ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0}\n", "verify: c2 needs target_rates"),
             ("export", "", "export: nothing to export (no simulate or fluid section)"),
             # the shape of the document and of its sections
             ("validate", "version 1\n", "config: expected a mapping"),
@@ -560,7 +559,7 @@ class TestCli:
              "seeds_and_replications", "seeds_and_base_seed", "seeds_repeated",
              "initial_queues_idle_slot", "initial_q_idle_slot", "initial_v_idle_slot", "starts_idle_slot",
              "n_quoted", "horizon_quoted_exponent", "no_simulate_section", "no_fluid_section",
-             "no_verify_section", "c1_without_starts", "c2_without_target_rates", "export_nothing",
+             "no_verify_section", "c1_without_starts", "export_nothing",
              "document_not_mapping", "simulate_missing_n", "distribution_two_keys", "weight_float"],
     )
     def test_config_field_shapes_exit_1(self, tmp_path, capsys, verb, extra, message):
@@ -590,6 +589,28 @@ class TestCli:
         assert main(["verify-c2", "--config", str(p), "--out", str(out)]) == 2
         c2 = json.loads((out / "c2.json").read_text())
         assert c2["max_deviation"] == pytest.approx(0.4) and not c2["ok"]
+
+    def test_verify_c2_without_target_rates_checks_the_fair_rates(self, tmp_path):
+        # a network built from its flows, with no preset: C2 compares the
+        # member states' rates with network.fair_rates, here the bottleneck
+        # rate 0.5 of the tandem (it used to exit 1 without target_rates)
+        p = tmp_path / "c2.yaml"
+        p.write_text(TANDEM_YAML + "verify: {set: {kind: tandem_point}, hbar: 1.0}\n")
+        assert qnet.fair_rates(load_config(p).network) == (0.5,)
+        out = tmp_path / "out"
+        assert main(["verify-c2", "--config", str(p), "--out", str(out)]) == 0
+        c2 = json.loads((out / "c2.json").read_text())
+        assert c2["target"] == [0.5] and c2["max_deviation"] == 0.0 and c2["ok"]
+
+    def test_sweep_without_target_rates_compares_with_the_fair_rates(self, tmp_path):
+        # the comparison a sweep writes with no target_rates is the one it
+        # writes with the fair rates given: the same rates.json, byte for byte
+        plan = "experiment: {n_values: [5, 20], horizon: 300, seeds: [3, 4]%s}\n"
+        for name, extra in [("fair", ""), ("given", ", target_rates: [0.5]")]:
+            (tmp_path / f"{name}.yaml").write_text(TANDEM_YAML + plan % extra)
+            assert main(["sweep", "--config", str(tmp_path / f"{name}.yaml"), "--out", str(tmp_path / name)]) == 0
+        assert "comparison" in json.loads((tmp_path / "fair" / "rates.json").read_text())
+        assert sha(tmp_path / "fair" / "rates.json") == sha(tmp_path / "given" / "rates.json")
 
     def test_zero_interarrival_exit_1(self, tmp_path):
         # infinite arrival rate: simulate used to loop forever at t=0

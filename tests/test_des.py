@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import heapq
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -631,7 +632,19 @@ def test_loop_is_compiled_once_per_structure_and_grows_linearly(monkeypatch):
 
     # the checked loop's text on the switch is pinned, as text because its
     # bytecode differs between Python versions: the invariant check reads
-    # what this loop counts, and a change to it shows here
+    # what this loop counts, and a change to it shows here.  It schedules
+    # the next check with a conditional expression, not a call of min()
+    text = _generated_text(monkeypatch, compile_loop, spec.routes, spec.successor, spec.station_of,
+                           spec.cycles, spec.members, True)
+    assert len(text.splitlines()) == 298
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5fbddbe617ee72558cb5dd2a92f2c0934a34b6da3743861289831ce4ae8969e4")
+    assert "min(" not in text.split("events += 1")[1]
+
+
+def _generated_text(monkeypatch, generator, *structure):
+    # the source text that ``generator``, one of des's cached code
+    # generators, writes for ``structure``, bypassing its cache
     texts = []
     define = des._define
 
@@ -640,10 +653,25 @@ def test_loop_is_compiled_once_per_structure_and_grows_linearly(monkeypatch):
         return define(lines, *args)
 
     monkeypatch.setattr(des, "_define", kept)
-    compile_loop.__wrapped__(spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members, True)
-    assert len(texts[0].splitlines()) == 298
-    assert hashlib.sha256(texts[0].encode()).hexdigest() == (
-        "eb86d1767f1aad398dbc172b0b9e8a00534fb6c569fe6ae9f196bd85156458c8")
+    generator.__wrapped__(*structure)
+    monkeypatch.setattr(des, "_define", define)
+    return texts[0]
+
+
+def test_check_text_is_pinned(monkeypatch):
+    # the compiled check's text on the switch is pinned, as text because its
+    # bytecode differs between Python versions.  Each state list is read
+    # once, unpacked into locals; only the copy of the busy times (which
+    # takes each in-progress service on the class its station names), the
+    # classes in service and the service starts are subscripted
+    spec = switch_example_spec()
+    text = _generated_text(monkeypatch, des._compile_check, *spec.check_structure, spec.num_flows)
+    lines = text.splitlines()
+    assert lines[1] == "    q0, q1, q2, q3, q4, q5, q6, q7, = sim.q"
+    assert set(re.findall(r"(\w+)\[(?!:)", text)) == {"b", "bc", "ss"}
+    assert len(lines) == 102
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d3eb07074f0880fcd07e3b1bf5134b5d77467c64f1bc989668caa10f3516baa2")
 
 
 def test_loop_calls_heapq_as_bound_when_the_run_starts(monkeypatch):
@@ -1175,6 +1203,32 @@ def _trace_bytes(trace):
         x = getattr(trace, field.name)
         out.append((x.dtype.str, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else repr(x))
     return out
+
+
+@pytest.mark.parametrize("budget", [1999, 2000, 2001, None])
+@pytest.mark.parametrize("n, seed, queues, horizon, times", [
+    (10, 5, None, 700.0, None),
+    (3, 8, [4, 4, 2, 0, 6, 0, 3, 9], 900.0, [0.0, 250.5, 899.0]),
+])
+def test_sparse_checks_match_the_generic_loop(n, seed, queues, horizon, times, budget):
+    # engine_cases' budgets and horizons rarely reach a sparse check; these
+    # switch runs of 3448 and 3606 events check after events 1000, 2000 and
+    # 3000, or stop at a budget just below, at or above a check
+    run_args = dict(warmup_frac=0.2, sample_times=times, invariant_checks="sparse")
+    case = (switch_example_spec(), n, seed, queues, horizon, run_args, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        compiled = _engine_outcome(case, None, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        generic = _engine_outcome(case, _reference_run, mp)
+    result, checks, state = compiled
+    if budget is None:
+        assert 2500 <= result.event_count <= 5000 and len(checks) == 3
+        assert _trace_bytes(result) == _trace_bytes(generic[0])
+    else:
+        assert result.startswith(f"exceeded event budget {budget} at t=") and result == generic[0]
+        assert len(checks) == budget // 1000
+    assert checks == generic[1]
+    assert state == generic[2]
 
 
 @settings(max_examples=100, deadline=None)
