@@ -11,8 +11,8 @@ holds plain Python values that need no further checks.  The kinds:
   is read with YAML 1.2 floats, so ``1e4`` and ``1.0e308`` are floats);
   some fields must also be positive, nonnegative or a fraction in [0, 1);
 * an integer is a finite integral number: ``2`` and ``2.0`` read as 2;
-  seeds, ``sample_count``, ``per_piece`` and the entries of
-  ``initial_queues`` must also be nonnegative;
+  seeds, ``per_piece`` and the entries of ``initial_queues`` must also
+  be nonnegative, and ``sample_count`` positive;
 * lists (read as tuples) and mappings of such values;
 * class ids are integers in [0, number of classes);
 * per-class and per-flow lists have one entry per class or flow of the
@@ -96,6 +96,7 @@ NONNEGATIVE = _number("a nonnegative number", lambda x: x >= 0)
 FRACTION = _number("a number in [0, 1)", lambda x: 0 <= x < 1)
 INTEGER = _number("an integer", float.is_integer, int)
 NONNEGATIVE_INTEGER = _number("a nonnegative integer", lambda x: x >= 0 and x.is_integer(), int)
+POSITIVE_INTEGER = _number("a positive integer", lambda x: x > 0 and x.is_integer(), int)
 
 
 def _list(item, length=None, into=tuple, per=None):
@@ -263,7 +264,7 @@ def _simulate(node, where: str, net: NetworkSpec) -> dict:
         "horizon": (POSITIVE, REQUIRED),
         "seed": (NONNEGATIVE_INTEGER, 0),
         "warmup_frac": (FRACTION, 0.2),
-        "sample_count": (NONNEGATIVE_INTEGER, None),
+        "sample_count": (POSITIVE_INTEGER, None),
         "initial_queues": (_per_class(NONNEGATIVE_INTEGER, net), None),
     })
 

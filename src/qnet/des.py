@@ -39,22 +39,22 @@ compiled.  The loop keeps the state lists, ``heapq``'s functions and
 each stream's draw callable or iterator in locals; the lists are the
 ``Simulation``'s own, mutated in place, so the attributes show the state
 after each event, and the clock ``t`` is written when the run ends or
-raises.  A checked run (``"sparse"``, ``"every"``) keeps what only the
-check reads: it counts its events towards the next check, counts the
-arrivals A per class, and draws through each stream's ``draw``, which
-counts the draws.  An ``"off"`` run keeps none of it.  It takes each
-interval with ``next`` off its stream's ``intervals``, the same C-level
-iterator, so it draws the same intervals in the same order with no
-Python frame per interval.  It bounds its events with
-``itertools.repeat`` and counts them as E + D, one exogenous arrival or
-one completion each.  When it ends or raises, ``run`` sets A and each
-stream's ``count`` from the other counters, to what the checked loop
-holds.  The callables are bound when ``run`` starts, not when the loop
-is compiled, so wrappers installed on ``Simulation`` or ``heapq``
-beforehand see every call, and one on ``RenewalStream.draw`` every draw
-of a checked run but only the first arrivals, drawn when the
-``Simulation`` is built, of an ``"off"`` run.  Stations start serving
-when ``run`` begins.
+raises.  Both modes run one skeleton: ``itertools.repeat`` bounds the
+events, its exhaustion raises the budget error, and the event count is
+E + D, one exogenous arrival or one completion each.  A checked run
+(``"sparse"``, ``"every"``) adds only what the check reads: a countdown
+to the next check, which runs at the top of the next iteration, the
+arrivals A per class, and its draws through each stream's ``draw``,
+which counts them.  An ``"off"`` run takes each interval with ``next``
+off its stream's ``intervals``, the same C-level iterator, so it draws
+the same intervals in the same order with no Python frame per interval;
+when it ends or raises, ``run`` sets A and each stream's ``count`` from
+the other counters, to what the checked loop holds.  The callables are
+bound when ``run`` starts, not when the loop is compiled, so wrappers
+installed on ``Simulation`` or ``heapq`` beforehand see every call, and
+one on ``RenewalStream.draw`` every draw of a checked run but only the
+first arrivals, drawn when the ``Simulation`` is built, of an ``"off"``
+run.  Stations start serving when ``run`` begins.
 
 Invariant checks: ``invariant_checks`` is ``"off"``, ``"sparse"`` (after
 every 1000th event, the default) or ``"every"`` (after every event).
@@ -69,9 +69,9 @@ fixed indices, once per structure (``_compile_check``, about 1 ms): a
 loop over the structure spent most of a check's time on the loop itself.
 The function unpacks each state list into locals once per call.
 Measured in process time on 2 shared cores (medians of 12 passes), an
-``"every"`` run takes 4.1 times as long per event as an ``"off"`` run on
-the 100 ``checked_random`` networks (2.28 against 0.55 us) and 6.7 times
-on the switch at n=100 (4.05 against 0.60 us); an ``"off"`` run keeps no
+``"every"`` run takes 3.5 times as long per event as an ``"off"`` run on
+the 100 ``checked_random`` networks (3.50 against 1.00 us) and 6.1 times
+on the switch at n=100 (6.24 against 1.02 us); an ``"off"`` run keeps no
 count that only the check reads and draws no interval through a Python
 call, a checked one every interval.
 Any other mode, or sample times that are not a 1-D array within the
@@ -226,20 +226,21 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
 
     The function is ``loop(sim, horizon, budget, period, check, hi, off,
     marks, records, order)``.  It starts the stations and runs ``sim``
-    from its calendar to ``horizon``: it raises EventBudgetExceeded after
-    ``budget`` events, stores (q, D, Lambda) in ``records[order[r]]`` at
-    the first event after ``marks[r]``, and returns the event count and
-    the number of records stored.  The checked loop counts its events,
-    calls ``check(t)`` after every ``period``-th (never if 0), counts
-    each class's arrivals in A and draws through each stream's ``draw``,
-    which counts the draws: the check compares A and the draw counts with
-    the other counters.  The unchecked loop ignores ``period`` and
-    ``check`` and keeps none of that bookkeeping: it takes each interval
-    with ``next`` off its stream's ``intervals``, runs its events under
-    ``itertools.repeat(None, budget + 1)``, whose exhaustion raises the
-    budget error at the same event, and returns ``sum(E) + sum(D)``,
-    since every event is one exogenous arrival or one completion;
-    ``Simulation.run`` sets A and the draw counts when it ends.  An event
+    from its calendar to ``horizon`` under ``itertools.repeat(None,
+    budget + 1)``, whose exhaustion raises EventBudgetExceeded after
+    ``budget`` events; it stores (q, D, Lambda) in ``records[order[r]]``
+    at the first event after ``marks[r]``, and returns ``sum(E) + sum(D)``,
+    the event count, since every event is one exogenous arrival or one
+    completion, and the number of records stored.  Both modes share this
+    text; the checked one adds only what the invariant check reads.  It
+    counts down ``period`` (positive) events and calls ``check(t)`` at the
+    top of the next iteration, so a check follows every ``period``-th
+    event, the last one before a normal end included, but not the event
+    that overruns the budget; it counts each class's arrivals in A and
+    draws through each stream's ``draw``, which counts the draws.  The
+    unchecked loop ignores ``period`` and ``check`` and takes each interval
+    with ``next`` off its stream's ``intervals``; ``Simulation.run`` sets A
+    and the draw counts when it ends.  An event
     is ``(t, code)``, ``code`` the class k of a completion or K + f for an
     arrival of flow f, so completions fire before arrivals at equal times,
     then by class or flow id.  Each flow always has an arrival on the
@@ -262,6 +263,10 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
     for i, cyc in enumerate(cycles):
         if len(cyc) > 1:
             namespace[f"R{i}"] = tuple((c, (j + 1) % len(cyc)) for j, c in enumerate(cyc))
+
+    def only(*checked_lines):
+        # lines that only a checked run keeps: what the invariant check reads
+        return list(checked_lines) if checked else []
 
     def draw(stream):
         # the next interval of ``stream``: its counted ``draw``, or the next
@@ -289,7 +294,7 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         # one job joins class k; an idle station starts serving
         i = station_of[k]
         backlog = " + ".join(f"q[{c}]" for c in members[i])
-        return [f"x = q[{k}] + 1", f"q[{k}] = x"] + ([f"a[{k}] += 1"] if checked else []) + [
+        return [f"x = q[{k}] + 1", f"q[{k}] = x"] + only(f"a[{k}] += 1") + [
                 "if x >= hi:", f"    flags[{k}] = 1",
                 f"if busy_class[{i}] < 0:", f"    if __debug__ and {backlog} != 1:",
                 f"        raise InvariantViolation({f'station {i} idle while backlogged'!r})",
@@ -322,15 +327,14 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
                 + [f"{pad}else:"] + dispatch(codes[mid:], pad + "    "))
 
     codes = sorted(c for cyc in cycles for c in set(cyc)) + list(range(K, K + F))
-    state = ["q", "a", "d", "lam", "e", "flags"] if checked else ["q", "d", "lam", "e", "flags"]
     source = "draw" if checked else "intervals"
     lines = [
         "def loop(sim, horizon, budget, period, check, hi, off, marks, records, order):",
-        f"    {', '.join(state)} = {', '.join(f'sim.{x}' for x in state)}",
+        "    q, d, lam, e, flags = sim.q, sim.d, sim.lam, sim.e, sim.flags",
         "    busy, busy_class, service_start, cursor = sim.busy, sim.busy_class, sim.service_start, sim.cursor",
         "    heap = sim.heap",
         "    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace",
-    ] + ([] if checked else ["    nx = next"]) + [
+        "    a = sim.a" if checked else "    nx = next",
         f"    {''.join(f'sa{f}, ' for f in range(F))}= [s.{source} for s in sim.arr_streams]",
         f"    ss = [s.{source} for s in sim.svc_streams]",
         f"    {''.join(f'ss{k}, ' for k in range(K))}= ss",
@@ -342,17 +346,11 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         elif cyc:
             lines += [f"    if q[{cyc[0]}] > 0:"] + ["        " + x for x in serve(cyc[0])]
     lines += ["    r = 0", "    mark = marks[0]", "    stop = min(mark, horizon)"]
-    over = "raise EventBudgetExceeded(f'exceeded event budget {budget} at t={t:.6g}')"
-    if checked:
-        lines += [
-            "    limit = budget + 1",
-            "    due = min(period, limit) if period else limit",
-            "    events = 0",
-            "    try:",
-            "        while True:",
-        ]
-    else:
-        lines += ["    try:", "        for _ in repeat(None, budget + 1):"]
+    # a checked run counts down the events to its next check, which runs at
+    # the top of the next iteration: after the last event before a break too,
+    # but not after the event that overruns the budget
+    lines += only("    left = period") + ["    try:", "        for _ in repeat(None, budget + 1):"]
+    lines += only("            if not left:", "                check(t)", "                left = period")
     lines += [
         "            t, code = heap[0]",
         "            if t > stop:",
@@ -364,23 +362,14 @@ def _compile_loop(routes: tuple, successor: tuple, station_of: tuple, cycles: tu
         "                    mark = marks[r]",
         "                stop = min(mark, horizon)",
     ]
-    lines += dispatch(codes, "            ")
-    if checked:
-        lines += [
-            "            events += 1",
-            "            if events == due:",
-            "                if events == limit:",
-            f"                    {over}",
-            "                check(t)",
-            "                due = events + period if events + period < limit else limit",
-        ]
-    else:
-        lines += ["        else:", f"            {over}"]
+    lines += dispatch(codes, "            ") + only("            left -= 1")
     lines += [
+        "        else:",
+        "            raise EventBudgetExceeded(f'exceeded event budget {budget} at t={t:.6g}')",
         "    except BaseException:",
         "        sim.t = t",
         "        raise",
-        "    return events, r" if checked else "    return sum(e) + sum(d), r",
+        "    return sum(e) + sum(d), r",
     ]
     return _define(lines, "<event loop>", namespace)
 
@@ -566,16 +555,18 @@ class Simulation:
         each of ``sample_times``.
 
         ``invariant_checks`` is ``"off"``, ``"sparse"`` or ``"every"`` (see
-        the module docstring), and selects the event loop.  A checked run
-        counts the arrivals A per class and takes every interval through
+        the module docstring), and selects the event loop: both modes run
+        one loop, to which a checked run adds the countdown to its next
+        check, the arrivals A per class and every interval through
         ``RenewalStream.draw``, which counts it.  An ``"off"`` run takes
         them uncounted off the streams' ``intervals`` and counts no
         arrival.  When it ends or raises, it sets A and each stream's
         ``count`` to what the check holds them to.  Class k's arrivals are
-        the admissions of the flow entering at k, or the departures of the
-        class before k.  Flow f's count is its exogenous arrivals plus one
-        (the arrival pending on the calendar).  Class k's count is its
-        departures, plus one while k is in service.  Raises
+        its inflow in ``spec.feeder``: the departures of the class before
+        k, or the admissions of the flow entering at k.  Flow f's count is
+        its exogenous arrivals plus one (the arrival pending on the
+        calendar).  Class k's count is its departures, plus one while k is
+        in service.  Raises
         EventBudgetExceeded after ``default_event_budget`` events; a
         Simulation runs once.
         """
@@ -618,17 +609,16 @@ class Simulation:
                 # the unchecked loop counted no draw and no arrival: each flow
                 # drew its first arrival and one per arrival, each class one
                 # service per departure and one more while in service; a
-                # class's arrivals are its flow's admissions at the route's
-                # first class, else the departures of the class before it
+                # class's arrivals are its inflow, the departures of the class
+                # before it or its flow's admissions (``spec.feeder``)
                 for stream, e in zip(self.arr_streams, self.e):
                     stream.count = e + 1
                 for k, (stream, d) in enumerate(zip(self.svc_streams, self.d)):
                     stream.count = d + (k in self.busy_class)
-                for route, admitted in zip(spec.routes, self.lam):
-                    self.a[route[0]] = admitted
-                for k, l in enumerate(spec.successor):
-                    if l >= 0:
-                        self.a[l] = self.d[k]
+                inflow = self.d + self.lam
+                for k, j in enumerate(spec.feeder):
+                    if j >= 0:
+                        self.a[k] = inflow[j]
         self.t = horizon
         self.event_count = events
         q, d, lam = self.q, self.d, self.lam

@@ -427,7 +427,10 @@ class TestCli:
             ("simulate", "simulate: {n: 4, horizon: 50, seed: 2, initial_queues: [-1, 0]}\n",
              "simulate.initial_queues[0]: expected a nonnegative integer, not -1"),
             ("simulate", "simulate: {n: 4, horizon: 50, sample_count: -5}\n",
-             "simulate.sample_count: expected a nonnegative integer, not -5"),
+             "simulate.sample_count: expected a positive integer, not -5"),
+            # 0 samples is no grid: export would write 1000, simulate the final state
+            ("export", "simulate: {n: 4, horizon: 50, sample_count: 0}\n",
+             "simulate.sample_count: expected a positive integer, not 0"),
             ("verify-c2", "verify: {set: {kind: tandem_point}, hbar: 1.0, target_rates: [0.5], per_piece: -3}\n",
              "verify.per_piece: expected a nonnegative integer, not -3"),
             ("verify-c2", "verify: {set: {kind: switch, a: 2}, hbar: 1.0, target_rates: [0.5]}\n",
@@ -546,7 +549,7 @@ class TestCli:
              "set_a_list", "preset_lam_list", "class_ids_entry_list", "path_entry_list",
              "seed_fraction", "replications_fraction", "per_piece_fraction",
              "seed_negative", "base_seed_negative", "seeds_entry_negative", "initial_queues_negative",
-             "sample_count_negative",
+             "sample_count_negative", "sample_count_zero",
              "per_piece_negative", "set_a_outside", "n_nan", "hbar_zero",
              "arrival_kind_misspelt", "simulate_horizon_inf", "experiment_horizon_inf",
              "fluid_horizon_inf", "hbar_nan", "class_id_too_large", "idle_id_too_large",
@@ -701,7 +704,7 @@ GOOD = {
     ("simulate", "horizon"): [30, 5.0],
     ("simulate", "seed"): [0, 3],
     ("simulate", "warmup_frac"): [0.2, 0],
-    ("simulate", "sample_count"): [5, 0],
+    ("simulate", "sample_count"): [5, 1],
     ("fluid", "hbar"): [1.0, 0.5],
     ("fluid", "horizon"): [5, 12.5],
     ("experiment", "horizon"): [30, 10.0],

@@ -630,16 +630,58 @@ def test_loop_is_compiled_once_per_structure_and_grows_linearly(monkeypatch):
         Simulation(net, 10, 1).run(50.0, invariant_checks=mode)
     assert fetched == want
 
-    # the checked loop's text on the switch is pinned, as text because its
+    # both loops' texts on the switch are pinned, as text because their
     # bytecode differs between Python versions: the invariant check reads
-    # what this loop counts, and a change to it shows here.  It schedules
-    # the next check with a conditional expression, not a call of min()
-    text = _generated_text(monkeypatch, compile_loop, spec.routes, spec.successor, spec.station_of,
-                           spec.cycles, spec.members, True)
-    assert len(text.splitlines()) == 298
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5fbddbe617ee72558cb5dd2a92f2c0934a34b6da3743861289831ce4ae8969e4")
-    assert "min(" not in text.split("events += 1")[1]
+    # what the checked loop counts, sweeps run the unchecked one, and a
+    # change to either shows here
+    texts = [_generated_text(monkeypatch, compile_loop, spec.routes, spec.successor, spec.station_of,
+                             spec.cycles, spec.members, checked) for checked in (True, False)]
+    assert [len(text.splitlines()) for text in texts] == [297, 286]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [
+        "3f4bded0e37f1582af7f3dc16f6ea939aca7aa7b195afb8b9700c4563a25a5b6",
+        "600b2d8cda189d3f3784dd9c05807a6aa41a204d5153cdd72377a5f183de8cfa"]
+
+
+# what only a checked loop keeps: A, and the countdown to the next check
+_CHECK_ONLY = re.compile(r"\s*(a = sim\.a|a\[\d+\] \+= 1|left = period|if not left:|check\(t\)|left -= 1)")
+
+
+def _without_check_only_lines(text):
+    # the checked loop's text as the unchecked loop would write it: no line
+    # that only the check reads, each counted draw ``ss3()`` as ``nx(ss3)``
+    # and the streams' ``draw`` as their ``intervals``
+    text = "\n".join(x for x in text.splitlines() if not _CHECK_ONLY.fullmatch(x))
+    text = text.replace("[s.draw for s in", "[s.intervals for s in")
+    return re.sub(r"\b(sa\d+|ss\d+|ss\[c\])\(\)", r"nx(\1)", text)
+
+
+def test_checked_loop_is_the_unchecked_loop_plus_check_only_lines(monkeypatch):
+    # one skeleton: the two modes share the loop header, the budget raise
+    # and the return, and differ only in what the invariant check reads.
+    # On the switch and on a network with a one-class station, a station
+    # cycling over two classes and an idle slot
+    mixed = build_network([(0, 1), (1,)], arrival=[EXP1, EXP1], service=[[EXP1, EXP1], [EXP1]],
+                          num_stations=2, idle_slots={3: 0})
+    assert [len(cyc) for cyc in mixed.cycles] == [1, 2] and mixed.idle_slots == {3}
+    for spec in (switch_example_spec(), mixed):
+        structure = (spec.routes, spec.successor, spec.station_of, spec.cycles, spec.members)
+        checked, unchecked = (_generated_text(monkeypatch, des._compile_loop, *structure, mode)
+                              for mode in (True, False))
+        for text in (checked, unchecked):
+            lines = [x.strip() for x in text.splitlines()]
+            assert lines.count("for _ in repeat(None, budget + 1):") == 1
+            assert sum(x.startswith("raise EventBudgetExceeded") for x in lines) == 1
+            assert [x for x in lines if x.startswith("return")] == ["return sum(e) + sum(d), r"]
+        # every fed class counts its arrivals, and the check runs at one place
+        check_only = [x.strip() for x in checked.splitlines() if _CHECK_ONLY.fullmatch(x)]
+        fed = sorted(k for ks in spec.fed for k in ks)
+        assert sorted(check_only) == sorted(
+            [f"a[{k}] += 1" for k in fed]
+            + ["a = sim.a", "check(t)", "if not left:", "left -= 1", "left = period", "left = period"])
+        assert not any(_CHECK_ONLY.fullmatch(x) for x in unchecked.splitlines())
+        assert "check(" not in unchecked and ".draw" not in unchecked
+        assert _without_check_only_lines(checked).splitlines() == [
+            x for x in unchecked.splitlines() if x != "    nx = next"]
 
 
 def _generated_text(monkeypatch, generator, *structure):
@@ -1228,6 +1270,24 @@ def test_sparse_checks_match_the_generic_loop(n, seed, queues, horizon, times, b
         assert result.startswith(f"exceeded event budget {budget} at t=") and result == generic[0]
         assert len(checks) == budget // 1000
     assert checks == generic[1]
+    assert state == generic[2]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 499, 500])
+def test_every_checks_stop_at_the_budget(budget):
+    # engine_cases draws its budgets only by chance: an "every" run on the
+    # switch (3448 events to the horizon) checks after each event up to the
+    # budget but not after the event that overruns it, and raises the
+    # generic loop's error at the same t, leaving the same state
+    run_args = dict(warmup_frac=0.2, sample_times=None, invariant_checks="every")
+    case = (switch_example_spec(), 10, 5, None, 700.0, run_args, budget)
+    with pytest.MonkeyPatch.context() as mp:
+        compiled = _engine_outcome(case, None, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        generic = _engine_outcome(case, _reference_run, mp)
+    result, checks, state = compiled
+    assert result.startswith(f"exceeded event budget {budget} at t=") and result == generic[0]
+    assert len(checks) == budget and checks == generic[1]
     assert state == generic[2]
 
 
